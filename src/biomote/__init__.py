@@ -11,20 +11,4 @@ Subsystems:
 - :mod:`biomote.cli`    reproducible CSV experiment runner
 """
 
-from biomote.link import (
-    Coil,
-    LinkBudget,
-    LinkConfig,
-    NoiseModel,
-    SingularityError,
-    ac_resistance,
-    backscatter_sweep,
-    link_budget,
-    mutual_inductance,
-    reference_link_config,
-    reflected_impedance,
-    self_inductance,
-    skin_depth,
-)
-
 __version__ = "0.1.0"

@@ -10,7 +10,8 @@ noise).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from biomote.link import (
@@ -36,11 +37,17 @@ class ConfigError(ValueError):
 
 
 def _parse_float(text: str) -> float:
-    return float(text)
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
 
 
 def _parse_int(text: str) -> int:
-    return int(float(text))
+    value = _parse_float(text)
+    if not value.is_integer():
+        raise ValueError("must be a whole number")
+    return int(value)
 
 
 def _parse_float_list(text: str) -> list[float]:
@@ -49,7 +56,7 @@ def _parse_float_list(text: str) -> list[float]:
     for item in text.split(","):
         item = item.strip()
         if ":" in item:
-            a, b, c = (float(x) for x in item.split(":"))
+            a, b, c = (_parse_float(x) for x in item.split(":"))
             if c <= 0:
                 raise ValueError("range step must be positive")
             v = a
@@ -57,75 +64,26 @@ def _parse_float_list(text: str) -> list[float]:
                 out.append(round(v, 12))
                 v += c
         elif item:
-            out.append(float(item))
+            out.append(_parse_float(item))
     if not out:
         raise ValueError("empty list")
     return out
 
 
 def _parse_int_list(text: str) -> list[int]:
-    return [int(round(v)) for v in _parse_float_list(text)]
+    values = _parse_float_list(text)
+    if not all(v.is_integer() for v in values):
+        raise ValueError("entries must be whole numbers")
+    return [int(v) for v in values]
 
 
-def _positive(v):
-    if v <= 0:
-        raise ValueError("must be strictly positive")
-    return v
-
-
-def _at_least_one(v):
-    if v < 1:
-        raise ValueError("must be >= 1")
-    return v
-
-
-def _any(v):
-    return v
-
-
-def _positive_list(v):
-    if any(x <= 0 for x in v):
-        raise ValueError("entries must be strictly positive")
-    return v
-
-
-# key -> (parser, range check); units live in the names
-_SCHEMA = {
-    # link drive and medium
-    "resonance_freq_hz": (_parse_float, _positive),
-    "subcarrier_divider": (_parse_int, _at_least_one),
-    "separation_m": (_parse_float, _positive),
-    "drive_voltage_v": (_parse_float, _positive),
-    "noise_dbm": (_parse_float, _any),
-    "medium_rel_permeability": (_parse_float, _positive),
-    "load_ohm": (_parse_float, _positive),
-    # reader coil
-    "reader_radius_m": (_parse_float, _positive),
-    "reader_turns": (_parse_int, _at_least_one),
-    "reader_wire_diameter_m": (_parse_float, _positive),
-    "reader_height_m": (_parse_float, _positive),
-    "reader_resistivity_ohm_m": (_parse_float, _positive),
-    "reader_core_rel_permeability": (_parse_float, _positive),
-    # mote coil
-    "mote_radius_m": (_parse_float, _positive),
-    "mote_turns": (_parse_int, _at_least_one),
-    "mote_wire_diameter_m": (_parse_float, _positive),
-    "mote_height_m": (_parse_float, _positive),
-    "mote_resistivity_ohm_m": (_parse_float, _positive),
-    "mote_core_rel_permeability": (_parse_float, _positive),
-    # sweep grids and Monte Carlo budgets
-    "link_distances_m": (_parse_float_list, _positive_list),
-    "ber_distances_m": (_parse_float_list, _positive_list),
-    "ber_trials": (_parse_int, _at_least_one),
-    "ber_min_errors": (_parse_int, _at_least_one),
-    "ber_max_bits": (_parse_int, _at_least_one),
-    "mac_rate_bps": (_parse_float, _positive),
-    "mac_packet_bytes": (_parse_int, _at_least_one),
-    "mac_read_times_s": (_parse_float_list, _positive_list),
-    "mac_n_motes": (_parse_int_list, _positive_list),
-    "mac_trials": (_parse_int, _at_least_one),
-    "mac_code_lens": (_parse_int_list, _positive_list),
-    "mac_durations_slots": (_parse_int_list, _positive_list),
+# field annotation -> parser; with postponed annotations these are strings
+_PARSERS = {
+    "float": _parse_float,
+    "float | None": _parse_float,
+    "int": _parse_int,
+    "list[float]": _parse_float_list,
+    "list[int]": _parse_int_list,
 }
 
 
@@ -137,7 +95,7 @@ class RunParameters:
     subcarrier_divider: int = 6
     separation_m: float = 0.06
     drive_voltage_v: float = REFERENCE_DRIVE_VOLTAGE
-    noise_dbm: float = -105.0
+    noise_dbm: float = field(default=-105.0, metadata={"any_sign": True})
     medium_rel_permeability: float = 1.0
     load_ohm: float | None = None            # None: matched to the mote coil
 
@@ -155,19 +113,19 @@ class RunParameters:
     mote_resistivity_ohm_m: float = REFERENCE_MOTE.resistivity
     mote_core_rel_permeability: float = 1.0
 
-    link_distances_m: list = field(default_factory=lambda: [round(0.01 + 0.005 * k, 4) for k in range(19)])
-    ber_distances_m: list = field(default_factory=lambda: [0.045, 0.05, 0.055, 0.06, 0.065, 0.07])
+    link_distances_m: list[float] = field(default_factory=lambda: [round(0.01 + 0.005 * k, 4) for k in range(19)])
+    ber_distances_m: list[float] = field(default_factory=lambda: [0.045, 0.05, 0.055, 0.06, 0.065, 0.07])
     ber_trials: int = 200_000
     ber_min_errors: int = 100
     ber_max_bits: int = 2_000_000
 
     mac_rate_bps: float = 200e3
     mac_packet_bytes: int = 64
-    mac_read_times_s: list = field(default_factory=lambda: [2.0, 4.0, 6.0, 8.0, 10.0])
-    mac_n_motes: list = field(default_factory=lambda: list(range(10, 201, 10)))
+    mac_read_times_s: list[float] = field(default_factory=lambda: [2.0, 4.0, 6.0, 8.0, 10.0])
+    mac_n_motes: list[int] = field(default_factory=lambda: list(range(10, 201, 10)))
     mac_trials: int = 100
-    mac_code_lens: list = field(default_factory=lambda: [16, 32, 64, 128, 256])
-    mac_durations_slots: list = field(default_factory=lambda: [128, 1280])
+    mac_code_lens: list[int] = field(default_factory=lambda: [16, 32, 64, 128, 256])
+    mac_durations_slots: list[int] = field(default_factory=lambda: [128, 1280])
 
     # ------------------------------------------------------------------
     def reader_coil(self, mu: float | None = None) -> Coil:
@@ -207,20 +165,29 @@ class RunParameters:
         return NoiseModel.from_total_dbm(self.noise_dbm)
 
 
+_FIELDS = {spec.name: spec for spec in fields(RunParameters)}
+
+
 def default_parameters() -> RunParameters:
     return RunParameters()
 
 
 def apply_setting(params: RunParameters, key: str, value: str,
                   line: int | None = None) -> None:
-    if key not in _SCHEMA:
+    """Parse ``value`` by the annotation of field ``key`` and store it.
+
+    Numbers must be finite, counts whole, and every value strictly positive
+    unless the field is marked ``any_sign``.
+    """
+    spec = _FIELDS.get(key)
+    if spec is None:
         raise ConfigError(f"unknown key {key!r}", line)
-    parser, check = _SCHEMA[key]
     try:
-        parsed = check(parser(value))
-    except ConfigError:
-        raise
-    except Exception as exc:
+        parsed = _PARSERS[spec.type](value)
+        values = parsed if isinstance(parsed, list) else [parsed]
+        if not spec.metadata.get("any_sign") and any(v <= 0 for v in values):
+            raise ValueError("must be strictly positive")
+    except ValueError as exc:
         raise ConfigError(f"bad value for {key!r}: {exc}", line) from exc
     setattr(params, key, parsed)
 

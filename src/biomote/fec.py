@@ -71,13 +71,14 @@ def _build_tables() -> tuple[np.ndarray, np.ndarray]:
 
 _EXP, _LOG = _build_tables()
 
+#: full 32x32 product table; row and column 0 stay zero
+_MUL = np.zeros((32, 32), dtype=np.int64)
+_MUL[1:, 1:] = _EXP[_LOG[1:, None] + _LOG[None, 1:]]
+
 
 def gf_mul(a, b):
-    """Field product; accepts scalars or equal-shaped integer arrays."""
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    out = _EXP[_LOG[a] + _LOG[b]]
-    out = np.where((a == 0) | (b == 0), 0, out)
+    """Field product; accepts scalars or broadcastable integer arrays."""
+    out = _MUL[a, b]
     return int(out) if out.ndim == 0 else out
 
 
@@ -94,14 +95,6 @@ def gf_pow(a: int, n: int) -> int:
     if a == 0:
         return 0 if n else 1
     return int(_EXP[(_LOG[a] * n) % 31])
-
-
-def _gf_poly_eval(coeffs: np.ndarray, x: int) -> int:
-    """Evaluate sum coeffs[k] x^k by Horner's rule (coefficient 0 first)."""
-    acc = 0
-    for c in coeffs[::-1]:
-        acc = gf_mul(acc, x) ^ int(c)
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +244,7 @@ def rs_encode(msg) -> np.ndarray:
         if not np.any(nz):
             continue
         span = slice(k - 5, k + 1)
-        rem[nz, span] ^= gf_mul(np.outer(lead[nz], np.ones(6, dtype=np.int64)),
-                                np.broadcast_to(_RS_G, (int(nz.sum()), 6)))
+        rem[nz, span] ^= gf_mul(lead[nz, None], _RS_G)
     out = np.zeros((m, RS_N), dtype=np.int64)
     out[:, :5] = rem[:, :5]
     out[:, _RS_SHIFT:] = msg
@@ -286,7 +278,7 @@ def _rs_syndromes(word: np.ndarray) -> np.ndarray:
     acc = np.zeros((m, _RS_NSYN), dtype=np.int64)
     alphas = np.array([gf_pow(2, i) for i in range(1, _RS_NSYN + 1)], dtype=np.int64)
     for k in range(n - 1, -1, -1):
-        acc = gf_mul(acc, np.broadcast_to(alphas, acc.shape)) ^ word[:, k:k + 1]
+        acc = gf_mul(acc, alphas) ^ word[:, k:k + 1]
     return acc
 
 
@@ -356,8 +348,8 @@ def rs_decode(word):
         # sigma(x) = 1 + sig1 x + sig2 x^2, roots at x = a^-p
         powers = _EXP[np.arange(31)]
         inv_powers = _EXP[(31 - np.arange(31)) % 31]
-        t1 = gf_mul(sig1[:, None], np.broadcast_to(inv_powers, (len(idx), 31)))
-        t2 = gf_mul(sig2[:, None], gf_mul(inv_powers, inv_powers)[None, :].repeat(len(idx), 0))
+        t1 = gf_mul(sig1[:, None], inv_powers)
+        t2 = gf_mul(sig2[:, None], gf_mul(inv_powers, inv_powers))
         sig_eval = 1 ^ t1 ^ t2
         roots = sig_eval == 0                        # (rows, 31): position p is a root
         good2 = roots.sum(axis=1) == 2

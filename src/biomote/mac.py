@@ -14,10 +14,10 @@ Three schemes sized for a transmit-only micro implant:
   the only impairment).
 
 Scenario sweeps read a whole deployment within a time window.  The window
-is carved into frames of ``frame_slots``; by default scenario runs use a
-single frame spanning the window (each mote transmits its one packet at a
-random offset).  A deployment counts as fully read when the mean shortfall
-is at most ``full_read_shortfall`` motes (about one collision pair).
+is carved into frames of ``frame_slots``; scenario runs use a single frame
+spanning the window (each mote transmits its one packet at a random
+offset).  A deployment counts as fully read when the mean shortfall is at
+most ``FULL_READ_SHORTFALL`` motes (about one collision pair).
 
 Every routine is deterministic in (seed, parameters): per-trial generator
 streams derive from a seed sequence keyed by (seed, point, trial), so
@@ -34,7 +34,7 @@ import numpy as np
 __all__ = [
     "MacScenario", "DeploymentGeometry", "ZoneShape",
     "binary_tree_iterations", "aloha_simulate", "aloha_mean_successes",
-    "scenario1_sweep", "scenario2_sweep", "max_fully_read",
+    "scenario2_sweep", "max_fully_read",
     "global_recommendation", "walsh_codes", "cdma_simulate",
     "compare_schemes", "FULL_READ_SHORTFALL",
 ]
@@ -154,39 +154,20 @@ def aloha_mean_successes(sc: MacScenario) -> float:
 
 
 def max_fully_read(rate: float, read_time: float, packet_bytes: int,
-                   trials: int = 100, seed: int = 0xB10B10,
-                   step: int = 10,
-                   shortfall: float = FULL_READ_SHORTFALL,
-                   frame_slots: int | None = None) -> int:
-    """Largest deployment, scanned in steps of ``step``, whose mean read
-    count stays within ``shortfall`` of everyone."""
+                   trials: int = 100, seed: int = 0xB10B10) -> int:
+    """Largest deployment, scanned in steps of 10 motes in one frame
+    spanning the window, whose mean read count stays within
+    :data:`FULL_READ_SHORTFALL` of everyone."""
     best = 0
-    n = step
+    n = 10
     while True:
         sc = MacScenario(n_motes=n, rate=rate, packet_bytes=packet_bytes,
-                         read_time=read_time, frame_slots=frame_slots,
-                         trials=trials, seed=seed)
-        if sc.slots_available < 1 or aloha_mean_successes(sc) < n - shortfall:
+                         read_time=read_time, trials=trials, seed=seed)
+        if (sc.slots_available < 1
+                or aloha_mean_successes(sc) < n - FULL_READ_SHORTFALL):
             return best
         best = n
-        n += step
-
-
-def scenario1_sweep(rates, read_times, packet_bytes: int, trials: int = 100,
-                    seed: int = 0xB10B10) -> list[dict]:
-    """Global-deployment question: per (rate, read time), the most motes a
-    zone can hold with everyone read in the window."""
-    rates = list(rates)
-    read_times = list(read_times)
-    if not rates or not read_times:
-        raise ValueError("rates and read_times must be non-empty")
-    rows = []
-    for rate in rates:
-        for rt in read_times:
-            n = max_fully_read(rate, rt, packet_bytes, trials, seed)
-            rows.append(dict(rate_bps=rate, read_time_s=rt,
-                             packet_bytes=packet_bytes, max_motes=n))
-    return rows
+        n += 10
 
 
 def scenario2_sweep(n_motes_list, rates, read_times, packet_bytes: int,

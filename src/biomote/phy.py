@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -48,11 +49,32 @@ class CodeScheme(str, Enum):
 
     @property
     def rate(self) -> float:
-        if self is CodeScheme.NONE:
-            return 1.0
-        if self is CodeScheme.HAMMING_15_11:
-            return fec.hamming_code_rate()
-        return fec.rs_code_rate()
+        codec = _CODECS[self]
+        return codec.k / codec.n
+
+
+class _Codec(NamedTuple):
+    """Block shape and bit-array codec of one :class:`CodeScheme`."""
+
+    k: int                                        # info bits per block
+    n: int                                        # coded bits per block
+    encode: Callable[[np.ndarray], np.ndarray]    # (m, k) -> (m, n) bits
+    decode: Callable[[np.ndarray], np.ndarray]    # (m, n) -> (m, k) bits
+
+
+# The lambdas look up ``fec.<name>`` at call time, so rebinding a module
+# attribute (as a tracer or a test double does) reaches the Monte Carlo.
+_CODECS = {
+    CodeScheme.NONE: _Codec(1000, 1000, lambda b: b, lambda b: b),
+    CodeScheme.HAMMING_15_11: _Codec(
+        fec.HAMMING_K, fec.HAMMING_N,
+        lambda b: fec.hamming_encode(b),
+        lambda b: fec.hamming_decode(b)[0]),
+    CodeScheme.RS_31_26: _Codec(
+        5 * fec.RS_K, 5 * fec.RS_N,
+        lambda b: fec.symbols_to_bits(fec.rs_encode(fec.bits_to_symbols(b))),
+        lambda b: fec.symbols_to_bits(fec.rs_decode(fec.bits_to_symbols(b))[0])),
+}
 
 
 @dataclass(frozen=True)
@@ -66,7 +88,6 @@ class PhyConfig:
     min_errors: int = 100
     max_bits: int = 10_000_000
     seed: int = 0xB10B10
-    amplitude: float = 1.0
 
     def __post_init__(self):
         if self.trials < 1:
@@ -138,33 +159,16 @@ def ebn0_to_channel_snr(ebn0_db: float, code: CodeScheme = CodeScheme.NONE) -> f
 # Monte Carlo engine
 # ---------------------------------------------------------------------------
 
-_BLOCK_INFO_BITS = {CodeScheme.NONE: 1000, CodeScheme.HAMMING_15_11: 11,
-                    CodeScheme.RS_31_26: 130}
-
-
 def _run_blocks(cfg: PhyConfig, snr_db: float, n_blocks: int,
                 rng: np.random.Generator) -> tuple[int, int]:
     """Simulate ``n_blocks`` codewords; returns (info bit errors, info bits)."""
-    k = _BLOCK_INFO_BITS[cfg.code]
-    info = rng.integers(0, 2, size=(n_blocks, k)).astype(np.uint8)
-    if cfg.code is CodeScheme.NONE:
-        coded = info
-    elif cfg.code is CodeScheme.HAMMING_15_11:
-        coded = fec.hamming_encode(info)
-    else:
-        coded = fec.symbols_to_bits(fec.rs_encode(fec.bits_to_symbols(info)))
-    tx = modulate(coded.reshape(-1), cfg.modulation, cfg.amplitude)
+    codec = _CODECS[cfg.code]
+    info = rng.integers(0, 2, size=(n_blocks, codec.k)).astype(np.uint8)
+    tx = modulate(codec.encode(info).reshape(-1), cfg.modulation)
     rx = awgn(tx, snr_db, rng)
-    hard = demodulate(rx, cfg.modulation, cfg.amplitude).reshape(coded.shape)
-    if cfg.code is CodeScheme.NONE:
-        decoded = hard
-    elif cfg.code is CodeScheme.HAMMING_15_11:
-        decoded, _, _ = fec.hamming_decode(hard)
-    else:
-        decoded_syms, _, _ = fec.rs_decode(fec.bits_to_symbols(hard))
-        decoded = fec.symbols_to_bits(decoded_syms)
-    errors = int(np.sum(decoded.astype(np.uint8) ^ info))
-    return errors, n_blocks * k
+    hard = demodulate(rx, cfg.modulation).reshape(n_blocks, codec.n)
+    errors = int(np.sum(codec.decode(hard).astype(np.uint8) ^ info))
+    return errors, n_blocks * codec.k
 
 
 def ber_monte_carlo(cfg: PhyConfig, snr_db: float) -> BerEstimate:
@@ -175,7 +179,7 @@ def ber_monte_carlo(cfg: PhyConfig, snr_db: float) -> BerEstimate:
     """
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=(cfg.seed, _snr_key(snr_db))))
-    k = _BLOCK_INFO_BITS[cfg.code]
+    k = _CODECS[cfg.code].k
     errors = bits = 0
     while True:
         need_bits = bits < cfg.trials

@@ -4,11 +4,19 @@ exit codes."""
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
 from biomote.cli import CSV_SCHEMAS, main
-from biomote.config import ConfigError, default_parameters, load_config, packaged_config_path
+from biomote.config import (
+    ConfigError,
+    RunParameters,
+    apply_setting,
+    default_parameters,
+    load_config,
+    packaged_config_path,
+)
 
 
 def run_cli(args, env_extra=None):
@@ -32,12 +40,6 @@ def test_shipped_table3_values():
     assert params.resonance_freq_hz == 13.56e6
     assert params.medium_rel_permeability == 1.0
     assert params.subcarrier_divider == 6
-
-
-def test_repo_config_matches_packaged(tmp_path):
-    repo = load_config("configs/table3.cfg")
-    packaged = load_config(packaged_config_path())
-    assert repo == packaged
 
 
 def test_empty_file_gives_defaults(tmp_path):
@@ -89,6 +91,24 @@ def test_list_and_range_syntax(tmp_path):
     params = load_config(p)
     assert params.mac_n_motes == [10, 20, 30, 40]
     assert params.link_distances_m == [0.05, 0.06]
+
+
+def _typed(value):
+    """Value with its type, element-wise for lists (10 == 10.0 in Python)."""
+    if isinstance(value, list):
+        return [(v, type(v)) for v in value]
+    return value, type(value)
+
+
+@pytest.mark.parametrize("spec", fields(RunParameters), ids=lambda f: f.name)
+def test_every_field_round_trips(spec):
+    default = getattr(RunParameters(), spec.name)
+    if default is None:      # load_ohm: None (matched load) has no text form
+        default = 50.0
+    text = ",".join(map(repr, default)) if isinstance(default, list) else repr(default)
+    params = RunParameters()
+    apply_setting(params, spec.name, text)
+    assert _typed(getattr(params, spec.name)) == _typed(default)
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +189,21 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "drive_voltage_v" in err and "line 1" in err
+
+
+@pytest.mark.parametrize("setting", [
+    "noise_dbm=nan",
+    "separation_m=nan",
+    "separation_m=inf",
+    "mote_turns=2.7",
+    "mac_n_motes=10.5",
+])
+def test_non_finite_or_fractional_exits_2(tmp_path, capsys, setting):
+    out = tmp_path / "x.csv"
+    rc = main(["link-sweep", "--set", setting, "--out", str(out)])
+    assert rc == 2
+    assert setting.split("=")[0] in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unwritable_output_exits_3(capsys):

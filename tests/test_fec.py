@@ -63,6 +63,27 @@ def test_gf_pow_consistency():
     assert gf_pow(2, 32) == 2
 
 
+def _gf_mul_shift_xor(a: int, b: int) -> int:
+    """Reference product: carry-less multiply, then reduce modulo the
+    primitive polynomial one high bit at a time."""
+    prod = 0
+    for i in range(5):
+        if (b >> i) & 1:
+            prod ^= a << i
+    for bit in range(8, 4, -1):
+        if (prod >> bit) & 1:
+            prod ^= GF32_PRIMITIVE_POLY << (bit - 5)
+    return prod
+
+
+def test_gf_mul_matches_shift_xor_exhaustive():
+    expected = np.array([[_gf_mul_shift_xor(a, b) for b in range(32)]
+                         for a in range(32)])
+    # one broadcast call over all 1,024 pairs, then the scalar path
+    assert np.array_equal(gf_mul(np.arange(32)[:, None], np.arange(32)), expected)
+    assert all(gf_mul(a, b) == expected[a, b] for a in range(32) for b in range(32))
+
+
 # ---------------------------------------------------------------------------
 # Hamming(15,11)
 # ---------------------------------------------------------------------------
