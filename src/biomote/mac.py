@@ -63,6 +63,8 @@ class MacScenario:
             raise ValueError("rate, packet_bytes and read_time must be positive")
         if self.frame_slots is not None and self.frame_slots < 1:
             raise ValueError("frame_slots must be >= 1")
+        if self.trials < 1:
+            raise ValueError("trials must be >= 1")
 
     @property
     def slot_duration(self) -> float:
@@ -197,10 +199,14 @@ def global_recommendation(zone_successes: int, geom: DeploymentGeometry) -> int:
 # CDMA
 # ---------------------------------------------------------------------------
 
-def walsh_codes(length: int) -> np.ndarray:
-    """Sylvester-Hadamard rows: ``length`` mutually orthogonal +-1 chips."""
+def _check_walsh_length(length: int) -> None:
     if length < 1 or length & (length - 1):
         raise ValueError("Walsh code length must be a power of two")
+
+
+def walsh_codes(length: int) -> np.ndarray:
+    """Sylvester-Hadamard rows: ``length`` mutually orthogonal +-1 chips."""
+    _check_walsh_length(length)
     h = np.array([[1]], dtype=np.int8)
     while h.shape[0] < length:
         h = np.block([[h, h], [h, -h]])
@@ -209,17 +215,28 @@ def walsh_codes(length: int) -> np.ndarray:
 
 def _cdma_trial(n: int, code_len: int, family: str, packet_bits: int,
                 rng: np.random.Generator) -> int:
-    if family == "walsh":
-        codes = walsh_codes(code_len)[np.arange(n) % code_len]
-    elif family == "random":
-        codes = (rng.integers(0, 2, size=(n, code_len)).astype(np.int8) * 2 - 1)
-    else:
-        raise ValueError(f"unknown spreading family {family!r}")
+    # All motes transmit chip-synchronously and the reader correlates the
+    # plain chip sum with each code, so the correlations are (C C^T) @ bits
+    # for the n x L code matrix C and the n x packet_bits +-1 matrix bits.
+    if family == "random":
+        codes = rng.integers(0, 2, size=(n, code_len)).astype(np.int8) * 2 - 1
+    # drawn after the codes: the draw order is part of the seeded output
     bits = rng.integers(0, 2, size=(n, packet_bits)).astype(np.int8) * 2 - 1
-    # all motes transmit chip-synchronously; the reader sees the plain sum
-    aggregate = bits.T.astype(np.int32) @ codes.astype(np.int32)
-    correlations = aggregate @ codes.T.astype(np.int32)
-    decided = np.where(correlations.T >= 0, 1, -1).astype(np.int8)
+    if family == "random":
+        # float64 takes the BLAS path and is exact here: every entry and
+        # partial sum is an integer of magnitude <= n * L, far below 2**53.
+        chips = codes.astype(np.float64)
+        correlations = (chips @ chips.T) @ bits.astype(np.float64)
+    else:
+        # Mote i carries Walsh row i mod L, so C C^T = L * [i == j (mod L)]:
+        # mote j correlates to L times the summed bits of every mote sharing
+        # its row.  L > 0 leaves the sign, so the factor is dropped.
+        groups = -(-n // code_len)
+        padded = np.zeros((groups * code_len, packet_bits), dtype=np.int32)
+        padded[:n] = bits
+        row_sums = padded.reshape(groups, code_len, packet_bits).sum(axis=0)
+        correlations = np.tile(row_sums, (groups, 1))[:n]
+    decided = np.where(correlations >= 0, 1, -1).astype(np.int8)
     return int(np.sum(np.all(decided == bits, axis=1)))
 
 
@@ -229,6 +246,12 @@ def cdma_simulate(n_motes: int, code_len: int, family: str = "random",
     """Mean motes whose whole packet survives the multi-access interference."""
     if n_motes < 1:
         raise ValueError("n_motes must be >= 1")
+    if family == "walsh":
+        _check_walsh_length(code_len)
+    elif family != "random":
+        raise ValueError(f"unknown spreading family {family!r}")
+    if code_len < 1 or packet_bytes < 1 or trials < 1:
+        raise ValueError("code_len, packet_bytes and trials must be >= 1")
     bits = packet_bytes * 8
     total = 0
     for t in range(trials):

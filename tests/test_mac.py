@@ -12,6 +12,8 @@ from biomote.mac import (
     DeploymentGeometry,
     MacScenario,
     ZoneShape,
+    _cdma_trial,
+    _trial_rng,
     aloha_mean_successes,
     aloha_simulate,
     binary_tree_iterations,
@@ -143,6 +145,9 @@ def test_scenario_validation():
     with pytest.raises(ValueError):
         MacScenario(n_motes=1, rate=20e3, packet_bytes=64, read_time=1.0,
                     frame_slots=0)
+    with pytest.raises(ValueError):
+        MacScenario(n_motes=1, rate=20e3, packet_bytes=64, read_time=1.0,
+                    trials=0)
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +217,9 @@ def test_walsh_rows_orthogonal():
 def test_walsh_length_validation():
     with pytest.raises(ValueError):
         walsh_codes(24)
+    for length in (24, 0):
+        with pytest.raises(ValueError, match="power of two"):
+            cdma_simulate(4, length, "walsh")
 
 
 def test_walsh_family_exact_for_n_below_length():
@@ -243,6 +251,45 @@ def test_cdma_validation():
         cdma_simulate(0, 16)
     with pytest.raises(ValueError):
         cdma_simulate(4, 16, family="gold")
+
+
+@pytest.mark.parametrize("code_len,packet_bytes,trials",
+                         [(0, 8, 3), (16, 0, 3), (16, 8, 0)])
+def test_cdma_rejects_empty_arguments(code_len, packet_bytes, trials):
+    with pytest.raises(ValueError):
+        cdma_simulate(5, code_len, "random", packet_bytes, trials)
+
+
+def _despread_int32(n, code_len, family, packet_bits, rng):
+    """The two-step int32 despread (bits^T C) C^T, kept as the reference;
+    returns (motes read, correlations that tie at 0)."""
+    if family == "walsh":
+        codes = walsh_codes(code_len)[np.arange(n) % code_len]
+    else:
+        codes = rng.integers(0, 2, size=(n, code_len)).astype(np.int8) * 2 - 1
+    bits = rng.integers(0, 2, size=(n, packet_bits)).astype(np.int8) * 2 - 1
+    aggregate = bits.T.astype(np.int32) @ codes.astype(np.int32)
+    correlations = aggregate @ codes.T.astype(np.int32)
+    decided = np.where(correlations.T >= 0, 1, -1).astype(np.int8)
+    return (int(np.sum(np.all(decided == bits, axis=1))),
+            int(np.sum(correlations == 0)))
+
+
+def test_despread_matches_int32_reference():
+    ties = 0
+    for family, code_len, packet_bits in product(("walsh", "random"), (8, 16),
+                                                 (8, 64)):
+        # n = 1, n < L, n = L, n = L + 1, n = 2L, n = 2L + 3
+        for n in (1, code_len // 2 + 1, code_len, code_len + 1, 2 * code_len,
+                  2 * code_len + 3):
+            for t in range(4):
+                expect, zeros = _despread_int32(n, code_len, family, packet_bits,
+                                                _trial_rng(77, n, t))
+                got = _cdma_trial(n, code_len, family, packet_bits,
+                                  _trial_rng(77, n, t))
+                assert got == expect, (family, code_len, packet_bits, n, t)
+                ties += zeros if family == "random" else 0
+    assert ties > 0         # the >= 0 tie rule was exercised
 
 
 # ---------------------------------------------------------------------------
