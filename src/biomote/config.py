@@ -50,8 +50,17 @@ def _parse_int(text: str) -> int:
     return int(value)
 
 
+#: most values one list may expand to; a longer grid is a typo, not a study
+MAX_LIST_POINTS = 100_000
+
+
 def _parse_float_list(text: str) -> list[float]:
-    """Comma list, each item a number or an a:b:c inclusive range."""
+    """Comma list, each item a number or an a:b:c inclusive range.
+
+    Range points are a + i*c, rounded to 12 decimals, up to b with a
+    tolerance of 1e-9 steps.  A list of more than :data:`MAX_LIST_POINTS`
+    values is rejected before any point is built.
+    """
     out: list[float] = []
     for item in text.split(","):
         item = item.strip()
@@ -59,14 +68,17 @@ def _parse_float_list(text: str) -> list[float]:
             a, b, c = (_parse_float(x) for x in item.split(":"))
             if c <= 0:
                 raise ValueError("range step must be positive")
-            v = a
-            while v <= b * (1 + 1e-12):
-                out.append(round(v, 12))
-                v += c
+            steps = (b - a) / c
+            # checked before any point is built; an overflowed span (inf) fails too
+            if not steps < MAX_LIST_POINTS - len(out):
+                raise ValueError(f"more than {MAX_LIST_POINTS} values")
+            out.extend(round(a + i * c, 12) for i in range(math.floor(steps + 1e-9) + 1))
         elif item:
             out.append(_parse_float(item))
     if not out:
         raise ValueError("empty list")
+    if len(out) > MAX_LIST_POINTS:
+        raise ValueError(f"more than {MAX_LIST_POINTS} values")
     return out
 
 

@@ -3,9 +3,17 @@ Reed-Solomon(31,26) over GF(2^5).
 
 Both codes are systematic and cheap to encode (the mote only encodes;
 decoding happens at the reader).  Two encoder forms are provided for each
-code: a table/matrix form used by the simulator, and a bit/symbol-serial
-shift-register form mirroring the hardware realisation.  They are required
-to agree bit-for-bit.
+code: a table form used by the simulator, and a bit/symbol-serial
+shift-register form (``*_lfsr``) mirroring the hardware realisation, which
+stays the reference.  They are required to agree bit-for-bit.
+
+The table forms rest on linearity.  Hamming packs the 11 message bits of a
+word into an index of a 2048-entry parity table; decoding recomputes parity
+the same way, XORs it with the received parity into a syndrome, and flips
+the bit a 16-entry syndrome table names.  RS parity and the syndromes
+S_1..S_5 are XORs over symbol positions of per-position 32-entry tables,
+each entry packing five 5-bit field elements into one word: the parity of
+v x^i, and v a^(ik) for k = 1..5.
 
 Conventions
 -----------
@@ -104,27 +112,18 @@ def gf_pow(a: int, n: int) -> int:
 _HAMMING_G = 0b10011  # x^4 + x + 1
 
 
-def _hamming_parity_bits(msg: np.ndarray) -> np.ndarray:
-    """Remainder of x^4 m(x) mod g(x) via the generator matrix, vectorised
-    over a (..., 11) bit array."""
-    return (msg @ _HAMMING_PARITY_OF_BIT) % 2
-
-
-def _build_hamming_tables():
-    # parity rows: remainder of x^(4+i) mod g for each message bit i
-    parity_of_bit = np.zeros((HAMMING_K, 4), dtype=np.int64)
+def _build_hamming_tables() -> tuple[np.ndarray, np.ndarray]:
+    # parity of an 11-bit message index: XOR of x^(4+i) mod g over its set
+    # bits; indices with bit i set are the upper half after step i
+    parity = [0]
     for i in range(HAMMING_K):
         r = _poly_mod_gf2(1 << (4 + i), _HAMMING_G)
-        parity_of_bit[i] = [(r >> j) & 1 for j in range(4)]
+        parity += [p ^ r for p in parity]
     # syndrome of a single error in position p: x^p mod g
-    syndrome_to_pos = {}
-    for p in range(HAMMING_N):
-        s = _poly_mod_gf2(1 << p, _HAMMING_G)
-        syndrome_to_pos[s] = p
     pos_of_syndrome = np.full(16, -1, dtype=np.int64)
-    for s, p in syndrome_to_pos.items():
-        pos_of_syndrome[s] = p
-    return parity_of_bit, pos_of_syndrome
+    for p in range(HAMMING_N):
+        pos_of_syndrome[_poly_mod_gf2(1 << p, _HAMMING_G)] = p
+    return np.array(parity, dtype=np.uint8), pos_of_syndrome
 
 
 def _poly_mod_gf2(num: int, den: int) -> int:
@@ -134,7 +133,18 @@ def _poly_mod_gf2(num: int, den: int) -> int:
     return num
 
 
-_HAMMING_PARITY_OF_BIT, _HAMMING_POS_OF_SYNDROME = _build_hamming_tables()
+#: packed parity nibble (bit j = parity position j) of each 11-bit message
+#: index (bit i = message bit i), and the error position of each syndrome
+_HAMMING_PARITY, _HAMMING_POS_OF_SYNDROME = _build_hamming_tables()
+#: bit j of each nibble, for unpacking parity
+_NIBBLE_BITS = np.array([[(v >> j) & 1 for j in range(4)] for v in range(16)], dtype=np.uint8)
+
+
+def _pack_rows(bits: np.ndarray) -> np.ndarray:
+    """(..., w <= 16) 0/1 array -> (...) uint16 words, bit j = column j."""
+    padded = np.zeros(bits.shape[:-1] + (16,), dtype=np.uint8)
+    padded[..., :bits.shape[-1]] = bits
+    return np.packbits(padded, bitorder="little").view("<u2").reshape(bits.shape[:-1])
 
 
 def hamming_encode(msg) -> np.ndarray:
@@ -143,13 +153,13 @@ def hamming_encode(msg) -> np.ndarray:
     Accepts a length-11 sequence or an (m, 11) array; returns the matching
     (…, 15) uint8 array with parity in positions 0..3.
     """
-    msg = np.asarray(msg, dtype=np.int64)
+    msg = np.asarray(msg)
     single = msg.ndim == 1
     msg = np.atleast_2d(msg)
     if msg.shape[-1] != HAMMING_K:
         raise ValueError(f"message must have length {HAMMING_K}, got {msg.shape[-1]}")
     out = np.empty(msg.shape[:-1] + (HAMMING_N,), dtype=np.uint8)
-    out[..., :4] = _hamming_parity_bits(msg)
+    out[..., :4] = np.take(_NIBBLE_BITS, np.take(_HAMMING_PARITY, _pack_rows(msg)), axis=0)
     out[..., 4:] = msg
     return out[0] if single else out
 
@@ -179,24 +189,22 @@ def hamming_decode(word):
     the uncorrectable flag is structurally always False (double errors
     miscorrect to a third position rather than being detected).
     """
-    word = np.asarray(word, dtype=np.int64)
+    word = np.asarray(word)
     single = word.ndim == 1
     word = np.atleast_2d(word)
     if word.shape[-1] != HAMMING_N:
         raise ValueError(f"word must have length {HAMMING_N}, got {word.shape[-1]}")
     # syndrome = parity recomputed from data xor received parity
-    syn_bits = (_hamming_parity_bits(word[..., 4:]) ^ word[..., :4]).astype(np.int64)
-    syn = syn_bits @ (1 << np.arange(4))
-    pos = _HAMMING_POS_OF_SYNDROME[syn]          # -1 never occurs (perfect code)
+    packed = _pack_rows(word)
+    syn = np.take(_HAMMING_PARITY, packed >> 4) ^ (packed & 0xF)
+    fixed = word.astype(np.uint8)
+    rows = np.nonzero(syn)[0]
+    fixed[rows, _HAMMING_POS_OF_SYNDROME[syn[rows]]] ^= 1
+    msg = fixed[:, 4:]
     corrected = (syn != 0).astype(np.int64)
-    fixed = word.copy()
-    rows = np.nonzero(syn != 0)[0]
-    fixed[rows, pos[rows]] ^= 1
-    msg = fixed[..., 4:].astype(np.uint8)
-    flags = np.zeros(word.shape[0], dtype=bool)
     if single:
-        return msg[0], int(corrected[0]), bool(flags[0])
-    return msg, corrected, flags
+        return msg[0], int(corrected[0]), False
+    return msg, corrected, np.zeros(word.shape[0], dtype=bool)
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +227,48 @@ _RS_G = rs_generator_poly()          # degree 5, 6 coefficients
 _RS_SHIFT = 5                        # parity block width: x^5 m(x)
 _RS_NSYN = 5                         # syndromes S_1..S_5
 
+#: five field elements pack into one word, element j in bits 5j..5j+4
+_FIELD_SHIFTS = 5 * np.arange(5)
+
+
+def _packed_multiples(coeffs: np.ndarray) -> np.ndarray:
+    """(n, 5) field elements -> (n, 32) uint32: [i, v] packs v * coeffs[i]."""
+    return (_MUL[:, coeffs] << _FIELD_SHIFTS).sum(axis=-1).T.astype(np.uint32)
+
+
+def _rs_parity_rows() -> np.ndarray:
+    """Row i: coefficients of x^(5+i) mod g, the parity of message x^i."""
+    rows = np.zeros((RS_K, _RS_SHIFT), dtype=np.int64)
+    r = _RS_G[:5].copy()                 # x^5 = g_0 + ... + g_4 x^4 mod g
+    for i in range(RS_K):
+        rows[i] = r
+        r = np.concatenate(([0], r[:4])) ^ gf_mul(int(r[4]), _RS_G[:5])
+    return rows
+
+
+# Parity and syndromes are GF(32)-linear in the symbols: each is the XOR over
+# positions i of what symbol v at i contributes, tabulated per position.  The
+# parity of v x^i is v (x^(5+i) mod g); S_k of v x^i is v a^(ik).
+_RS_PARITY_WORDS = _packed_multiples(_rs_parity_rows())                     # (26, 32)
+_RS_SYNDROME_WORDS = _packed_multiples(
+    _EXP[(np.arange(RS_N)[:, None] * np.arange(1, _RS_NSYN + 1)) % 31])    # (31, 32)
+
+
+def _xor_lookup(table: np.ndarray, symbols: np.ndarray) -> np.ndarray:
+    """XOR over positions i of table[i, symbols[:, i]], as (m,) packed words."""
+    flat_index = symbols + 32 * np.arange(table.shape[0])
+    return np.bitwise_xor.reduce(np.take(table, flat_index), axis=1)
+
+
+def _unpack_fields(words: np.ndarray) -> np.ndarray:
+    """(m,) packed words -> (m, 5) field elements."""
+    return (words[:, None] >> _FIELD_SHIFTS) & 31
+
+
+def _check_symbols(symbols: np.ndarray) -> None:
+    if symbols.size and (symbols.min() < 0 or symbols.max() > 31):
+        raise ValueError("symbols must lie in [0, 31]")
+
 
 def rs_encode(msg) -> np.ndarray:
     """Encode 26 GF(32) symbols into a systematic 31-symbol codeword.
@@ -231,22 +281,9 @@ def rs_encode(msg) -> np.ndarray:
     msg = np.atleast_2d(msg)
     if msg.shape[-1] != RS_K:
         raise ValueError(f"message must have length {RS_K}, got {msg.shape[-1]}")
-    if np.any((msg < 0) | (msg > 31)):
-        raise ValueError("symbols must lie in [0, 31]")
-    m = msg.shape[0]
-    # long division of x^5 m(x) by g, vectorised across blocks: process the
-    # dividend from the top coefficient down, cancelling with g each step.
-    rem = np.zeros((m, RS_N), dtype=np.int64)
-    rem[:, _RS_SHIFT:] = msg
-    for k in range(RS_N - 1, 4, -1):
-        lead = rem[:, k].copy()
-        nz = lead != 0
-        if not np.any(nz):
-            continue
-        span = slice(k - 5, k + 1)
-        rem[nz, span] ^= gf_mul(lead[nz, None], _RS_G)
-    out = np.zeros((m, RS_N), dtype=np.int64)
-    out[:, :5] = rem[:, :5]
+    _check_symbols(msg)
+    out = np.empty((msg.shape[0], RS_N), dtype=np.int64)
+    out[:, :_RS_SHIFT] = _unpack_fields(_xor_lookup(_RS_PARITY_WORDS, msg))
     out[:, _RS_SHIFT:] = msg
     return out[0] if single else out
 
@@ -273,13 +310,7 @@ def rs_encode_lfsr(msg) -> np.ndarray:
 
 def _rs_syndromes(word: np.ndarray) -> np.ndarray:
     """S_i = r(a^i) for i = 1..5, vectorised: shape (m, 5)."""
-    m, n = word.shape
-    # Horner: acc = acc*a^i + c_k, from k = 30 down to 0
-    acc = np.zeros((m, _RS_NSYN), dtype=np.int64)
-    alphas = np.array([gf_pow(2, i) for i in range(1, _RS_NSYN + 1)], dtype=np.int64)
-    for k in range(n - 1, -1, -1):
-        acc = gf_mul(acc, alphas) ^ word[:, k:k + 1]
-    return acc
+    return _unpack_fields(_xor_lookup(_RS_SYNDROME_WORDS, word))
 
 
 def rs_decode(word):
@@ -300,8 +331,7 @@ def rs_decode(word):
     word = np.atleast_2d(word)
     if word.shape[-1] != RS_N:
         raise ValueError(f"word must have length {RS_N}, got {word.shape[-1]}")
-    if np.any((word < 0) | (word > 31)):
-        raise ValueError("symbols must lie in [0, 31]")
+    _check_symbols(word)
     m = word.shape[0]
     S = _rs_syndromes(word)
     S1, S2, S3, S4, S5 = (S[:, i] for i in range(_RS_NSYN))
@@ -392,17 +422,23 @@ def rs_decode(word):
 # symbol <-> bit packing (5 bits per symbol, MSB first)
 # ---------------------------------------------------------------------------
 
+#: row v: the 5 bits of symbol v, most-significant first
+_SYMBOL_BITS = np.array([[(v >> j) & 1 for j in range(4, -1, -1)] for v in range(32)],
+                        dtype=np.uint8)
+
+
 def symbols_to_bits(symbols) -> np.ndarray:
     symbols = np.asarray(symbols, dtype=np.int64)
-    shifts = np.arange(4, -1, -1)
-    bits = (symbols[..., None] >> shifts) & 1
-    return bits.reshape(symbols.shape[:-1] + (symbols.shape[-1] * 5,)).astype(np.uint8)
+    bits = np.take(_SYMBOL_BITS, symbols & 31, axis=0)
+    return bits.reshape(symbols.shape[:-1] + (symbols.shape[-1] * 5,))
 
 
 def bits_to_symbols(bits) -> np.ndarray:
-    bits = np.asarray(bits, dtype=np.int64)
+    bits = np.asarray(bits)
     if bits.shape[-1] % 5:
         raise ValueError("bit count must be a multiple of 5")
     grouped = bits.reshape(bits.shape[:-1] + (bits.shape[-1] // 5, 5))
-    weights = 1 << np.arange(4, -1, -1)
-    return grouped @ weights
+    symbols = grouped[..., 0] << 4
+    for i in range(1, 5):
+        symbols |= grouped[..., i] << (4 - i)
+    return symbols.astype(np.int64, copy=False)

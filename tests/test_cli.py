@@ -4,6 +4,7 @@ exit codes."""
 import os
 import subprocess
 import sys
+import time
 from dataclasses import fields
 
 import pytest
@@ -216,3 +217,32 @@ def test_cli_help_documents_schema():
     r = run_cli(["table1", "--help"])
     assert r.returncode == 0
     assert CSV_SCHEMAS["table1"] in r.stdout
+
+
+def test_range_points_are_exact_multiples():
+    params = RunParameters()
+    apply_setting(params, "ber_distances_m", "0.01:0.07:0.005")
+    assert params.ber_distances_m == [
+        0.01, 0.015, 0.02, 0.025, 0.03, 0.035, 0.04,
+        0.045, 0.05, 0.055, 0.06, 0.065, 0.07]
+
+
+def test_range_point_cap():
+    from biomote.config import MAX_LIST_POINTS
+    params = RunParameters()
+    apply_setting(params, "mac_n_motes", f"1:{MAX_LIST_POINTS}:1")
+    assert len(params.mac_n_motes) == MAX_LIST_POINTS
+    for text in (f"1:{MAX_LIST_POINTS + 1}:1", f"1:{MAX_LIST_POINTS}:1, 7",
+                 "1:60000:1, 1:60000:1", "1e-300:1e300:1e-300"):
+        with pytest.raises(ConfigError, match="more than"):
+            apply_setting(params, "mac_n_motes", text)
+
+
+def test_oversized_range_exits_2_before_work(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    start = time.perf_counter()
+    rc = main(["link-sweep", "--set", "link_distances_m=0:1e12:1", "--out", str(out)])
+    assert rc == 2
+    assert time.perf_counter() - start < 5.0   # the 1e12 points are never built
+    assert "link_distances_m" in capsys.readouterr().err
+    assert not out.exists()

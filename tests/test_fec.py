@@ -1,5 +1,6 @@
 """FEC tests: exhaustive Hamming oracles, independent RS division oracle,
-randomized error-pattern trials."""
+randomized error-pattern trials, and the table-driven kernels checked
+against the arithmetic forms they replaced."""
 
 from fractions import Fraction
 
@@ -317,3 +318,135 @@ def test_symbol_bit_roundtrip():
 def test_packing_msb_first():
     assert np.array_equal(symbols_to_bits(np.array([0b10011])),
                           np.array([1, 0, 0, 1, 1]))
+
+
+# ---------------------------------------------------------------------------
+# table-driven kernels against the arithmetic forms they replaced
+# ---------------------------------------------------------------------------
+
+def _poly_mod_gf2(num: int, den: int) -> int:
+    while num.bit_length() >= den.bit_length():
+        num ^= den << (num.bit_length() - den.bit_length())
+    return num
+
+
+# rows: remainder of x^(4+i) mod g(x) = x^4 + x + 1, bit j of the remainder
+_REF_HAMMING_PARITY = np.array(
+    [[(_poly_mod_gf2(1 << (4 + i), 0b10011) >> j) & 1 for j in range(4)]
+     for i in range(11)], dtype=np.int64)
+_REF_HAMMING_POS = np.full(16, -1, dtype=np.int64)
+for _p in range(15):
+    _REF_HAMMING_POS[_poly_mod_gf2(1 << _p, 0b10011)] = _p
+
+
+def ref_hamming_encode(msg: np.ndarray) -> np.ndarray:
+    """Generator-matrix encoder in int64 arithmetic."""
+    msg = np.asarray(msg, dtype=np.int64)
+    return np.concatenate([(msg @ _REF_HAMMING_PARITY) % 2, msg], axis=1)
+
+
+def ref_hamming_decode(word: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """int64 syndrome decoder: recompute parity, look the syndrome's error
+    position up, flip it.  Returns (msg, corrected)."""
+    word = np.asarray(word, dtype=np.int64)
+    syn_bits = ((word[:, 4:] @ _REF_HAMMING_PARITY) % 2) ^ word[:, :4]
+    syn = syn_bits @ (1 << np.arange(4))
+    fixed = word.copy()
+    rows = np.nonzero(syn)[0]
+    fixed[rows, _REF_HAMMING_POS[syn[rows]]] ^= 1
+    return fixed[:, 4:], (syn != 0).astype(np.int64)
+
+
+def ref_rs_encode(msg: np.ndarray) -> np.ndarray:
+    """Masked long division of x^5 m(x) by g(x), vectorised over blocks."""
+    msg = np.asarray(msg, dtype=np.int64)
+    g = rs_generator_poly()
+    rem = np.zeros((msg.shape[0], 31), dtype=np.int64)
+    rem[:, 5:] = msg
+    for k in range(30, 4, -1):
+        lead = rem[:, k].copy()
+        nz = lead != 0
+        rem[nz, k - 5:k + 1] ^= gf_mul(lead[nz, None], g)
+    return np.concatenate([rem[:, :5], msg], axis=1)
+
+
+def ref_rs_syndromes(word: np.ndarray) -> np.ndarray:
+    """Horner evaluation of S_i = r(a^i), i = 1..5."""
+    acc = np.zeros((word.shape[0], 5), dtype=np.int64)
+    alphas = np.array([gf_pow(2, i) for i in range(1, 6)])
+    for k in range(30, -1, -1):
+        acc = gf_mul(acc, alphas) ^ word[:, k:k + 1]
+    return acc
+
+
+def all_words_15() -> np.ndarray:
+    vals = np.arange(1 << 15)
+    return ((vals[:, None] >> np.arange(15)) & 1).astype(np.uint8)
+
+
+def test_hamming_encode_matches_matrix_form_exhaustive():
+    msgs = all_messages_11()
+    words = hamming_encode(msgs)
+    assert words.dtype == np.uint8
+    assert np.array_equal(words, ref_hamming_encode(msgs))
+    assert np.array_equal(hamming_encode(msgs[5]), words[5])
+
+
+def test_hamming_decode_matches_syndrome_form_exhaustive():
+    """All 2^15 received words, codewords or not."""
+    words = all_words_15()
+    msg, corrected, flags = hamming_decode(words)
+    ref_msg, ref_corrected = ref_hamming_decode(words)
+    assert msg.dtype == np.uint8 and corrected.dtype == np.int64
+    assert np.array_equal(msg, ref_msg)
+    assert np.array_equal(corrected, ref_corrected)
+    assert not flags.any()
+    # int64 input and the single-word form take the same path
+    assert np.array_equal(hamming_decode(words.astype(np.int64))[0], msg)
+    one = hamming_decode(words[12345])
+    assert np.array_equal(one[0], msg[12345]) and one[1] == corrected[12345]
+
+
+def unit_messages_26() -> np.ndarray:
+    """Every v * x^j, v in 1..31, j in 0..25: a spanning set of the code."""
+    msgs = np.zeros((31 * 26, 26), dtype=np.int64)
+    j, v = np.divmod(np.arange(31 * 26), 31)
+    msgs[np.arange(31 * 26), j] = v + 1
+    return msgs
+
+
+def test_rs_encode_matches_division_and_lfsr():
+    units = unit_messages_26()
+    words = rs_encode(units)
+    assert words.dtype == np.int64
+    assert np.array_equal(words, ref_rs_encode(units))
+    for msg, word in zip(units, words):
+        assert np.array_equal(rs_encode_lfsr(msg), word)
+    msgs = RNG.integers(0, 32, size=(10_000, 26))
+    words = rs_encode(msgs)
+    assert np.array_equal(words, ref_rs_encode(msgs))
+    for msg, word in zip(msgs, words):
+        assert np.array_equal(rs_encode_lfsr(msg), word)
+
+
+@pytest.mark.parametrize("n_errors", [0, 1, 2, 3])
+def test_rs_syndromes_match_horner(n_errors):
+    trials = 3_000
+    words = rs_encode(RNG.integers(0, 32, size=(trials, 26)))
+    rows = np.arange(trials)
+    pos = np.argsort(RNG.random((trials, 31)), axis=1)[:, :n_errors]
+    for k in range(n_errors):
+        words[rows, pos[:, k]] ^= RNG.integers(1, 32, size=trials)
+    syn = fec._rs_syndromes(words)
+    assert np.array_equal(syn, ref_rs_syndromes(words))
+    assert (syn.any(axis=1) == (n_errors > 0)).all()
+
+
+def test_symbol_packing_matches_arithmetic_form():
+    syms = RNG.integers(0, 32, size=(50, 31))
+    bits = symbols_to_bits(syms)
+    ref = ((syms[..., None] >> np.arange(4, -1, -1)) & 1).reshape(50, 155)
+    assert bits.dtype == np.uint8 and np.array_equal(bits, ref)
+    back = bits_to_symbols(bits)
+    assert back.dtype == np.int64 and np.array_equal(back, syms)
+    assert np.array_equal(bits_to_symbols(bits.astype(np.int64)), syms)

@@ -91,6 +91,33 @@ def test_awgn_variance_within_one_percent():
     assert np.var(noise) == pytest.approx(target, rel=0.01)
 
 
+def _awgn_inputs():
+    bits = np.random.default_rng(5).integers(0, 2, size=20_000)
+    streams = [modulate(bits, scheme) for scheme in Modulation]
+    return streams + [
+        streams[0][::3],                                   # strided view
+        streams[1].reshape(100, 200).T,                    # Fortran order
+        np.random.default_rng(7).normal(size=(40, 50)),    # non-integer energy
+    ]
+
+
+@pytest.mark.parametrize("case", range(5))
+@pytest.mark.parametrize("snr_db", [-3.0, 4.0, 12.5])
+def test_awgn_bit_identical_to_normal_draw(case, snr_db):
+    """awgn is symbols + rng.normal(0, sigma) to the last bit, in every array
+    layout, and leaves the generator where that draw leaves it."""
+    symbols = _awgn_inputs()[case]
+    rng = np.random.default_rng(6)
+    ref_rng = np.random.default_rng(6)
+    out = awgn(symbols, snr_db, rng)
+    sigma = math.sqrt(float(np.mean(symbols ** 2)) / 10.0 ** (snr_db / 10.0))
+    ref = symbols + ref_rng.normal(0.0, sigma, size=symbols.shape)
+    assert out.dtype == np.float64
+    assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert np.array_equal(symbols, _awgn_inputs()[case])     # input untouched
+
+
 def test_awgn_deterministic_per_seed():
     x = np.ones(1000)
     a = awgn(x, 3.0, np.random.default_rng(42))
@@ -204,3 +231,121 @@ def test_phyconfig_validation():
         PhyConfig(trials=0)
     with pytest.raises(ValueError):
         PhyConfig(trials=100, max_bits=10)
+
+
+# (modulation, code, channel snr_db) -> (errors, bits_simulated) with the
+# PhyConfig of test_seeded_stream_pinned.  Recorded from the int64-matmul
+# codecs; any change to a random draw, the chunk schedule or a codec's bits
+# moves these.  Points that stop on min_errors past the trials floor (ASK
+# uncoded at 11 dB, BPSK uncoded at 7 dB) and points that run to the bit cap
+# (every 14 dB point) are both present.
+PINNED_STREAM = {
+    ("ask", "none", 2.0): (3701, 20000),
+    ("ask", "none", 7.0): (1094, 20000),
+    ("ask", "none", 11.0): (310, 50000),
+    ("ask", "none", 14.0): (50, 300000),
+    ("ask", "hamming15_11", 2.0): (8487, 39996),
+    ("ask", "hamming15_11", 7.0): (1756, 39996),
+    ("ask", "hamming15_11", 11.0): (201, 300003),
+    ("ask", "hamming15_11", 14.0): (0, 300003),
+    ("ask", "rs31_26", 2.0): (7490, 39780),
+    ("ask", "rs31_26", 7.0): (2246, 39780),
+    ("ask", "rs31_26", 11.0): (361, 249080),
+    ("ask", "rs31_26", 14.0): (0, 300040),
+    ("bpsk", "none", 2.0): (2133, 20000),
+    ("bpsk", "none", 7.0): (625, 50000),
+    ("bpsk", "none", 11.0): (51, 300000),
+    ("bpsk", "none", 14.0): (0, 300000),
+    ("bpsk", "hamming15_11", 2.0): (4382, 39996),
+    ("bpsk", "hamming15_11", 7.0): (349, 129987),
+    ("bpsk", "hamming15_11", 11.0): (0, 300003),
+    ("bpsk", "hamming15_11", 14.0): (0, 300003),
+    ("bpsk", "rs31_26", 2.0): (4258, 39780),
+    ("bpsk", "rs31_26", 7.0): (442, 69680),
+    ("bpsk", "rs31_26", 11.0): (0, 300040),
+    ("bpsk", "rs31_26", 14.0): (0, 300040),
+}
+
+
+@pytest.mark.parametrize("mod,code,snr_db", sorted(PINNED_STREAM))
+def test_seeded_stream_pinned(mod, code, snr_db):
+    """The seeded Monte Carlo gives exactly the recorded counts, so a faster
+    codec or channel cannot change a draw or a decoded bit unnoticed."""
+    cfg = PhyConfig(modulation=Modulation(mod), code=CodeScheme(code),
+                    trials=20_000, min_errors=300, max_bits=300_000, seed=2024)
+    est = ber_monte_carlo(cfg, snr_db)
+    assert (est.errors, est.bits_simulated) == PINNED_STREAM[(mod, code, snr_db)]
+    assert type(est.errors) is int and type(est.low_confidence) is bool
+    assert est.low_confidence == (est.errors < cfg.min_errors)
+
+
+@pytest.mark.parametrize("code", list(CodeScheme))
+def test_bit_cap_overshoot_below_one_codeword(code):
+    """Whole codewords are simulated, so a capped run stops within k - 1
+    bits past max_bits (documented, not clamped: clamping moves CSVs)."""
+    k = {CodeScheme.NONE: 1000, CodeScheme.HAMMING_15_11: 11,
+         CodeScheme.RS_31_26: 130}[code]
+    cfg = PhyConfig(code=code, trials=10_000, min_errors=10**9,
+                    max_bits=123_457, seed=3)
+    est = ber_monte_carlo(cfg, 3.0)
+    assert est.low_confidence
+    assert cfg.max_bits <= est.bits_simulated < cfg.max_bits + k
+    assert est.bits_simulated % k == 0
+
+
+# ---------------------------------------------------------------------------
+# exact Hamming(15,11) oracle
+# ---------------------------------------------------------------------------
+
+def hamming_error_moments() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each channel error weight w = 0..15: the number of patterns, and
+    the sums over them of decoded information-bit errors and of its square.
+
+    The code is linear and the decoder works on syndromes, so decoding
+    codeword + e errs in exactly the bits where decoding e alone does; all
+    2^15 patterns e on the zero word give the exact statistics."""
+    from biomote.fec import hamming_decode
+    patterns = ((np.arange(1 << 15)[:, None] >> np.arange(15)) & 1).astype(np.uint8)
+    weight = patterns.sum(axis=1)
+    info_errors = hamming_decode(patterns)[0].sum(axis=1).astype(np.int64)
+    count = np.bincount(weight, minlength=16)
+    first = np.bincount(weight, weights=info_errors, minlength=16)
+    second = np.bincount(weight, weights=info_errors ** 2, minlength=16)
+    return count, first, second
+
+
+def test_hamming_error_moments_structure():
+    count, first, second = hamming_error_moments()
+    assert list(count) == [math.comb(15, w) for w in range(16)]
+    assert first[0] == first[1] == 0            # single errors are corrected
+    # perfect code: each codeword owns 16 words, and the 2^11 codewords carry
+    # 11 * 2^10 message ones between them
+    assert first.sum() == 16 * 11 * 2 ** 10
+    assert (second >= first).all()
+
+
+@pytest.mark.parametrize("mod", list(Modulation))
+# up to 8 dB, where even BPSK leaves ~150 failed blocks in 40,000, so the
+# normal approximation behind the 3-sigma band holds
+@pytest.mark.parametrize("snr_db", [0.0, 2.0, 4.0, 6.0, 8.0])
+def test_hamming_monte_carlo_matches_exact_oracle(mod, snr_db):
+    """Hard decisions make the channel a BSC with crossover p = Q(sqrt(g))
+    (BPSK) or Q(sqrt(g/2)) (ASK); the decoded BER is then the polynomial
+    sum_w E_w p^w (1-p)^(15-w) / 11.  The Monte Carlo lies within 3 sigma,
+    sigma from the exact per-block variance of the error count."""
+    count, first, second = hamming_error_moments()
+    gamma = 10.0 ** (snr_db / 10.0)
+    arg = gamma if mod is Modulation.BPSK else gamma / 2.0
+    p = 0.5 * math.erfc(math.sqrt(arg / 2.0))
+    w = np.arange(16)
+    prob = p ** w * (1.0 - p) ** (15 - w)         # one pattern of weight w
+    mean_block = float(np.sum(prob * first))
+    var_block = float(np.sum(prob * second)) - mean_block ** 2
+    cfg = PhyConfig(modulation=mod, code=CodeScheme.HAMMING_15_11,
+                    trials=440_000, min_errors=1, max_bits=440_000, seed=13)
+    est = ber_monte_carlo(cfg, snr_db)
+    blocks = est.bits_simulated // 11
+    assert blocks == 40_000
+    exact = mean_block / 11
+    sigma = math.sqrt(var_block / blocks) / 11
+    assert abs(est.ber - exact) <= 3 * sigma, (est.ber, exact, sigma)
