@@ -21,13 +21,17 @@ most ``FULL_READ_SHORTFALL`` motes (about one collision pair).
 
 Every routine is deterministic in (seed, parameters): per-trial generator
 streams derive from a seed sequence keyed by (seed, point, trial), so
-results are independent of any chunking of trials across workers.
+results are independent of any chunking of trials across workers.  The
+ALOHA routines memoise each key's PCG64 start state per process, in a
+bounded cache (:data:`_SEED_MEMO_SIZE` keys); a trial restored from the
+memo draws exactly the numbers a freshly seeded generator would.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -66,15 +70,16 @@ class MacScenario:
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
 
-    @property
+    # computed once per scenario, not once per ALOHA trial
+    @cached_property
     def slot_duration(self) -> float:
         return self.packet_bytes * 8 / self.rate
 
-    @property
+    @cached_property
     def slots_available(self) -> int:
         return int(self.read_time / self.slot_duration)
 
-    @property
+    @cached_property
     def effective_frame_slots(self) -> int:
         return self.slots_available if self.frame_slots is None else self.frame_slots
 
@@ -121,6 +126,28 @@ def _trial_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=(seed, *key)))
 
 
+#: most keys whose PCG64 start state is memoised per process (about 264 B
+#: each).  A ``max_fully_read`` scan or a ``scenario2_sweep`` reuses every
+#: (seed, n, trial) key at each read time.
+_SEED_MEMO_SIZE = 4096
+
+
+@lru_cache(maxsize=_SEED_MEMO_SIZE)
+def _pcg64_start(seed: int, *key: int) -> tuple[int, int]:
+    """The PCG64 ``(state, inc)`` that ``_trial_rng(seed, *key)`` starts at."""
+    start = _trial_rng(seed, *key).bit_generator.state["state"]
+    return start["state"], start["inc"]
+
+
+def _singletons(picks: np.ndarray) -> int:
+    """How many values occur exactly once in ``picks``; sorts it in place."""
+    picks.sort()
+    # differs[i]: element i differs from element i - 1; both ends count
+    differs = np.ones(picks.size + 1, dtype=bool)
+    np.not_equal(picks[1:], picks[:-1], out=differs[1:-1])
+    return int(np.count_nonzero(differs[:-1] & differs[1:]))
+
+
 def aloha_simulate(sc: MacScenario, rng: np.random.Generator) -> tuple[int, int]:
     """One framed-ALOHA run; returns (motes read, slots consumed).
 
@@ -135,23 +162,35 @@ def aloha_simulate(sc: MacScenario, rng: np.random.Generator) -> tuple[int, int]
     while remaining > 0 and used < budget:
         span = min(frame, budget - used)
         picks = rng.integers(0, frame, size=remaining)
-        picks = picks[picks < span]
-        if picks.size:
-            _, counts = np.unique(picks, return_counts=True)
-            s = int(np.sum(counts == 1))
-            successes += s
-            remaining -= s
+        if span < frame:
+            picks = picks[picks < span]
+        s = _singletons(picks)
+        successes += s
+        remaining -= s
         used += span
     return successes, used
 
 
 def aloha_mean_successes(sc: MacScenario) -> float:
-    """Mean motes read over ``sc.trials`` independent runs."""
+    """Mean motes read over ``sc.trials`` independent runs.
+
+    Trial t draws from the stream of ``_trial_rng(sc.seed, sc.n_motes, t)``.
+    Its start state comes from a bounded per-process memo, so a key seen
+    before (the same point at another read time) is not seeded again; the
+    drawn numbers are the same either way.
+    """
     if sc.n_motes == 0:
         return 0.0
+    bit_gen = np.random.PCG64(0)
+    rng = np.random.Generator(bit_gen)
     total = 0
     for t in range(sc.trials):
-        total += aloha_simulate(sc, _trial_rng(sc.seed, sc.n_motes, t))[0]
+        state, inc = _pcg64_start(sc.seed, sc.n_motes, t)
+        # the whole state, so no half-used 32-bit word carries over
+        bit_gen.state = {"bit_generator": "PCG64",
+                         "state": {"state": state, "inc": inc},
+                         "has_uint32": 0, "uinteger": 0}
+        total += aloha_simulate(sc, rng)[0]
     return total / sc.trials
 
 

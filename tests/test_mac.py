@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 from biomote.mac import (
+    _SEED_MEMO_SIZE,
     DeploymentGeometry,
     MacScenario,
     ZoneShape,
     _cdma_trial,
+    _pcg64_start,
     _trial_rng,
     aloha_mean_successes,
     aloha_simulate,
@@ -148,6 +150,191 @@ def test_scenario_validation():
     with pytest.raises(ValueError):
         MacScenario(n_motes=1, rate=20e3, packet_bytes=64, read_time=1.0,
                     trials=0)
+
+
+# ---------------------------------------------------------------------------
+# ALOHA trial streams: the sort-based count and the seed memo
+# ---------------------------------------------------------------------------
+
+def _scenario(n, frame_slots, budget, trials=1, seed=0):
+    """1 ms slots; a window of exactly ``budget`` slots."""
+    rate, pkt = 16e3, 2
+    sc = MacScenario(n_motes=n, rate=rate, packet_bytes=pkt,
+                     read_time=(budget + 0.5) * pkt * 8 / rate,
+                     frame_slots=frame_slots, trials=trials, seed=seed)
+    assert sc.slots_available == budget
+    return sc
+
+
+def _aloha_simulate_unique(sc, rng):
+    """The framed-ALOHA run counting singletons with ``np.unique``, kept as
+    the reference for the sort-based count."""
+    frame = sc.effective_frame_slots
+    budget = sc.slots_available
+    remaining = sc.n_motes
+    successes = 0
+    used = 0
+    while remaining > 0 and used < budget:
+        span = min(frame, budget - used)
+        picks = rng.integers(0, frame, size=remaining)
+        picks = picks[picks < span]
+        if picks.size:
+            _, counts = np.unique(picks, return_counts=True)
+            s = int(np.sum(counts == 1))
+            successes += s
+            remaining -= s
+        used += span
+    return successes, used
+
+
+def _fresh_stream_mean(sc):
+    return sum(_aloha_simulate_unique(sc, _trial_rng(sc.seed, sc.n_motes, t))[0]
+               for t in range(sc.trials)) / sc.trials
+
+
+@pytest.mark.parametrize("s", [4, 16, 128])
+def test_singleton_count_matches_unique_reference(s):
+    layouts = {
+        "one frame spanning the window": (None, s),
+        "four full frames": (s, 4 * s),
+        "truncated trailing frame": (s, 2 * s + s // 2 + 1),
+        "frame longer than the window": (s, s // 2),
+    }
+    for layout, (frame_slots, budget) in layouts.items():
+        for n in (1, 2, s - 1, s, 3 * s):
+            sc = _scenario(n, frame_slots, budget)
+            for seed in range(40):
+                rng, ref_rng = _trial_rng(seed, n), _trial_rng(seed, n)
+                assert aloha_simulate(sc, rng) == _aloha_simulate_unique(sc, ref_rng), \
+                    (layout, n, seed)
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_mean_successes_is_mean_over_fresh_streams():
+    _pcg64_start.cache_clear()
+    # seeds interleaved; the second window reuses every (seed, n, trial) key
+    for budget in (48, 96):
+        for n, seed in product((1, 7, 40), (5, 0xB10B10, 6)):
+            sc = _scenario(n, 16, budget, trials=30, seed=seed)
+            assert aloha_mean_successes(sc) == _fresh_stream_mean(sc), (budget, n, seed)
+    info = _pcg64_start.cache_info()
+    assert (info.misses, info.hits) == (9 * 30, 9 * 30)
+
+
+def test_seed_memo_eviction_keeps_streams():
+    _pcg64_start.cache_clear()
+    trials = _SEED_MEMO_SIZE // 2 + 1       # two points overflow the memo
+    points = [_scenario(n, None, 64, trials=trials, seed=11) for n in (3, 30)]
+    expect = [_fresh_stream_mean(sc) for sc in points]
+    for sc, mean in zip(points * 2, expect * 2):
+        assert aloha_mean_successes(sc) == mean
+    info = _pcg64_start.cache_info()
+    assert info.currsize == _SEED_MEMO_SIZE
+    assert info.hits + info.misses == 4 * trials
+    assert info.misses > 2 * trials         # evicted keys were seeded again
+
+
+# Recorded from the np.unique count with a SeedSequence per trial, before
+# the seed memo; any change to a draw or to the count moves these.
+PINNED_MAX_FULLY_READ = {2.0: 40, 4.0: 60, 6.0: 70, 8.0: 80, 10.0: 90}
+PINNED_SCENARIO2 = {
+    (10, 2.0): 9.96, (100, 2.0): 88.19, (200, 2.0): 155.16,
+    (10, 10.0): 10.0, (100, 10.0): 97.13, (200, 10.0): 189.47,
+}
+PINNED_COMPARE_ALOHA = {(50, 300): 49.2, (200, 300): 103.45,
+                        (50, 640): 50.0, (200, 640): 196.7}
+
+
+def test_aloha_sweeps_pinned():
+    for read_time, n in PINNED_MAX_FULLY_READ.items():
+        assert max_fully_read(200e3, read_time, 64) == n
+    assert max_fully_read(100e3, 5.0, 64, trials=40, seed=3) == 40
+    rows = scenario2_sweep([10, 100, 200], [200e3], [2.0, 10.0], 64)
+    assert {(r["n_motes"], r["read_time_s"]): r["mean_successes"]
+            for r in rows} == PINNED_SCENARIO2
+    for duration in (300, 640):
+        for r in compare_schemes([50, 200], duration, trials=20, seed=41):
+            if r["scheme"] == "aloha":
+                assert r["mean_successes"] == PINNED_COMPARE_ALOHA[
+                    (r["n_motes"], duration)]
+    sc = _scenario(60, 16, 100, trials=50, seed=7)
+    assert aloha_mean_successes(sc) == 10.42
+
+
+# ---------------------------------------------------------------------------
+# exact multi-frame ALOHA oracle
+# ---------------------------------------------------------------------------
+
+def singleton_law(m, frame, span):
+    """Exact P(k singleton slots among the first ``span`` of ``frame`` slots)
+    when m motes each pick a slot uniformly, by inclusion-exclusion over the
+    slots forced to hold exactly one mote (Schoute 1983; Vogt 2002)."""
+    top = min(m, span)
+    return [Fraction(sum((-1) ** (j - k) * math.comb(span, j) * math.comb(j, k)
+                         * math.perm(m, j) * (frame - j) ** (m - j)
+                         for j in range(k, top + 1)), frame ** m)
+            for k in range(top + 1)]
+
+
+def multi_frame_law(n, frame, budget):
+    """Exact law of the motes read in a window of ``budget`` slots carved
+    into frames of ``frame`` slots (the last one truncated), by a DP over
+    the motes still unread."""
+    unread = {n: Fraction(1)}
+    used = 0
+    while used < budget:
+        span = min(frame, budget - used)
+        after = {}
+        for m, p in unread.items():
+            for k, q in enumerate(singleton_law(m, frame, span)):
+                if q:
+                    after[m - k] = after.get(m - k, 0) + p * q
+        unread = after
+        used += span
+    return {n - m: p for m, p in unread.items()}
+
+
+def enumerate_law(n, frame, budget):
+    """The same law by enumerating every pick map of every frame."""
+    law = {}
+
+    def run(m, used, read, p):
+        if m == 0 or used >= budget:
+            law[read] = law.get(read, 0) + p
+            return
+        span = min(frame, budget - used)
+        for picks in product(range(frame), repeat=m):
+            s = sum(1 for slot in range(span) if picks.count(slot) == 1)
+            run(m - s, used + span, read + s, p / frame ** m)
+
+    run(n, 0, 0, Fraction(1))
+    return law
+
+
+@pytest.mark.parametrize("n,frame,budget",
+                         [(3, 3, 7), (4, 2, 5), (2, 4, 2), (4, 3, 3), (1, 3, 1),
+                          (3, 2, 6), (4, 4, 4)])
+def test_multi_frame_law_matches_enumeration(n, frame, budget):
+    law = multi_frame_law(n, frame, budget)
+    assert law == enumerate_law(n, frame, budget)
+    assert sum(law.values()) == 1
+    if budget == frame:
+        mean = sum(k * p for k, p in law.items())
+        assert mean == n * Fraction(frame - 1, frame) ** (n - 1)
+
+
+@pytest.mark.parametrize("s", [4, 8, 16])
+@pytest.mark.parametrize("n", [2, 6, 12, 20])
+def test_multi_frame_matches_exact_law(n, s):
+    """One to four frames, the last one truncated in two of the windows."""
+    trials = 400
+    for budget in (s // 2, s, 2 * s, 2 * s + s // 2, 4 * s):
+        law = multi_frame_law(n, s, budget)
+        mean = sum(k * p for k, p in law.items())
+        var = sum(k * k * p for k, p in law.items()) - mean ** 2
+        sc = _scenario(n, s, budget, trials=trials, seed=0xB10B10)
+        got = aloha_mean_successes(sc)
+        assert abs(got - mean) <= 3 * math.sqrt(var / trials), (budget, got, mean)
 
 
 # ---------------------------------------------------------------------------
