@@ -64,8 +64,7 @@ def _write_csv(path: Path, header: str, rows) -> None:
 
 def run_link_sweep(params: RunParameters, seed: int):
     cfg = params.link_config()
-    curve = backscatter_sweep(cfg, params.noise(), params.link_distances_m)
-    return [(d, p, s) for d, p, s in curve]
+    return backscatter_sweep(cfg, params.noise(), params.link_distances_m)
 
 
 def run_table1(params: RunParameters, seed: int):
@@ -110,11 +109,9 @@ def run_mac_scenario1(params: RunParameters, seed: int):
 
 
 def run_mac_scenario2(params: RunParameters, seed: int):
-    rows = mac.scenario2_sweep(params.mac_n_motes, [params.mac_rate_bps],
+    return mac.scenario2_sweep(params.mac_n_motes, [params.mac_rate_bps],
                                params.mac_read_times_s, params.mac_packet_bytes,
                                trials=params.mac_trials, seed=seed)
-    return [(r["n_motes"], r["rate_bps"], r["read_time_s"], r["mean_successes"])
-            for r in rows]
 
 
 def run_mac_cdma(params: RunParameters, seed: int):
@@ -130,11 +127,9 @@ def run_mac_cdma(params: RunParameters, seed: int):
 def run_mac_compare(params: RunParameters, seed: int):
     rows = []
     for d in params.mac_durations_slots:
-        for r in mac.compare_schemes(params.mac_n_motes, d, rate=20e3,
-                                     packet_bytes=64, trials=params.mac_trials,
-                                     seed=seed):
-            rows.append((r["n_motes"], r["duration_slots"], r["scheme"],
-                         r["mean_successes"]))
+        rows += mac.compare_schemes(params.mac_n_motes, d, rate=20e3,
+                                    packet_bytes=64, trials=params.mac_trials,
+                                    seed=seed)
     return rows
 
 

@@ -24,10 +24,18 @@ index 0 first: parity in positions 0..3, message in positions 4..14.
 RS(31,26) uses GF(32) built on the primitive polynomial x^5 + x^2 + 1
 (``GF32_PRIMITIVE_POLY``), the conventional narrow-sense generator
 g(x) = prod_{i=1..5} (x - a^i) with a the primitive element, and parity =
-x^5 m(x) mod g(x) in coefficients 0..4.  Minimum distance 6: corrects two
-symbol errors and never silently miscorrects a three-error pattern (any
-applied correction is re-verified against the full syndrome set).
-Symbols pack to bits 5 at a time, most-significant bit first.
+x^5 m(x) mod g(x) in coefficients 0..4.  Symbols pack to bits 5 at a time,
+most-significant bit first.
+
+RS decoding is bounded-distance: every pattern of at most two symbol
+errors is corrected, and every other word is flagged as a failure and its
+message symbols pass through raw.  With minimum distance 6 a flagged word
+never lies within two symbols of a codeword, and a pattern of three errors
+is always flagged; four or more errors can land within two symbols of
+another codeword, and are then miscorrected to it.
+
+Every encoder, decoder and packing function rejects bits outside {0, 1}
+and symbols outside [0, 31] with ``ValueError``.
 """
 
 from __future__ import annotations
@@ -82,6 +90,9 @@ _EXP, _LOG = _build_tables()
 #: full 32x32 product table; row and column 0 stay zero
 _MUL = np.zeros((32, 32), dtype=np.int64)
 _MUL[1:, 1:] = _EXP[_LOG[1:, None] + _LOG[None, 1:]]
+#: inverse table, zero-safe for the decoder: entry 0 maps to 0
+_INV = np.zeros(32, dtype=np.int64)
+_INV[1:] = _EXP[31 - _LOG[1:]]
 
 
 def gf_mul(a, b):
@@ -95,7 +106,7 @@ def gf_inv(a):
     a = np.asarray(a, dtype=np.int64)
     if np.any(a == 0):
         raise ZeroDivisionError("zero has no inverse in GF(32)")
-    out = _EXP[31 - _LOG[a]]
+    out = _INV[a]
     return int(out) if out.ndim == 0 else out
 
 
@@ -103,6 +114,12 @@ def gf_pow(a: int, n: int) -> int:
     if a == 0:
         return 0 if n else 1
     return int(_EXP[(_LOG[a] * n) % 31])
+
+
+def _check_alphabet(values: np.ndarray, top: int, what: str) -> None:
+    """Reject entries outside [0, top]: bits have top 1, symbols top 31."""
+    if values.size and (values.min() < 0 or values.max() > top):
+        raise ValueError(f"{what} must lie in [0, {top}]")
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +175,7 @@ def hamming_encode(msg) -> np.ndarray:
     msg = np.atleast_2d(msg)
     if msg.shape[-1] != HAMMING_K:
         raise ValueError(f"message must have length {HAMMING_K}, got {msg.shape[-1]}")
+    _check_alphabet(msg, 1, "bits")
     out = np.empty(msg.shape[:-1] + (HAMMING_N,), dtype=np.uint8)
     out[..., :4] = np.take(_NIBBLE_BITS, np.take(_HAMMING_PARITY, _pack_rows(msg)), axis=0)
     out[..., 4:] = msg
@@ -173,6 +191,7 @@ def hamming_encode_lfsr(msg) -> np.ndarray:
     msg = np.asarray(msg, dtype=np.int64)
     if msg.ndim != 1 or msg.shape[0] != HAMMING_K:
         raise ValueError(f"message must have length {HAMMING_K}")
+    _check_alphabet(msg, 1, "bits")
     reg = [0, 0, 0, 0]
     for bit in msg[::-1]:          # high-order message coefficient first
         fb = int(bit) ^ reg[3]
@@ -194,6 +213,7 @@ def hamming_decode(word):
     word = np.atleast_2d(word)
     if word.shape[-1] != HAMMING_N:
         raise ValueError(f"word must have length {HAMMING_N}, got {word.shape[-1]}")
+    _check_alphabet(word, 1, "bits")
     # syndrome = parity recomputed from data xor received parity
     packed = _pack_rows(word)
     syn = np.take(_HAMMING_PARITY, packed >> 4) ^ (packed & 0xF)
@@ -265,11 +285,6 @@ def _unpack_fields(words: np.ndarray) -> np.ndarray:
     return (words[:, None] >> _FIELD_SHIFTS) & 31
 
 
-def _check_symbols(symbols: np.ndarray) -> None:
-    if symbols.size and (symbols.min() < 0 or symbols.max() > 31):
-        raise ValueError("symbols must lie in [0, 31]")
-
-
 def rs_encode(msg) -> np.ndarray:
     """Encode 26 GF(32) symbols into a systematic 31-symbol codeword.
 
@@ -281,7 +296,7 @@ def rs_encode(msg) -> np.ndarray:
     msg = np.atleast_2d(msg)
     if msg.shape[-1] != RS_K:
         raise ValueError(f"message must have length {RS_K}, got {msg.shape[-1]}")
-    _check_symbols(msg)
+    _check_alphabet(msg, 31, "symbols")
     out = np.empty((msg.shape[0], RS_N), dtype=np.int64)
     out[:, :_RS_SHIFT] = _unpack_fields(_xor_lookup(_RS_PARITY_WORDS, msg))
     out[:, _RS_SHIFT:] = msg
@@ -294,6 +309,7 @@ def rs_encode_lfsr(msg) -> np.ndarray:
     msg = np.asarray(msg, dtype=np.int64)
     if msg.ndim != 1 or msg.shape[0] != RS_K:
         raise ValueError(f"message must have length {RS_K}")
+    _check_alphabet(msg, 31, "symbols")
     reg = [0, 0, 0, 0, 0]
     for sym in msg[::-1]:                    # high-order coefficient first
         fb = int(sym) ^ reg[4]
@@ -313,105 +329,59 @@ def _rs_syndromes(word: np.ndarray) -> np.ndarray:
     return _unpack_fields(_xor_lookup(_RS_SYNDROME_WORDS, word))
 
 
+#: a^-p for each position p; row v of the two Chien tables holds v a^-p and
+#: v a^-2p, the terms of sigma(a^-p)
+_RS_INV_POWERS = _EXP[(31 - np.arange(RS_N)) % 31]
+_CHIEN_1 = _MUL[:, _RS_INV_POWERS].astype(np.uint8)
+_CHIEN_2 = _MUL[:, _MUL[_RS_INV_POWERS, _RS_INV_POWERS]].astype(np.uint8)
+
+
 def rs_decode(word):
     """Decode a 31-symbol word (or an (m, 31) batch) correcting up to two
     symbol errors.
 
-    Peterson-Gorenstein-Zierler for t = 2: locate via the 2x2 syndrome
-    system, solve the error values directly, then verify every remaining
-    syndrome; any inconsistency raises the failure flag and the received
-    message symbols are returned uncorrected.  With minimum distance 6 and
-    full syndrome verification, a pattern of three errors can never be
-    silently decoded into a wrong message.
+    Peterson-Chien-Forney over the words with a nonzero syndrome: the error
+    locator sigma(x) = 1 + s1 x + s2 x^2 from Peterson's 2x2 syndrome
+    system, its roots a^-p by Chien search over the 31 positions, and the
+    error value at each root by Forney's formula.  A correction stands only
+    if the corrected word has all-zero syndromes; any other word is flagged
+    and its message symbols are returned as received.
 
-    Returns ``(msg, corrected, failure)``.
+    Returns ``(msg, corrected, failure)``; ``corrected`` counts the symbols
+    changed, 0 for a flagged word.
     """
     word = np.asarray(word, dtype=np.int64)
     single = word.ndim == 1
     word = np.atleast_2d(word)
     if word.shape[-1] != RS_N:
         raise ValueError(f"word must have length {RS_N}, got {word.shape[-1]}")
-    _check_symbols(word)
-    m = word.shape[0]
-    S = _rs_syndromes(word)
-    S1, S2, S3, S4, S5 = (S[:, i] for i in range(_RS_NSYN))
-
-    corrected = np.zeros(m, dtype=np.int64)
-    failure = np.zeros(m, dtype=bool)
+    _check_alphabet(word, 31, "symbols")
     fixed = word.copy()
+    corrected = np.zeros(word.shape[0], dtype=np.int64)
+    failure = np.zeros(word.shape[0], dtype=bool)
 
-    clean = (S1 | S2 | S3 | S4 | S5) == 0
-    det = gf_mul(S1, S3) ^ gf_mul(S2, S2)
-    two = (~clean) & (det != 0)
-    one = (~clean) & (det == 0)
-
-    # --- single error: S_i = v a^(i p); consistency of the geometric ratios
-    if np.any(one):
-        idx = np.nonzero(one)[0]
-        s = [Sk[idx] for Sk in (S1, S2, S3, S4, S5)]
-        ok = (s[0] != 0) & (s[1] != 0)   # a true single error makes every S_i nonzero
-        pos = np.zeros(len(idx), dtype=np.int64)
-        val = np.zeros(len(idx), dtype=np.int64)
-        sub = np.nonzero(ok)[0]
-        if len(sub):
-            ratio = gf_mul(s[1][sub], gf_inv(s[0][sub]))    # a^p
-            pos[sub] = _LOG[ratio]
-            val[sub] = gf_mul(s[0][sub], gf_inv(ratio))     # v = S1 / a^p
-            good = np.ones(len(sub), dtype=bool)
-            for i in (3, 4, 5):
-                chk = gf_mul(val[sub], _EXP[(i * pos[sub]) % 31])
-                good &= chk == s[i - 1][sub]
-            ok_rows = idx[sub[good]]
-            fixed[ok_rows, pos[sub[good]]] ^= val[sub[good]]
-            corrected[ok_rows] = 1
-            failure[idx[sub[~good]]] = True
-        failure[idx[~ok]] = True
-
-    # --- two errors: sigma from the 2x2 system, roots by Chien search
-    if np.any(two):
-        idx = np.nonzero(two)[0]
-        s1, s2 = S1[idx], S2[idx]
-        s3, s4, s5 = S3[idx], S4[idx], S5[idx]
-        inv = gf_inv(det[idx])
-        sig1 = gf_mul(gf_mul(s1, s4) ^ gf_mul(s2, s3), inv)
-        sig2 = gf_mul(gf_mul(s3, s3) ^ gf_mul(s2, s4), inv)
-        # sigma(x) = 1 + sig1 x + sig2 x^2, roots at x = a^-p
-        powers = _EXP[np.arange(31)]
-        inv_powers = _EXP[(31 - np.arange(31)) % 31]
-        t1 = gf_mul(sig1[:, None], inv_powers)
-        t2 = gf_mul(sig2[:, None], gf_mul(inv_powers, inv_powers))
-        sig_eval = 1 ^ t1 ^ t2
-        roots = sig_eval == 0                        # (rows, 31): position p is a root
-        good2 = roots.sum(axis=1) == 2
-        failure[idx[~good2]] = True
-        if np.any(good2):
-            sub = np.nonzero(good2)[0]
-            p1 = np.argmax(roots[sub], axis=1)
-            rest = roots[sub].copy()
-            rest[np.arange(len(sub)), p1] = False
-            p2 = np.argmax(rest, axis=1)
-            x1, x2 = powers[p1], powers[p2]
-            # v1 x1 + v2 x2 = S1 ; v1 x1^2 + v2 x2^2 = S2  (x1 != x2 => d != 0)
-            x1sq, x2sq = gf_mul(x1, x1), gf_mul(x2, x2)
-            d = gf_mul(x1, x2sq) ^ gf_mul(x2, x1sq)
-            di = gf_inv(d)
-            t_s1, t_s2 = s1[sub], s2[sub]
-            v1 = gf_mul(gf_mul(t_s1, x2sq) ^ gf_mul(t_s2, x2), di)
-            v2 = gf_mul(gf_mul(t_s2, x1) ^ gf_mul(t_s1, x1sq), di)
-            consistent = (v1 != 0) & (v2 != 0)
-            l1, l2 = _LOG[x1], _LOG[x2]
-            for i, sk in ((3, s3), (4, s4), (5, s5)):
-                ck = (gf_mul(v1, _EXP[(l1 * i) % 31])
-                      ^ gf_mul(v2, _EXP[(l2 * i) % 31]))
-                consistent &= ck == sk[sub]
-            ok_rows = idx[sub[consistent]]
-            fixed[ok_rows, p1[consistent]] ^= v1[consistent]
-            fixed[ok_rows, p2[consistent]] ^= v2[consistent]
-            corrected[ok_rows] = 2
-            failure[idx[sub[~consistent]]] = True
-
-    corrected[failure] = 0
-    fixed[failure] = word[failure]                   # failed blocks pass through raw
+    S = _rs_syndromes(word)
+    rows = np.nonzero(S.any(axis=1))[0]
+    S1, S2, S3, S4 = S[rows, :4].T
+    # Peterson: S3 = s1 S2 + s2 S1 and S4 = s1 S3 + s2 S2.  A singular system
+    # leaves at most one error, a^p = S2 / S1, and the zero-safe inverse
+    # makes s2 = 0 there.
+    det = _MUL[S1, S3] ^ _MUL[S2, S2]
+    s1 = np.where(det != 0, _MUL[_MUL[S1, S4] ^ _MUL[S2, S3], _INV[det]],
+                  _MUL[S2, _INV[S1]])
+    s2 = _MUL[_MUL[S3, S3] ^ _MUL[S2, S4], _INV[det]]
+    # Chien search: an error at p makes sigma(a^-p) = 1 + s1 a^-p + s2 a^-2p = 0
+    r, p = np.nonzero((_CHIEN_1[s1] ^ _CHIEN_2[s2]) == 1)
+    # Forney at each root: e_p = Omega(a^-p) / sigma'(a^-p), with
+    # Omega(x) = S1 + (S2 + S1 s1) x and sigma'(x) = s1 in characteristic 2
+    s1_r, S1_r = s1[r], S1[r]
+    omega = S1_r ^ _MUL[S2[r] ^ _MUL[S1_r, s1_r], _RS_INV_POWERS[p]]
+    trial = word[rows]
+    trial[r, p] ^= _MUL[omega, _INV[s1_r]]
+    ok = (s1 != 0) & ~_rs_syndromes(trial).any(axis=1)
+    fixed[rows[ok]] = trial[ok]
+    corrected[rows[ok]] = np.bincount(r, minlength=len(rows))[ok]
+    failure[rows[~ok]] = True
     msg = fixed[:, _RS_SHIFT:]
     if single:
         return msg[0], int(corrected[0]), bool(failure[0])
@@ -429,7 +399,8 @@ _SYMBOL_BITS = np.array([[(v >> j) & 1 for j in range(4, -1, -1)] for v in range
 
 def symbols_to_bits(symbols) -> np.ndarray:
     symbols = np.asarray(symbols, dtype=np.int64)
-    bits = np.take(_SYMBOL_BITS, symbols & 31, axis=0)
+    _check_alphabet(symbols, 31, "symbols")
+    bits = np.take(_SYMBOL_BITS, symbols, axis=0)
     return bits.reshape(symbols.shape[:-1] + (symbols.shape[-1] * 5,))
 
 
@@ -437,6 +408,7 @@ def bits_to_symbols(bits) -> np.ndarray:
     bits = np.asarray(bits)
     if bits.shape[-1] % 5:
         raise ValueError("bit count must be a multiple of 5")
+    _check_alphabet(bits, 1, "bits")
     grouped = bits.reshape(bits.shape[:-1] + (bits.shape[-1] // 5, 5))
     symbols = grouped[..., 0] << 4
     for i in range(1, 5):

@@ -212,8 +212,11 @@ def max_fully_read(rate: float, read_time: float, packet_bytes: int,
 
 
 def scenario2_sweep(n_motes_list, rates, read_times, packet_bytes: int,
-                    trials: int = 100, seed: int = 0xB10B10) -> list[dict]:
-    """Local-deployment question: mean successful motes at fixed sizes."""
+                    trials: int = 100, seed: int = 0xB10B10) -> list[tuple]:
+    """Local-deployment question: mean successful motes at fixed sizes.
+
+    Returns ``(n_motes, rate_bps, read_time_s, mean_successes)`` rows.
+    """
     if not list(n_motes_list) or not list(rates) or not list(read_times):
         raise ValueError("sweep lists must be non-empty")
     rows = []
@@ -222,8 +225,7 @@ def scenario2_sweep(n_motes_list, rates, read_times, packet_bytes: int,
             for n in n_motes_list:
                 sc = MacScenario(n_motes=n, rate=rate, packet_bytes=packet_bytes,
                                  read_time=rt, trials=trials, seed=seed)
-                rows.append(dict(n_motes=n, rate_bps=rate, read_time_s=rt,
-                                 mean_successes=aloha_mean_successes(sc)))
+                rows.append((n, rate, rt, aloha_mean_successes(sc)))
     return rows
 
 
@@ -305,10 +307,13 @@ def cdma_simulate(n_motes: int, code_len: int, family: str = "random",
 
 def compare_schemes(n_motes_list, duration_slots: int, rate: float = 20e3,
                     packet_bytes: int = 64, trials: int = 100,
-                    seed: int = 0xB10B10) -> list[dict]:
+                    seed: int = 0xB10B10) -> list[tuple]:
     """ALOHA (128-slot frames over the window) against CDMA with length-128
     Walsh codes, whose one spread packet fills the same airtime as 128
     slots.  CDMA rows depend only on (n, seed), never on the duration.
+
+    Returns ``(n_motes, duration_slots, scheme, mean_successes)`` rows,
+    ALOHA then CDMA for each n.
     """
     slot = packet_bytes * 8 / rate
     read_time = slot * duration_slots
@@ -317,9 +322,7 @@ def compare_schemes(n_motes_list, duration_slots: int, rate: float = 20e3,
         sc = MacScenario(n_motes=n, rate=rate, packet_bytes=packet_bytes,
                          read_time=read_time, frame_slots=128,
                          trials=trials, seed=seed)
-        rows.append(dict(n_motes=n, duration_slots=duration_slots,
-                         scheme="aloha", mean_successes=aloha_mean_successes(sc)))
-        cd = cdma_simulate(n, 128, "walsh", packet_bytes, trials, seed)
-        rows.append(dict(n_motes=n, duration_slots=duration_slots,
-                         scheme="cdma", mean_successes=cd))
+        rows.append((n, duration_slots, "aloha", aloha_mean_successes(sc)))
+        rows.append((n, duration_slots, "cdma",
+                     cdma_simulate(n, 128, "walsh", packet_bytes, trials, seed)))
     return rows

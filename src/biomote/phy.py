@@ -3,12 +3,13 @@ channel, chained with the FEC codecs and the inductive link budget.
 
 Conventions
 -----------
-Symbols are real baseband amplitudes, one bit per symbol.  BPSK maps
-0 -> -A, 1 -> +A; ASK is on-off keying 0 -> 0, 1 -> 2A.  The channel's
-``snr_db`` argument is the ratio of the stream's average symbol energy to
-the per-sample noise variance, so a stream's own transmit power sets its
-noise scale: BPSK at snr gamma sees bit error rate Q(sqrt(gamma)) and ASK
-Q(sqrt(gamma/2)), reproducing the classic 3 dB gap at equal average power.
+Symbols are real baseband amplitudes, one bit per symbol, with unit mean
+amplitude.  BPSK maps 0 -> -1, 1 -> +1; ASK is on-off keying 0 -> 0,
+1 -> 2.  The channel's ``snr_db`` argument is the ratio of the stream's
+average symbol energy to the per-sample noise variance, so a stream's own
+transmit power sets its noise scale: BPSK at snr gamma sees bit error
+rate Q(sqrt(gamma)) and ASK Q(sqrt(gamma/2)), reproducing the classic 3 dB
+gap at equal average power.
 
 For energy-per-information-bit accounting, gamma = 2 (Eb/N0) R with R the
 code rate (uncoded R = 1): `ebn0_to_channel_snr` converts.  Distance
@@ -110,14 +111,14 @@ class BerEstimate:
     low_confidence: bool      # budget ran out before min_errors was reached
 
 
-def modulate(bits, scheme: Modulation, amplitude: float = 1.0) -> np.ndarray:
-    """Map bits to symbol amplitudes (BPSK antipodal, ASK on-off)."""
+def modulate(bits, scheme: Modulation) -> np.ndarray:
+    """Map bits to symbol amplitudes (BPSK -1/+1, ASK 0/2)."""
     bits = np.asarray(bits)
     if bits.size == 0:
         raise ValueError("bit sequence must be non-empty")
-    symbols = np.multiply(bits > 0, 2.0 * amplitude, dtype=float)   # ASK: 0 / 2A
+    symbols = np.multiply(bits > 0, 2.0, dtype=float)   # ASK: 0 / 2
     if scheme is Modulation.BPSK:
-        symbols -= amplitude                                        # -A / +A
+        symbols -= 1.0                                  # -1 / +1
     return symbols
 
 
@@ -144,11 +145,11 @@ def awgn(symbols, snr_db: float, rng: np.random.Generator) -> np.ndarray:
     return noisy
 
 
-def demodulate(symbols, scheme: Modulation, amplitude: float = 1.0) -> np.ndarray:
-    """Threshold receiver: BPSK slices at 0, ASK at the midpoint amplitude;
-    ties decide 1."""
+def demodulate(symbols, scheme: Modulation) -> np.ndarray:
+    """Threshold receiver: BPSK slices at 0, ASK at the midpoint 1; ties
+    decide 1."""
     symbols = np.asarray(symbols, dtype=float)
-    thresh = 0.0 if scheme is Modulation.BPSK else amplitude
+    thresh = 0.0 if scheme is Modulation.BPSK else 1.0
     return (symbols >= thresh).view(np.uint8)
 
 

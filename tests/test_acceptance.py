@@ -273,8 +273,8 @@ def test_criterion_10_scheme_comparison():
     ns = [10, 20, 30, 40, 50, 80, 120]
     short = compare_schemes(ns, 128, trials=100, seed=SEED)
     long = compare_schemes(ns, 1280, trials=100, seed=SEED)
-    s_by = {(r["n_motes"], r["scheme"]): r["mean_successes"] for r in short}
-    l_by = {(r["n_motes"], r["scheme"]): r["mean_successes"] for r in long}
+    s_by = {(n, scheme): m for n, _, scheme, m in short}
+    l_by = {(n, scheme): m for n, _, scheme, m in long}
     for n in ns:
         if n > 20:
             ok &= s_by[(n, "cdma")] > s_by[(n, "aloha")]

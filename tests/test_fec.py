@@ -269,18 +269,21 @@ def test_rs_single_error_full_enumeration():
 
 
 def test_rs_double_errors_randomized():
-    trials = 10_000
-    msgs = RNG.integers(0, 32, size=(trials, 26))
-    words = rs_encode(msgs)
-    pos = np.array([RNG.choice(31, size=2, replace=False) for _ in range(trials)])
-    vals = RNG.integers(1, 32, size=(trials, 2))
-    rows = np.arange(trials)
-    words[rows, pos[:, 0]] ^= vals[:, 0]
-    words[rows, pos[:, 1]] ^= vals[:, 1]
-    out, corrected, failure = rs_decode(words)
-    assert np.array_equal(out, msgs)
-    assert (corrected == 2).all()
-    assert not failure.any()
+    """Every two-error pattern (465 position pairs x 31^2 values), each on a
+    random codeword, decodes to the sent message."""
+    values = np.stack(np.divmod(np.arange(31 * 31), 31), axis=1) + 1
+    for p1 in range(30):
+        p2 = np.repeat(np.arange(p1 + 1, 31), 31 * 31)
+        v = np.tile(values, (30 - p1, 1))
+        msgs = RNG.integers(0, 32, size=(len(p2), 26))
+        words = rs_encode(msgs)
+        rows = np.arange(len(p2))
+        words[rows, p1] ^= v[:, 0]
+        words[rows, p2] ^= v[:, 1]
+        out, corrected, failure = rs_decode(words)
+        assert np.array_equal(out, msgs)
+        assert (corrected == 2).all()
+        assert not failure.any()
 
 
 def test_rs_triple_errors_never_silently_wrong_without_flag():
@@ -307,8 +310,25 @@ def test_rs_triple_errors_never_silently_wrong_without_flag():
 
 
 # ---------------------------------------------------------------------------
-# packing
+# packing and alphabets
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("entry, length, bad", [
+    ("hamming_encode", 11, 2), ("hamming_encode", 11, -1),
+    ("hamming_encode_lfsr", 11, 2), ("hamming_encode_lfsr", 11, -1),
+    ("hamming_decode", 15, 2), ("hamming_decode", 15, -1),
+    ("bits_to_symbols", 5, 2), ("bits_to_symbols", 5, -1),
+    ("symbols_to_bits", 5, 32), ("symbols_to_bits", 5, -1),
+    ("rs_encode", 26, 32), ("rs_encode", 26, -1),
+    ("rs_encode_lfsr", 26, 32), ("rs_encode_lfsr", 26, -1),
+    ("rs_decode", 31, 32), ("rs_decode", 31, -1),
+])
+def test_out_of_alphabet_rejected(entry, length, bad):
+    values = np.zeros(length, dtype=np.int64)
+    values[-1] = bad
+    with pytest.raises(ValueError, match="must lie in"):
+        getattr(fec, entry)(values)
+
 
 def test_symbol_bit_roundtrip():
     syms = RNG.integers(0, 32, size=(7, 31))
@@ -377,6 +397,66 @@ def ref_rs_syndromes(word: np.ndarray) -> np.ndarray:
     for k in range(30, -1, -1):
         acc = gf_mul(acc, alphas) ^ word[:, k:k + 1]
     return acc
+
+
+def bounded_distance_oracle(words: np.ndarray):
+    """Reference RS decode by syndrome table: the syndrome of every error
+    pattern of weight 1 or 2, from Horner evaluation, keyed by its five
+    packed fields.  Minimum distance 6 makes the keys distinct.  A word
+    whose syndrome is in the table is corrected by its pattern; any other
+    word with a nonzero syndrome fails and passes through raw.
+    Returns (msg, corrected, failure) as rs_decode does."""
+    pos, val = np.divmod(np.arange(31 * 31), 31)
+    val = val + 1
+    unit = np.zeros((31 * 31, 31), dtype=np.int64)
+    unit[np.arange(31 * 31), pos] = val
+    pack = 1 << (5 * np.arange(5))
+    unit_keys = ref_rs_syndromes(unit) @ pack
+    a, b = np.nonzero(pos[:, None] < pos[None, :])   # weight-2: two units
+    keys = np.concatenate([unit_keys, unit_keys[a] ^ unit_keys[b]])
+    p1, v1 = np.concatenate([pos, pos[a]]), np.concatenate([val, val[a]])
+    p2 = np.concatenate([pos, pos[b]])
+    v2 = np.concatenate([np.zeros_like(val), val[b]])
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    # 447,826 distinct nonzero keys: no two patterns share a syndrome
+    assert len(keys) == 31 * 31 + 465 * 31 * 31
+    assert (np.diff(sorted_keys, prepend=0) > 0).all()
+
+    word_keys = ref_rs_syndromes(words) @ pack
+    i = order[np.minimum(np.searchsorted(sorted_keys, word_keys), len(keys) - 1)]
+    found = keys[i] == word_keys
+    fixed = words.copy()
+    rows = np.nonzero(found)[0]
+    fixed[rows, p1[i[rows]]] ^= v1[i[rows]]
+    fixed[rows, p2[i[rows]]] ^= v2[i[rows]]
+    corrected = np.where(found, 1 + (v2[i] != 0), 0)
+    return fixed[:, 5:], corrected, (word_keys != 0) & ~found
+
+
+def test_rs_decode_matches_bounded_distance_oracle():
+    """Heavy error patterns and random words: every word within two symbols
+    of a codeword (a miscorrection, from weight 4 on) is decoded to it, and
+    every other word fails."""
+    rng = np.random.default_rng(0x5EED)
+    batches = [rng.integers(0, 32, size=(20_000, 31)),
+               np.zeros((0, 31), dtype=np.int64)]
+    for weight in (3, 4, 5, 6, 31):
+        words = rs_encode(rng.integers(0, 32, size=(20_000, 26)))
+        pos = np.argsort(rng.random((20_000, 31)), axis=1)[:, :weight]
+        words[np.arange(20_000)[:, None], pos] ^= rng.integers(
+            1, 32, size=(20_000, weight))
+        batches.append(words)
+    accepted = 0
+    for words in batches:
+        expected = bounded_distance_oracle(words)
+        got = rs_decode(words)
+        for x, y in zip(got, expected):
+            assert np.array_equal(x, y)
+        assert got[0].dtype == np.int64 and got[1].dtype == np.int64
+        assert got[2].dtype == bool
+        accepted += int(np.count_nonzero(got[1]))
+    assert accepted > 0
 
 
 def all_words_15() -> np.ndarray:

@@ -250,13 +250,13 @@ def test_aloha_sweeps_pinned():
         assert max_fully_read(200e3, read_time, 64) == n
     assert max_fully_read(100e3, 5.0, 64, trials=40, seed=3) == 40
     rows = scenario2_sweep([10, 100, 200], [200e3], [2.0, 10.0], 64)
-    assert {(r["n_motes"], r["read_time_s"]): r["mean_successes"]
-            for r in rows} == PINNED_SCENARIO2
+    assert {(n, rt): m for n, _, rt, m in rows} == PINNED_SCENARIO2
     for duration in (300, 640):
-        for r in compare_schemes([50, 200], duration, trials=20, seed=41):
-            if r["scheme"] == "aloha":
-                assert r["mean_successes"] == PINNED_COMPARE_ALOHA[
-                    (r["n_motes"], duration)]
+        for n, d, scheme, m in compare_schemes([50, 200], duration, trials=20,
+                                               seed=41):
+            assert d == duration
+            if scheme == "aloha":
+                assert m == PINNED_COMPARE_ALOHA[(n, duration)]
     sc = _scenario(60, 16, 100, trials=50, seed=7)
     assert aloha_mean_successes(sc) == 10.42
 
@@ -357,12 +357,11 @@ def test_max_fully_read_monotone_in_rate():
 
 def test_scenario2_rows_bounded():
     rows = scenario2_sweep([0, 20, 40], [200e3], [2.0], 64, trials=30, seed=9)
-    for row in rows:
-        sc = MacScenario(n_motes=max(row["n_motes"], 1), rate=row["rate_bps"],
-                         packet_bytes=64, read_time=row["read_time_s"])
-        assert 0 <= row["mean_successes"] <= min(max(row["n_motes"], 1),
-                                                 sc.slots_available)
-    assert rows[0]["mean_successes"] == 0.0
+    for n, rate, read_time, mean in rows:
+        sc = MacScenario(n_motes=max(n, 1), rate=rate, packet_bytes=64,
+                         read_time=read_time)
+        assert 0 <= mean <= min(max(n, 1), sc.slots_available)
+    assert rows[0][3] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -485,14 +484,14 @@ def test_despread_matches_int32_reference():
 
 def test_compare_short_duration_cdma_wins_past_20():
     rows = compare_schemes([10, 30, 50, 80, 120], 128, trials=40, seed=41)
-    by = {(r["n_motes"], r["scheme"]): r["mean_successes"] for r in rows}
+    by = {(n, scheme): m for n, _, scheme, m in rows}
     for n in (30, 50, 80, 120):
         assert by[(n, "cdma")] > by[(n, "aloha")]
 
 
 def test_compare_long_duration_aloha_holds_to_50():
     rows = compare_schemes([10, 30, 50], 1280, trials=40, seed=41)
-    by = {(r["n_motes"], r["scheme"]): r["mean_successes"] for r in rows}
+    by = {(n, scheme): m for n, _, scheme, m in rows}
     for n in (10, 30, 50):
         se3 = 3 * math.sqrt(n / 40)
         assert by[(n, "aloha")] >= by[(n, "cdma")] - se3
@@ -501,6 +500,6 @@ def test_compare_long_duration_aloha_holds_to_50():
 def test_compare_cdma_duration_invariant():
     short = compare_schemes([20, 60], 128, trials=20, seed=55)
     long = compare_schemes([20, 60], 1280, trials=20, seed=55)
-    cd_s = [r["mean_successes"] for r in short if r["scheme"] == "cdma"]
-    cd_l = [r["mean_successes"] for r in long if r["scheme"] == "cdma"]
+    cd_s = [m for _, _, scheme, m in short if scheme == "cdma"]
+    cd_l = [m for _, _, scheme, m in long if scheme == "cdma"]
     assert cd_s == cd_l

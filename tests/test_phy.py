@@ -47,7 +47,7 @@ def test_empty_bits_rejected():
 
 def test_stream_energies():
     """With the pinned mappings the ASK stream carries twice the BPSK mean
-    energy: 0/2A around the same mean amplitude A.  The channel normalises
+    energy: 0/2 around the same mean amplitude 1.  The channel normalises
     to each stream's own energy, which is what keeps the 3 dB theory gap."""
     rng = np.random.default_rng(1)
     bits = rng.integers(0, 2, size=200_000)
