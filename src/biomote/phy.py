@@ -17,11 +17,21 @@ curves take the link SNR from the budget (signal over total noise in the
 Nyquist bandwidth of the symbol rate), which maps to gamma = SNR + 3.01 dB
 and is common to all schemes at a given range because the radiated power,
 not the per-information-bit energy, is what the link fixes.
+
+Workspace
+---------
+The Monte Carlo writes each chunk's transmitted and received samples into
+two float64 buffers that it keeps between chunks, one pair per thread, so
+a sweep does not map fresh multi-megabyte arrays for every chunk.  The
+pair is allocated on first use, grows to the largest chunk seen, and is
+kept only up to :data:`_WORKSPACE_CAP` samples a buffer (4 MiB each); a
+larger chunk gets fresh arrays that are freed after it.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, NamedTuple
@@ -99,6 +109,8 @@ class PhyConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.min_errors < 0:
+            raise ValueError("min_errors must be >= 0")
         if self.max_bits < self.trials:
             raise ValueError("max_bits must be >= trials")
 
@@ -111,38 +123,67 @@ class BerEstimate:
     low_confidence: bool      # budget ran out before min_errors was reached
 
 
-def modulate(bits, scheme: Modulation) -> np.ndarray:
-    """Map bits to symbol amplitudes (BPSK -1/+1, ASK 0/2)."""
+def _check_out(out: np.ndarray, shape: tuple[int, ...]) -> None:
+    if not (isinstance(out, np.ndarray) and out.dtype == np.float64
+            and out.shape == shape and out.flags.c_contiguous
+            and out.flags.writeable):
+        raise ValueError(f"out must be a writeable C-contiguous float64 array "
+                         f"of shape {shape}")
+
+
+def modulate(bits, scheme: Modulation, out: np.ndarray | None = None) -> np.ndarray:
+    """Map bits to symbol amplitudes (BPSK -1/+1, ASK 0/2).
+
+    With ``out`` (a writeable C-contiguous float64 array of the shape of
+    ``bits``) the symbols are written there and ``out`` is returned.
+    """
     bits = np.asarray(bits)
     if bits.size == 0:
         raise ValueError("bit sequence must be non-empty")
-    symbols = np.multiply(bits > 0, 2.0, dtype=float)   # ASK: 0 / 2
+    if out is not None:
+        _check_out(out, bits.shape)
+    symbols = np.multiply(bits > 0, 2.0, out=out, dtype=float)   # ASK: 0 / 2
     if scheme is Modulation.BPSK:
-        symbols -= 1.0                                  # -1 / +1
+        symbols -= 1.0                                           # -1 / +1
     return symbols
 
 
-def awgn(symbols, snr_db: float, rng: np.random.Generator) -> np.ndarray:
+def awgn(symbols, snr_db: float, rng: np.random.Generator,
+         out: np.ndarray | None = None) -> np.ndarray:
     """Add white Gaussian noise with variance = mean symbol energy / snr.
 
-    Deterministic for a given generator state; infinite snr returns the
-    input unchanged.
+    Deterministic for a given generator state; infinite snr returns a copy
+    of the input.  With ``out`` (a writeable C-contiguous float64 array of
+    the shape of ``symbols`` that shares no memory with it) the noisy
+    symbols are written there and ``out`` is returned; the values and the
+    generator state are those of the call without ``out``.
     """
     symbols = np.asarray(symbols, dtype=float)
+    if symbols.size == 0:
+        raise ValueError("symbol sequence must be non-empty")
+    if out is not None:
+        _check_out(out, symbols.shape)
+        if np.shares_memory(out, symbols):
+            raise ValueError("out must not share memory with symbols")
     if not math.isfinite(snr_db):
         if snr_db > 0:
-            return symbols.copy()
+            if out is None:
+                return symbols.copy()
+            out[...] = symbols
+            return out
         raise ValueError("snr_db must be finite or +inf")
-    noisy = np.square(symbols)           # the layout, so the mean, of symbols ** 2
-    sigma = math.sqrt(float(np.mean(noisy)) / 10.0 ** (snr_db / 10.0))
-    if not noisy.flags.c_contiguous:     # draws fill an out buffer in memory order
-        noisy = np.empty(symbols.shape)
+    # the squares take the layout of symbols, which fixes the summation
+    # order of their mean; only a C-contiguous input squares into out
+    squares = np.square(symbols, out=out if symbols.flags.c_contiguous else None)
+    sigma = math.sqrt(float(np.mean(squares)) / 10.0 ** (snr_db / 10.0))
+    if out is None:                      # draws fill a C-contiguous buffer
+        out = squares if squares.flags.c_contiguous else np.empty(symbols.shape)
     # the draws and the arithmetic of symbols + rng.normal(0, sigma), which
-    # computes 0 + sigma * z, in the buffer of the squares
-    rng.standard_normal(out=noisy)
-    noisy *= sigma
-    noisy += symbols
-    return noisy
+    # computes 0 + sigma * z
+    rng.standard_normal(out=out)
+    out *= sigma
+    out += symbols
+    return out
 
 
 def demodulate(symbols, scheme: Modulation) -> np.ndarray:
@@ -173,13 +214,34 @@ def ebn0_to_channel_snr(ebn0_db: float, code: CodeScheme = CodeScheme.NONE) -> f
 # Monte Carlo engine
 # ---------------------------------------------------------------------------
 
+#: samples a retained workspace buffer may hold (4 MiB of float64).  It
+#: covers every chunk at the ``ber-sweep`` defaults, the largest being
+#: 18,181 Hamming blocks = 272,715 samples.
+_WORKSPACE_CAP = 1 << 19
+
+_workspace = threading.local()
+
+
+def _chunk_buffers(size: int) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """This thread's tx and rx buffers of ``size`` samples, or ``(None,
+    None)`` past the cap, so that ``modulate``/``awgn`` allocate afresh."""
+    if size > _WORKSPACE_CAP:
+        return None, None
+    held = getattr(_workspace, "buffers", None)
+    if held is None or held.shape[1] < size:
+        held = _workspace.buffers = np.empty((2, size))
+    return held[0, :size], held[1, :size]
+
+
 def _run_blocks(cfg: PhyConfig, snr_db: float, n_blocks: int,
                 rng: np.random.Generator) -> tuple[int, int]:
     """Simulate ``n_blocks`` codewords; returns (info bit errors, info bits)."""
     codec = _CODECS[cfg.code]
     info = rng.integers(0, 2, size=(n_blocks, codec.k)).astype(np.uint8)
-    tx = modulate(codec.encode(info).reshape(-1), cfg.modulation)
-    rx = awgn(tx, snr_db, rng)
+    coded = codec.encode(info).reshape(-1)
+    tx_buf, rx_buf = _chunk_buffers(coded.size)
+    tx = modulate(coded, cfg.modulation, out=tx_buf)
+    rx = awgn(tx, snr_db, rng, out=rx_buf)
     hard = demodulate(rx, cfg.modulation).reshape(n_blocks, codec.n)
     errors = int(np.count_nonzero(codec.decode(hard) != info))
     return errors, n_blocks * codec.k
@@ -192,6 +254,10 @@ def ber_monte_carlo(cfg: PhyConfig, snr_db: float) -> BerEstimate:
     derived from both so points of a sweep are independent.  The bit cap
     may be overshot by up to k - 1 bits (see :class:`PhyConfig`); counting
     whole codewords keeps every decoded block in the estimate.
+
+    The chunks' samples go through this thread's retained workspace (see
+    the module docstring), at most two buffers of :data:`_WORKSPACE_CAP`
+    float64 samples; a larger chunk uses fresh arrays.
     """
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=(cfg.seed, _snr_key(snr_db))))

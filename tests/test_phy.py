@@ -2,10 +2,12 @@
 closed-form oracle."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
 
+from biomote import phy
 from biomote.link import NoiseModel, reference_link_config
 from biomote.phy import (
     BerEstimate,
@@ -43,6 +45,8 @@ def test_ask_mapping():
 def test_empty_bits_rejected():
     with pytest.raises(ValueError):
         modulate([], Modulation.BPSK)
+    with pytest.raises(ValueError):
+        awgn(np.empty(0), 3.0, np.random.default_rng(0))
 
 
 def test_stream_energies():
@@ -91,31 +95,80 @@ def test_awgn_variance_within_one_percent():
     assert np.var(noise) == pytest.approx(target, rel=0.01)
 
 
+def _layouts(a):
+    """a (20,000 elements) in the layouts the channel must handle."""
+    return [a[::3],                                        # strided view
+            a.reshape(100, 200).T]                         # Fortran order
+
+
 def _awgn_inputs():
     bits = np.random.default_rng(5).integers(0, 2, size=20_000)
     streams = [modulate(bits, scheme) for scheme in Modulation]
     return streams + [
-        streams[0][::3],                                   # strided view
-        streams[1].reshape(100, 200).T,                    # Fortran order
+        _layouts(streams[0])[0],
+        _layouts(streams[1])[1],
         np.random.default_rng(7).normal(size=(40, 50)),    # non-integer energy
+        # non-integer in Fortran order, whose mean square differs in the
+        # last bit when summed in C order
+        np.random.default_rng(23).normal(size=(50, 40)).T,
     ]
 
 
-@pytest.mark.parametrize("case", range(5))
+@pytest.mark.parametrize("case", range(6))
 @pytest.mark.parametrize("snr_db", [-3.0, 4.0, 12.5])
 def test_awgn_bit_identical_to_normal_draw(case, snr_db):
     """awgn is symbols + rng.normal(0, sigma) to the last bit, in every array
-    layout, and leaves the generator where that draw leaves it."""
+    layout, with or without an out buffer, and leaves the generator where
+    that draw leaves it."""
     symbols = _awgn_inputs()[case]
-    rng = np.random.default_rng(6)
     ref_rng = np.random.default_rng(6)
-    out = awgn(symbols, snr_db, rng)
     sigma = math.sqrt(float(np.mean(symbols ** 2)) / 10.0 ** (snr_db / 10.0))
     ref = symbols + ref_rng.normal(0.0, sigma, size=symbols.shape)
-    assert out.dtype == np.float64
-    assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
-    assert np.array_equal(symbols, _awgn_inputs()[case])     # input untouched
+    for buf in (None, np.full(symbols.shape, np.nan)):
+        rng = np.random.default_rng(6)
+        out = awgn(symbols, snr_db, rng, out=buf)
+        assert out.dtype == np.float64
+        assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert np.array_equal(symbols, _awgn_inputs()[case])   # input untouched
+        assert buf is None or out is buf
+
+
+def test_awgn_out_infinite_snr_copies():
+    x = np.linspace(-1, 1, 100)
+    buf = np.zeros(100)
+    assert awgn(x, math.inf, np.random.default_rng(0), out=buf) is buf
+    assert np.array_equal(buf, x)
+
+
+@pytest.mark.parametrize("scheme", list(Modulation))
+def test_modulate_out_equals_fresh(scheme):
+    bits = np.random.default_rng(8).integers(0, 2, size=20_000)
+    values = np.random.default_rng(7).normal(size=(40, 50))   # read as bits > 0
+    for layout in [bits] + _layouts(bits) + [values]:
+        buf = np.full(layout.shape, np.nan)
+        assert modulate(layout, scheme, out=buf) is buf
+        assert np.array_equal(buf, modulate(layout, scheme))
+
+
+def test_out_buffer_rejected():
+    """An out buffer of the wrong shape, dtype or layout raises, and so does
+    one that overlaps awgn's input, whose squares would overwrite it."""
+    x = modulate(np.ones(100), Modulation.BPSK)
+    rng = np.random.default_rng(0)
+    bad = [np.empty(99), np.empty(100, dtype=np.float32),
+           np.empty(200)[::2], np.empty((10, 10))]
+    for out in bad:
+        with pytest.raises(ValueError):
+            modulate(np.ones(100), Modulation.BPSK, out=out)
+        with pytest.raises(ValueError):
+            awgn(x, 3.0, rng, out=out)
+    for out in (x, x[:]):
+        with pytest.raises(ValueError):
+            awgn(x, 3.0, rng, out=out)
+    with pytest.raises(ValueError):
+        awgn(x, math.inf, rng, out=x)
+    assert np.array_equal(x, np.ones(100))
 
 
 def test_awgn_deterministic_per_seed():
@@ -231,6 +284,9 @@ def test_phyconfig_validation():
         PhyConfig(trials=0)
     with pytest.raises(ValueError):
         PhyConfig(trials=100, max_bits=10)
+    with pytest.raises(ValueError):
+        PhyConfig(min_errors=-5)
+    assert PhyConfig(min_errors=0).min_errors == 0
 
 
 # (modulation, code, channel snr_db) -> (errors, bits_simulated) with the
@@ -291,6 +347,73 @@ def test_bit_cap_overshoot_below_one_codeword(code):
     assert est.low_confidence
     assert cfg.max_bits <= est.bits_simulated < cfg.max_bits + k
     assert est.bits_simulated % k == 0
+
+
+def test_repeat_run_reuses_chunk_buffers():
+    """A repeated run takes its chunk buffers from the workspace the first run
+    left, so it maps no fresh pages: 10 Hamming chunks of 18,181 blocks, the
+    largest chunk of a default ber-sweep (fresh arrays per chunk took about
+    14,000 minor faults here)."""
+    resource = pytest.importorskip("resource")
+    cfg = PhyConfig(code=CodeScheme.HAMMING_15_11, trials=200_000,
+                    max_bits=2_000_000, min_errors=10**9, seed=5)
+    first = ber_monte_carlo(cfg, 6.0)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    second = ber_monte_carlo(cfg, 6.0)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert second == first
+    assert faults < 1000
+
+
+def _in_fresh_thread(fn):
+    """fn() in a new thread, so it starts with an empty workspace."""
+    result = {}
+
+    def run():
+        try:
+            result["value"] = fn()
+        except BaseException as exc:       # re-raised below, in the test
+            result["error"] = exc
+
+    worker = threading.Thread(target=run)
+    worker.start()
+    worker.join(timeout=120)
+    assert not worker.is_alive()
+    if "error" in result:
+        raise result["error"]
+    return result["value"]
+
+
+def test_workspace_bounded_and_order_free():
+    """Estimates do not depend on which chunk sizes ran before, and the
+    workspace keeps only buffers up to the cap: a chunk above it runs on
+    fresh arrays, and smaller chunks reuse the largest buffers seen."""
+    cap = phy._WORKSPACE_CAP
+    points = {
+        # 40,000 Hamming blocks = 600,000 samples, past the cap
+        "above": PhyConfig(code=CodeScheme.HAMMING_15_11, trials=440_000,
+                           min_errors=1, max_bits=440_000, seed=1),
+        "small": PhyConfig(trials=3_000, min_errors=1, max_bits=3_000, seed=2),
+        # 18,181 Hamming blocks = 272,715 samples, the largest default chunk
+        "default": PhyConfig(code=CodeScheme.HAMMING_15_11, trials=200_000,
+                             min_errors=1, max_bits=200_000, seed=3),
+    }
+
+    def run(order):
+        estimates, held = {}, []
+        for name in order:
+            estimates[name] = ber_monte_carlo(points[name], 4.0)
+            buffers = getattr(phy._workspace, "buffers", None)
+            held.append(0 if buffers is None else buffers.shape[1])
+        return estimates, held
+
+    forward, held_forward = _in_fresh_thread(lambda: run(["above", "small", "default"]))
+    backward, held_backward = _in_fresh_thread(lambda: run(["default", "small", "above"]))
+    assert forward == backward
+    assert held_forward == [0, 3_000, 272_715]
+    assert held_backward == [272_715] * 3
+    assert max(held_forward + held_backward) <= cap
+    assert forward["above"].bits_simulated // 11 * 15 > cap
 
 
 # ---------------------------------------------------------------------------
