@@ -352,8 +352,8 @@ def test_bit_cap_overshoot_below_one_codeword(code):
 def test_repeat_run_reuses_chunk_buffers():
     """A repeated run takes its chunk buffers from the workspace the first run
     left, so it maps no fresh pages: 10 Hamming chunks of 18,181 blocks, the
-    largest chunk of a default ber-sweep (fresh arrays per chunk took about
-    14,000 minor faults here)."""
+    largest chunk of a default ber-sweep (with fresh tx and rx arrays per
+    chunk, glibc's allocator took about 14,000 minor faults on this run)."""
     resource = pytest.importorskip("resource")
     cfg = PhyConfig(code=CodeScheme.HAMMING_15_11, trials=200_000,
                     max_bits=2_000_000, min_errors=10**9, seed=5)
