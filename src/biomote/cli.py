@@ -6,6 +6,8 @@ seeds for inner Monte Carlo points derive deterministically from the
 master seed, so results are also invariant to any trial chunking.
 
 Exit codes: 0 success, 2 configuration problem, 3 runtime failure.
+``mac-cdma`` and ``mac-compare`` exit 2 before any work when a
+``mac_n_motes`` value is above :data:`biomote.mac.MAX_CDMA_MOTES`.
 """
 
 from __future__ import annotations
@@ -114,7 +116,16 @@ def run_mac_scenario2(params: RunParameters, seed: int):
                                trials=params.mac_trials, seed=seed)
 
 
+def _check_cdma_grid(params: RunParameters) -> None:
+    """Reject a CDMA grid whose largest deployment would not fit in memory,
+    before any point runs."""
+    if max(params.mac_n_motes) > mac.MAX_CDMA_MOTES:
+        raise ConfigError(f"mac_n_motes above {mac.MAX_CDMA_MOTES} "
+                          f"is too large for a CDMA run")
+
+
 def run_mac_cdma(params: RunParameters, seed: int):
+    _check_cdma_grid(params)
     rows = []
     for c in params.mac_code_lens:
         for n in params.mac_n_motes:
@@ -125,12 +136,10 @@ def run_mac_cdma(params: RunParameters, seed: int):
 
 
 def run_mac_compare(params: RunParameters, seed: int):
-    rows = []
-    for d in params.mac_durations_slots:
-        rows += mac.compare_schemes(params.mac_n_motes, d, rate=20e3,
-                                    packet_bytes=64, trials=params.mac_trials,
-                                    seed=seed)
-    return rows
+    _check_cdma_grid(params)
+    return mac.compare_schemes(params.mac_n_motes, params.mac_durations_slots,
+                               rate=20e3, packet_bytes=64,
+                               trials=params.mac_trials, seed=seed)
 
 
 RUNNERS = {

@@ -19,6 +19,14 @@ spanning the window (each mote transmits its one packet at a random
 offset).  A deployment counts as fully read when the mean shortfall is at
 most ``FULL_READ_SHORTFALL`` motes (about one collision pair).
 
+CDMA despreading is exact integer arithmetic done in floating point.
+Random codes go through the Gram matrix C C^T in float32 when n * L <=
+2**24 (every partial sum is then an integer float32 holds exactly) and in
+float64 above that; the bits are despread in blocks of 64 columns, and a
+trial stops at the first block after which no mote is still error-free.
+Walsh codes use the closed form of C C^T and need no matmul; with n <= L
+every mote has its own row, so all n are read and nothing is drawn.
+
 Every routine is deterministic in (seed, parameters): per-trial generator
 streams derive from a seed sequence keyed by (seed, point, trial), so
 results are independent of any chunking of trials across workers.  The
@@ -40,7 +48,7 @@ __all__ = [
     "binary_tree_iterations", "aloha_simulate", "aloha_mean_successes",
     "scenario2_sweep", "max_fully_read",
     "global_recommendation", "walsh_codes", "cdma_simulate",
-    "compare_schemes", "FULL_READ_SHORTFALL",
+    "compare_schemes", "FULL_READ_SHORTFALL", "MAX_CDMA_MOTES",
 ]
 
 #: mean unread motes tolerated by the "fully read" criterion (one collision
@@ -254,31 +262,63 @@ def walsh_codes(length: int) -> np.ndarray:
     return h
 
 
+#: most motes a CDMA run may hold: their float64 Gram matrix, n x n, stays
+#: within 64 MiB (the CLI rejects larger ``mac_n_motes`` before any work)
+MAX_CDMA_MOTES = math.isqrt(64 * 2**20 // 8)
+
+#: bit columns despread per block; a random-code trial stops after the
+#: first block in which every mote has already mis-decoded a bit
+_DESPREAD_BLOCK = 64
+
+
+def _gram_dtype(n: int, code_len: int) -> type:
+    """The float dtype that despreads n motes with length-``code_len`` codes
+    exactly: every Gram entry is an integer of magnitude <= L and every
+    partial sum of ``(C C^T) @ bits`` one of magnitude <= n * L, so float32
+    is exact up to n * L = 2**24 in any BLAS summation order."""
+    return np.float32 if n * code_len <= 1 << 24 else np.float64
+
+
 def _cdma_trial(n: int, code_len: int, family: str, packet_bits: int,
                 rng: np.random.Generator) -> int:
     # All motes transmit chip-synchronously and the reader correlates the
     # plain chip sum with each code, so the correlations are (C C^T) @ bits
     # for the n x L code matrix C and the n x packet_bits +-1 matrix bits.
-    if family == "random":
-        codes = rng.integers(0, 2, size=(n, code_len)).astype(np.int8) * 2 - 1
-    # drawn after the codes: the draw order is part of the seeded output
-    bits = rng.integers(0, 2, size=(n, packet_bits)).astype(np.int8) * 2 - 1
-    if family == "random":
-        # float64 takes the BLAS path and is exact here: every entry and
-        # partial sum is an integer of magnitude <= n * L, far below 2**53.
-        chips = codes.astype(np.float64)
-        correlations = (chips @ chips.T) @ bits.astype(np.float64)
-    else:
+    # Mote j decides 1 where its correlation is >= 0 and is read only if
+    # every decision matches its bit.
+    if family == "walsh":
         # Mote i carries Walsh row i mod L, so C C^T = L * [i == j (mod L)]:
         # mote j correlates to L times the summed bits of every mote sharing
-        # its row.  L > 0 leaves the sign, so the factor is dropped.
+        # its row (L > 0 leaves the sign, so the factor is dropped).  With
+        # n <= L every row is its own, so all n are read; the trial's
+        # generator is discarded afterwards, so skipping its draws changes
+        # no other trial.
+        if n <= code_len:
+            return n
         groups = -(-n // code_len)
-        padded = np.zeros((groups * code_len, packet_bits), dtype=np.int32)
-        padded[:n] = bits
-        row_sums = padded.reshape(groups, code_len, packet_bits).sum(axis=0)
-        correlations = np.tile(row_sums, (groups, 1))[:n]
-    decided = np.where(correlations >= 0, 1, -1).astype(np.int8)
-    return int(np.sum(np.all(decided == bits, axis=1)))
+        # the narrowest signed type holding +-groups, the largest row sum
+        padded = np.zeros((groups * code_len, packet_bits),
+                          dtype=np.min_scalar_type(-groups - 1))
+        padded[:n] = rng.integers(0, 2, size=(n, packet_bits)) * 2 - 1
+        stacked = padded.reshape(groups, code_len, packet_bits)
+        decided = stacked.sum(axis=0, dtype=padded.dtype) >= 0
+        read = np.all(decided == (stacked > 0), axis=2).reshape(-1)[:n]
+        return int(np.count_nonzero(read))
+    dtype = _gram_dtype(n, code_len)
+    chips = rng.integers(0, 2, size=(n, code_len)).astype(dtype) * 2 - 1
+    # drawn after the codes: the draw order is part of the seeded output
+    draws = rng.integers(0, 2, size=(n, packet_bits))
+    gram = chips @ chips.T
+    # Despread block by block over the motes still error-free; most trials
+    # of a crowded channel lose every mote in the first block.
+    alive = np.arange(n)
+    for start in range(0, packet_bits, _DESPREAD_BLOCK):
+        block = draws[:, start:start + _DESPREAD_BLOCK] > 0
+        correlations = gram[alive] @ (block.astype(dtype) * 2 - 1)
+        alive = alive[np.all((correlations >= 0) == block[alive], axis=1)]
+        if alive.size == 0:
+            break
+    return alive.size
 
 
 def cdma_simulate(n_motes: int, code_len: int, family: str = "random",
@@ -305,24 +345,30 @@ def cdma_simulate(n_motes: int, code_len: int, family: str = "random",
 # scheme comparison
 # ---------------------------------------------------------------------------
 
-def compare_schemes(n_motes_list, duration_slots: int, rate: float = 20e3,
+def compare_schemes(n_motes_list, duration_slots, rate: float = 20e3,
                     packet_bytes: int = 64, trials: int = 100,
                     seed: int = 0xB10B10) -> list[tuple]:
     """ALOHA (128-slot frames over the window) against CDMA with length-128
     Walsh codes, whose one spread packet fills the same airtime as 128
-    slots.  CDMA rows depend only on (n, seed), never on the duration.
+    slots.
 
-    Returns ``(n_motes, duration_slots, scheme, mean_successes)`` rows,
-    ALOHA then CDMA for each n.
+    ``duration_slots`` is one window length in slots or a sequence of
+    them.  Returns ``(n_motes, duration_slots, scheme, mean_successes)``
+    rows, ALOHA then CDMA for each n, for each duration in turn.  CDMA rows
+    depend only on (n, seed), never on the duration, so each n is simulated
+    once.
     """
+    n_motes_list = list(n_motes_list)
+    durations = [duration_slots] if np.ndim(duration_slots) == 0 else duration_slots
+    cdma = {n: cdma_simulate(n, 128, "walsh", packet_bytes, trials, seed)
+            for n in dict.fromkeys(n_motes_list)}
     slot = packet_bytes * 8 / rate
-    read_time = slot * duration_slots
     rows = []
-    for n in n_motes_list:
-        sc = MacScenario(n_motes=n, rate=rate, packet_bytes=packet_bytes,
-                         read_time=read_time, frame_slots=128,
-                         trials=trials, seed=seed)
-        rows.append((n, duration_slots, "aloha", aloha_mean_successes(sc)))
-        rows.append((n, duration_slots, "cdma",
-                     cdma_simulate(n, 128, "walsh", packet_bytes, trials, seed)))
+    for d in durations:
+        for n in n_motes_list:
+            sc = MacScenario(n_motes=n, rate=rate, packet_bytes=packet_bytes,
+                             read_time=slot * d, frame_slots=128,
+                             trials=trials, seed=seed)
+            rows.append((n, d, "aloha", aloha_mean_successes(sc)))
+            rows.append((n, d, "cdma", cdma[n]))
     return rows

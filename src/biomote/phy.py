@@ -23,9 +23,10 @@ Workspace
 The Monte Carlo writes each chunk's transmitted and received samples into
 two float64 buffers that it keeps between chunks, one pair per thread, so
 a sweep does not map fresh multi-megabyte arrays for every chunk.  The
-pair is allocated on first use, grows to the largest chunk seen, and is
-kept only up to :data:`_WORKSPACE_CAP` samples a buffer (4 MiB each); a
-larger chunk gets fresh arrays that are freed after it.
+pair is allocated on first use and grows to the largest chunk seen.  A
+chunk holds at most :data:`_WORKSPACE_CAP` samples (4 MiB a buffer), so
+every chunk fits the workspace and a large run is split into more chunks
+rather than into larger ones.
 """
 
 from __future__ import annotations
@@ -214,19 +215,18 @@ def ebn0_to_channel_snr(ebn0_db: float, code: CodeScheme = CodeScheme.NONE) -> f
 # Monte Carlo engine
 # ---------------------------------------------------------------------------
 
-#: samples a retained workspace buffer may hold (4 MiB of float64).  It
-#: covers every chunk at the ``ber-sweep`` defaults, the largest being
-#: 18,181 Hamming blocks = 272,715 samples.
+#: most samples in one Monte Carlo chunk, and so in a retained workspace
+#: buffer (4 MiB of float64).  Every codeword is far shorter, and every
+#: chunk at the ``ber-sweep`` defaults is smaller, the largest being 18,181
+#: Hamming blocks = 272,715 samples.
 _WORKSPACE_CAP = 1 << 19
 
 _workspace = threading.local()
 
 
-def _chunk_buffers(size: int) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """This thread's tx and rx buffers of ``size`` samples, or ``(None,
-    None)`` past the cap, so that ``modulate``/``awgn`` allocate afresh."""
-    if size > _WORKSPACE_CAP:
-        return None, None
+def _chunk_buffers(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """This thread's tx and rx buffers of ``size`` <= :data:`_WORKSPACE_CAP`
+    samples."""
     held = getattr(_workspace, "buffers", None)
     if held is None or held.shape[1] < size:
         held = _workspace.buffers = np.empty((2, size))
@@ -255,13 +255,14 @@ def ber_monte_carlo(cfg: PhyConfig, snr_db: float) -> BerEstimate:
     may be overshot by up to k - 1 bits (see :class:`PhyConfig`); counting
     whole codewords keeps every decoded block in the estimate.
 
-    The chunks' samples go through this thread's retained workspace (see
-    the module docstring), at most two buffers of :data:`_WORKSPACE_CAP`
-    float64 samples; a larger chunk uses fresh arrays.
+    Each chunk holds at most :data:`_WORKSPACE_CAP` samples, and its
+    samples go through this thread's retained workspace (see the module
+    docstring).
     """
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=(cfg.seed, _snr_key(snr_db))))
-    k = _CODECS[cfg.code].k
+    codec = _CODECS[cfg.code]
+    k = codec.k
     errors = bits = 0
     while True:
         need_bits = bits < cfg.trials
@@ -269,7 +270,8 @@ def ber_monte_carlo(cfg: PhyConfig, snr_db: float) -> BerEstimate:
         if not (need_bits or need_errs) or bits >= cfg.max_bits:
             break
         chunk = max((cfg.trials if need_bits else cfg.max_bits // 10) // k, 1)
-        chunk = min(chunk, max((cfg.max_bits - bits) // k, 1), 200_000)
+        chunk = min(chunk, max((cfg.max_bits - bits) // k, 1),
+                    _WORKSPACE_CAP // codec.n)
         e, b = _run_blocks(cfg, snr_db, chunk, rng)
         errors += e
         bits += b

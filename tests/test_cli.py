@@ -9,6 +9,7 @@ from dataclasses import fields
 
 import pytest
 
+from biomote import mac
 from biomote.cli import CSV_SCHEMAS, main
 from biomote.config import (
     ConfigError,
@@ -205,6 +206,30 @@ def test_non_finite_or_fractional_exits_2(tmp_path, capsys, setting):
     assert rc == 2
     assert setting.split("=")[0] in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand", ["mac-cdma", "mac-compare"])
+def test_oversized_cdma_grid_exits_2(tmp_path, capsys, monkeypatch, subcommand):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a point ran before the grid was checked")
+
+    for name in ("cdma_simulate", "aloha_mean_successes"):
+        monkeypatch.setattr(mac, name, no_work)
+    out = tmp_path / "x.csv"
+    rc = main([subcommand, "--set", f"mac_n_motes=10,{mac.MAX_CDMA_MOTES + 1}",
+               "--out", str(out)])
+    assert rc == 2
+    assert "mac_n_motes" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cdma_cap_leaves_aloha_alone(tmp_path):
+    out = tmp_path / "x.csv"
+    rc = main(["mac-scenario2", "--set", f"mac_n_motes={mac.MAX_CDMA_MOTES + 1}",
+               "--set", "mac_read_times_s=2", "--set", "mac_trials=1",
+               "--out", str(out)])
+    assert rc == 0
+    assert len(out.read_text().splitlines()) == 2
 
 
 def test_unwritable_output_exits_3(capsys):

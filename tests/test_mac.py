@@ -3,17 +3,19 @@ enumeration, chip-level CDMA properties, scheme comparison contract."""
 
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 
 import numpy as np
 import pytest
 
 from biomote.mac import (
+    _DESPREAD_BLOCK,
     _SEED_MEMO_SIZE,
     DeploymentGeometry,
     MacScenario,
     ZoneShape,
     _cdma_trial,
+    _gram_dtype,
     _pcg64_start,
     _trial_rng,
     aloha_mean_successes,
@@ -448,7 +450,8 @@ def test_cdma_rejects_empty_arguments(code_len, packet_bytes, trials):
 
 def _despread_int32(n, code_len, family, packet_bits, rng):
     """The two-step int32 despread (bits^T C) C^T, kept as the reference;
-    returns (motes read, correlations that tie at 0)."""
+    returns (motes read, correlations that tie at 0, motes error-free over
+    the first despread block)."""
     if family == "walsh":
         codes = walsh_codes(code_len)[np.arange(n) % code_len]
     else:
@@ -457,25 +460,77 @@ def _despread_int32(n, code_len, family, packet_bits, rng):
     aggregate = bits.T.astype(np.int32) @ codes.astype(np.int32)
     correlations = aggregate @ codes.T.astype(np.int32)
     decided = np.where(correlations.T >= 0, 1, -1).astype(np.int8)
-    return (int(np.sum(np.all(decided == bits, axis=1))),
-            int(np.sum(correlations == 0)))
+    correct = decided == bits
+    return (int(np.sum(np.all(correct, axis=1))),
+            int(np.sum(correlations == 0)),
+            int(np.sum(np.all(correct[:, :_DESPREAD_BLOCK], axis=1))))
 
 
 def test_despread_matches_int32_reference():
     ties = 0
-    for family, code_len, packet_bits in product(("walsh", "random"), (8, 16),
-                                                 (8, 64)):
-        # n = 1, n < L, n = L, n = L + 1, n = 2L, n = 2L + 3
+    # random-code trials, by how the block-wise despread ends
+    late_failures = first_block_wipeouts = 0
+    cases = chain(product(("walsh", "random"), (8, 16), (8, 64, 72, 520)),
+                  product(("walsh",), (1,), (8, 72)))
+    for family, code_len, packet_bits in cases:
+        # n = 1, n < L, n = L, n = L + 1, n = 2L, n = 2L + 3, n = 4L + 1
         for n in (1, code_len // 2 + 1, code_len, code_len + 1, 2 * code_len,
-                  2 * code_len + 3):
+                  2 * code_len + 3, 4 * code_len + 1):
             for t in range(4):
-                expect, zeros = _despread_int32(n, code_len, family, packet_bits,
-                                                _trial_rng(77, n, t))
+                expect, zeros, first = _despread_int32(
+                    n, code_len, family, packet_bits, _trial_rng(77, n, t))
                 got = _cdma_trial(n, code_len, family, packet_bits,
                                   _trial_rng(77, n, t))
                 assert got == expect, (family, code_len, packet_bits, n, t)
-                ties += zeros if family == "random" else 0
+                if family == "random":
+                    ties += zeros
+                    if packet_bits > _DESPREAD_BLOCK:
+                        late_failures += first > expect
+                        first_block_wipeouts += first == 0
     assert ties > 0         # the >= 0 tie rule was exercised
+    # motes that survived the first block and failed in a later one, and
+    # trials that ended after the first block
+    assert late_failures > 0
+    assert first_block_wipeouts > 0
+
+
+class _ConstantDraws:
+    """A generator stub whose every draw is ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def integers(self, low, high, size):
+        return np.full(size, self.value, dtype=np.int64)
+
+
+@pytest.mark.parametrize("value", [0, 1])
+@pytest.mark.parametrize("n,code_len", [(127, 1), (128, 1), (256, 2),
+                                        (32_767, 1), (32_768, 1)])
+def test_walsh_row_sums_do_not_overflow(n, code_len, value):
+    # equal bits on every mote sharing a row sum to +-ceil(n / L), the
+    # largest row sum the Walsh path must hold; every mote then decodes
+    assert _cdma_trial(n, code_len, "walsh", 8, _ConstantDraws(value)) == n
+
+
+def test_gram_dtype_at_float32_bound():
+    # float32 holds every integer up to 2**24, the largest partial sum at
+    # n * L = 2**24; one more and the despread needs float64
+    assert _gram_dtype(2**16, 2**8) is np.float32
+    assert _gram_dtype(2**24, 1) is np.float32
+    assert _gram_dtype(2**24 + 1, 1) is np.float64
+    assert _gram_dtype(2**16 + 1, 2**8) is np.float64
+    assert _gram_dtype(200, 256) is np.float32
+
+
+def test_compare_schemes_takes_a_list_of_durations():
+    ns, durations = [20, 60, 20], [128, 1280]
+    rows = compare_schemes(ns, durations, trials=5, seed=55)
+    assert rows == [row for d in durations
+                    for row in compare_schemes(ns, d, trials=5, seed=55)]
+    assert [row[:3] for row in rows] == [(n, d, scheme) for d in durations
+                                         for n in ns
+                                         for scheme in ("aloha", "cdma")]
 
 
 # ---------------------------------------------------------------------------

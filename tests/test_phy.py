@@ -386,11 +386,13 @@ def _in_fresh_thread(fn):
 
 def test_workspace_bounded_and_order_free():
     """Estimates do not depend on which chunk sizes ran before, and the
-    workspace keeps only buffers up to the cap: a chunk above it runs on
-    fresh arrays, and smaller chunks reuse the largest buffers seen."""
+    workspace never grows past the cap: a point with more samples than the
+    cap runs in chunks of at most the cap, and smaller chunks reuse the
+    largest buffers seen."""
     cap = phy._WORKSPACE_CAP
     points = {
-        # 40,000 Hamming blocks = 600,000 samples, past the cap
+        # 40,000 Hamming blocks = 600,000 samples, past the cap: chunks of
+        # 34,952 blocks (524,280 samples) and 5,048 blocks
         "above": PhyConfig(code=CodeScheme.HAMMING_15_11, trials=440_000,
                            min_errors=1, max_bits=440_000, seed=1),
         "small": PhyConfig(trials=3_000, min_errors=1, max_bits=3_000, seed=2),
@@ -410,10 +412,36 @@ def test_workspace_bounded_and_order_free():
     forward, held_forward = _in_fresh_thread(lambda: run(["above", "small", "default"]))
     backward, held_backward = _in_fresh_thread(lambda: run(["default", "small", "above"]))
     assert forward == backward
-    assert held_forward == [0, 3_000, 272_715]
-    assert held_backward == [272_715] * 3
+    assert held_forward == [524_280] * 3
+    assert held_backward == [272_715, 272_715, 524_280]
     assert max(held_forward + held_backward) <= cap
     assert forward["above"].bits_simulated // 11 * 15 > cap
+
+
+def test_uncoded_chunks_fit_the_workspace(monkeypatch):
+    """A long uncoded point (k = n = 1000) runs in chunks of at most the
+    cap, each through the retained workspace, not in 2,000,000-sample
+    chunks on fresh arrays."""
+    chunks = []
+
+    def recording_modulate(bits, scheme, out=None):
+        chunks.append((bits.size, out is not None))
+        return modulate(bits, scheme, out=out)
+
+    monkeypatch.setattr(phy, "modulate", recording_modulate)
+    cfg = PhyConfig(code=CodeScheme.NONE, trials=2_000_000, min_errors=0,
+                    max_bits=2_000_000, seed=4)
+
+    def run():
+        est = ber_monte_carlo(cfg, 6.0)
+        return est, phy._workspace.buffers.shape[1]
+
+    est, held = _in_fresh_thread(run)
+    assert est.bits_simulated == 2_000_000
+    assert sum(size for size, _ in chunks) == 2_000_000
+    assert all(0 < size <= phy._WORKSPACE_CAP and in_workspace
+               for size, in_workspace in chunks)
+    assert 0 < held <= phy._WORKSPACE_CAP
 
 
 # ---------------------------------------------------------------------------
