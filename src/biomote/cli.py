@@ -7,7 +7,16 @@ master seed, so results are also invariant to any trial chunking.
 
 Exit codes: 0 success, 2 configuration problem, 3 runtime failure.
 ``mac-cdma`` and ``mac-compare`` exit 2 before any work when a
-``mac_n_motes`` value is above :data:`biomote.mac.MAX_CDMA_MOTES`.
+``mac_n_motes`` value is above :data:`biomote.mac.MAX_CDMA_MOTES`, and
+``mac-cdma`` also when one trial's code and bit draws would exceed
+:data:`biomote.mac.MAX_CDMA_DRAW_BYTES`.
+
+numpy's BLAS runs on one thread unless the caller sets
+``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS``:
+the CDMA products (at most 200 x 256 at the shipped defaults) are too
+small for a second thread to help.  CSV bytes never depend on the thread
+count, because the despreading is exact integer arithmetic in any
+summation order.
 """
 
 from __future__ import annotations
@@ -16,6 +25,12 @@ import argparse
 import os
 import sys
 from pathlib import Path
+
+# Set before numpy loads: a second OpenBLAS thread costs a core and saves no
+# wall time on these small products.  A count the caller sets wins.
+if not any(var in os.environ for var in
+           ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from biomote import mac
 from biomote.config import (
@@ -116,16 +131,23 @@ def run_mac_scenario2(params: RunParameters, seed: int):
                                trials=params.mac_trials, seed=seed)
 
 
-def _check_cdma_grid(params: RunParameters) -> None:
+def _check_cdma_grid(n_motes, code_lens, packet_bytes: int) -> None:
     """Reject a CDMA grid whose largest deployment would not fit in memory,
     before any point runs."""
-    if max(params.mac_n_motes) > mac.MAX_CDMA_MOTES:
+    n = max(n_motes)
+    if n > mac.MAX_CDMA_MOTES:
         raise ConfigError(f"mac_n_motes above {mac.MAX_CDMA_MOTES} "
                           f"is too large for a CDMA run")
+    # one trial draws an n x L code and an n x bits packet matrix of int64
+    if 8 * n * (max(code_lens) + 8 * packet_bytes) > mac.MAX_CDMA_DRAW_BYTES:
+        raise ConfigError(f"mac_n_motes, mac_code_lens and mac_packet_bytes "
+                          f"draw more than {mac.MAX_CDMA_DRAW_BYTES} bytes "
+                          f"in one CDMA trial")
 
 
 def run_mac_cdma(params: RunParameters, seed: int):
-    _check_cdma_grid(params)
+    _check_cdma_grid(params.mac_n_motes, params.mac_code_lens,
+                     params.mac_packet_bytes)
     rows = []
     for c in params.mac_code_lens:
         for n in params.mac_n_motes:
@@ -136,7 +158,7 @@ def run_mac_cdma(params: RunParameters, seed: int):
 
 
 def run_mac_compare(params: RunParameters, seed: int):
-    _check_cdma_grid(params)
+    _check_cdma_grid(params.mac_n_motes, [128], 64)
     return mac.compare_schemes(params.mac_n_motes, params.mac_durations_slots,
                                rate=20e3, packet_bytes=64,
                                trials=params.mac_trials, seed=seed)

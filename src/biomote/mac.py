@@ -49,6 +49,7 @@ __all__ = [
     "scenario2_sweep", "max_fully_read",
     "global_recommendation", "walsh_codes", "cdma_simulate",
     "compare_schemes", "FULL_READ_SHORTFALL", "MAX_CDMA_MOTES",
+    "MAX_CDMA_DRAW_BYTES",
 ]
 
 #: mean unread motes tolerated by the "fully read" criterion (one collision
@@ -265,6 +266,10 @@ def walsh_codes(length: int) -> np.ndarray:
 #: most motes a CDMA run may hold: their float64 Gram matrix, n x n, stays
 #: within 64 MiB (the CLI rejects larger ``mac_n_motes`` before any work)
 MAX_CDMA_MOTES = math.isqrt(64 * 2**20 // 8)
+
+#: most bytes one CDMA trial may draw: its n x L code and n x bits packet
+#: matrices, both int64 (the CLI rejects a larger grid before any work)
+MAX_CDMA_DRAW_BYTES = 64 * 2**20
 
 #: bit columns despread per block; a random-code trial stops after the
 #: first block in which every mote has already mis-decoded a bit

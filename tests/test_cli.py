@@ -1,6 +1,7 @@
 """CLI harness tests: config parsing contract, CSV schemas, reproducibility,
 exit codes."""
 
+import json
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from dataclasses import fields
 import pytest
 
 from biomote import mac
-from biomote.cli import CSV_SCHEMAS, main
+from biomote.cli import CSV_SCHEMAS, _check_cdma_grid, main
 from biomote.config import (
     ConfigError,
     RunParameters,
@@ -223,6 +224,28 @@ def test_oversized_cdma_grid_exits_2(tmp_path, capsys, monkeypatch, subcommand):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("setting", ["mac_packet_bytes=100000000",
+                                     "mac_code_lens=10000000000"])
+def test_oversized_cdma_draws_exit_2(tmp_path, setting):
+    out = tmp_path / "x.csv"
+    r = run_cli(["mac-cdma", "--set", setting, "--set", "mac_n_motes=200",
+                 "--set", "mac_trials=1", "--out", str(out)])
+    assert r.returncode == 2
+    assert "config error" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert not out.exists()
+
+
+def test_cdma_draw_cap_boundary():
+    params = default_parameters()
+    _check_cdma_grid(params.mac_n_motes, params.mac_code_lens, params.mac_packet_bytes)
+    # one mote, L = 64 and packets that fill the cap exactly, then 8 chips more
+    packet_bytes = (mac.MAX_CDMA_DRAW_BYTES // 8 - 64) // 8
+    _check_cdma_grid([1], [64], packet_bytes)
+    with pytest.raises(ConfigError, match="mac_code_lens"):
+        _check_cdma_grid([1], [72], packet_bytes)
+
+
 def test_cdma_cap_leaves_aloha_alone(tmp_path):
     out = tmp_path / "x.csv"
     rc = main(["mac-scenario2", "--set", f"mac_n_motes={mac.MAX_CDMA_MOTES + 1}",
@@ -230,6 +253,37 @@ def test_cdma_cap_leaves_aloha_alone(tmp_path):
                "--out", str(out)])
     assert rc == 0
     assert len(out.read_text().splitlines()) == 2
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def blas_env_after_import(module, preset):
+    """The BLAS thread variables a child sees after importing ``module``,
+    started with none of them set except ``preset``."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env.update(preset)
+    code = (f"import json, os, {module}\n"
+            f"print(json.dumps({{k: os.environ.get(k) for k in {BLAS_THREAD_VARS!r}}}))")
+    r = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                       text=True, check=True)
+    return json.loads(r.stdout)
+
+
+def test_cli_defaults_blas_to_one_thread():
+    assert blas_env_after_import("biomote.cli", {}) == {
+        "OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": None, "OMP_NUM_THREADS": None}
+
+
+@pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                                 "OMP_NUM_THREADS"])
+def test_cli_keeps_callers_blas_threads(var):
+    expected = dict.fromkeys(BLAS_THREAD_VARS, None) | {var: "3"}
+    assert blas_env_after_import("biomote.cli", {var: "3"}) == expected
+
+
+def test_library_import_leaves_blas_threads_alone():
+    assert blas_env_after_import("biomote.mac", {}) == dict.fromkeys(BLAS_THREAD_VARS)
 
 
 def test_unwritable_output_exits_3(capsys):
