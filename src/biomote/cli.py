@@ -11,12 +11,15 @@ Exit codes: 0 success, 2 configuration problem, 3 runtime failure.
 ``mac-cdma`` also when one trial's code and bit draws would exceed
 :data:`biomote.mac.MAX_CDMA_DRAW_BYTES`.
 
-numpy's BLAS runs on one thread unless the caller sets
-``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS``:
-the CDMA products (at most 200 x 256 at the shipped defaults) are too
-small for a second thread to help.  CSV bytes never depend on the thread
-count, because the despreading is exact integer arithmetic in any
-summation order.
+``ber-sweep`` runs its four BER curves on a thread pool with one worker
+per core this process may use; each curve has its own seed and the rows
+are written in scheme order.  numpy's BLAS still runs on one thread
+unless the caller sets ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or
+``OMP_NUM_THREADS``: the CDMA products (at most 200 x 256 at the shipped
+defaults) are too small for a second thread to help.  CSV bytes never
+depend on either thread count, because the despreading is exact integer
+arithmetic in any summation order and each BER curve draws from its own
+seeded stream.
 """
 
 from __future__ import annotations
@@ -97,7 +100,18 @@ def run_table1(params: RunParameters, seed: int):
     return rows
 
 
+def _usable_cores() -> int:
+    """Number of cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:               # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def run_ber_sweep(params: RunParameters, seed: int):
+    # imported here: at module level its ~6 ms would delay every subcommand
+    from concurrent.futures import ThreadPoolExecutor
+
     link = params.link_config()
     noise = params.noise()
     schemes = [
@@ -106,14 +120,23 @@ def run_ber_sweep(params: RunParameters, seed: int):
         (Modulation.BPSK, CodeScheme.HAMMING_15_11),
         (Modulation.BPSK, CodeScheme.RS_31_26),
     ]
-    rows = []
-    for k, (mod, code) in enumerate(schemes):
+
+    def curve(item):
+        k, (mod, code) = item
         cfg = PhyConfig(modulation=mod, code=code, trials=params.ber_trials,
                         min_errors=params.ber_min_errors,
                         max_bits=params.ber_max_bits, seed=seed + k)
-        for d, ber, bits in ber_vs_distance(link, noise, cfg, params.ber_distances_m):
-            rows.append((d, mod.value, code.value, ber, bits))
-    return rows
+        return [(d, mod.value, code.value, ber, bits) for d, ber, bits
+                in ber_vs_distance(link, noise, cfg, params.ber_distances_m)]
+
+    # numpy releases the GIL in the noise draws and the large array
+    # operations, so the curves' Monte Carlo runs on all cores
+    pool = ThreadPoolExecutor(max_workers=min(len(schemes), _usable_cores()))
+    try:
+        curves = list(pool.map(curve, enumerate(schemes)))
+    finally:
+        pool.shutdown(cancel_futures=True)   # a failed curve stops the rest
+    return [row for rows in curves for row in rows]
 
 
 def run_mac_scenario1(params: RunParameters, seed: int):
@@ -200,15 +223,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_seed(flag_value: int | None) -> int:
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
+    seed = flag_value
+    if seed is None:
+        env = os.environ.get(SEED_ENV_VAR)
+        if env is None:
+            return DEFAULT_SEED
         try:
-            return int(env, 0)
+            seed = int(env, 0)
         except ValueError as exc:
             raise ConfigError(f"bad {SEED_ENV_VAR} value {env!r}") from exc
-    return DEFAULT_SEED
+    if seed < 0:
+        raise ConfigError("seed must be a non-negative integer")
+    return seed
 
 
 def load_parameters(args) -> RunParameters:

@@ -20,13 +20,16 @@ not the per-information-bit energy, is what the link fixes.
 
 Workspace
 ---------
-The Monte Carlo writes each chunk's transmitted and received samples into
-two float64 buffers that it keeps between chunks, one pair per thread, so
-a sweep does not map fresh multi-megabyte arrays for every chunk.  The
-pair is allocated on first use and grows to the largest chunk seen.  A
-chunk holds at most :data:`_WORKSPACE_CAP` samples (4 MiB a buffer), so
-every chunk fits the workspace and a large run is split into more chunks
-rather than into larger ones.
+The Monte Carlo runs in chunks of at most :data:`_CHUNK_CAP` samples; the
+chunk schedule fixes the seeded stream.  Each chunk is modulated, noised
+and sliced in tiles of :data:`_TILE` samples, through two float64 buffers
+of one tile each (256 KiB a buffer) that a thread keeps between tiles and
+chunks.  A sweep so maps no fresh arrays for its samples, and threads that
+run curves side by side (``ber-sweep`` runs one per core) hold half a MiB
+of workspace each.  Every tile's noise scale is the energy of its whole
+chunk, so the draws and the noisy values are those of one :func:`awgn`
+call over the chunk: the thread count and the tile size never change a
+result.
 """
 
 from __future__ import annotations
@@ -150,7 +153,8 @@ def modulate(bits, scheme: Modulation, out: np.ndarray | None = None) -> np.ndar
 
 
 def awgn(symbols, snr_db: float, rng: np.random.Generator,
-         out: np.ndarray | None = None) -> np.ndarray:
+         out: np.ndarray | None = None,
+         energy: float | None = None) -> np.ndarray:
     """Add white Gaussian noise with variance = mean symbol energy / snr.
 
     Deterministic for a given generator state; infinite snr returns a copy
@@ -158,6 +162,10 @@ def awgn(symbols, snr_db: float, rng: np.random.Generator,
     the shape of ``symbols`` that shares no memory with it) the noisy
     symbols are written there and ``out`` is returned; the values and the
     generator state are those of the call without ``out``.
+
+    ``energy``, when given, replaces the mean symbol energy of ``symbols``:
+    a slice of a longer stream then gets the noise scale of the whole
+    stream, and consecutive slices draw the values of one call over it.
     """
     symbols = np.asarray(symbols, dtype=float)
     if symbols.size == 0:
@@ -173,12 +181,18 @@ def awgn(symbols, snr_db: float, rng: np.random.Generator,
             out[...] = symbols
             return out
         raise ValueError("snr_db must be finite or +inf")
-    # the squares take the layout of symbols, which fixes the summation
-    # order of their mean; only a C-contiguous input squares into out
-    squares = np.square(symbols, out=out if symbols.flags.c_contiguous else None)
-    sigma = math.sqrt(float(np.mean(squares)) / 10.0 ** (snr_db / 10.0))
-    if out is None:                      # draws fill a C-contiguous buffer
-        out = squares if squares.flags.c_contiguous else np.empty(symbols.shape)
+    if energy is None:
+        # the squares take the layout of symbols, which fixes the summation
+        # order of their mean; only a C-contiguous input squares into out
+        squares = np.square(symbols, out=out if symbols.flags.c_contiguous else None)
+        energy = float(np.mean(squares))
+        if out is None:                  # draws fill a C-contiguous buffer
+            out = squares if squares.flags.c_contiguous else np.empty(symbols.shape)
+    elif not (math.isfinite(energy) and energy >= 0):
+        raise ValueError("energy must be finite and >= 0")
+    elif out is None:
+        out = np.empty(symbols.shape)
+    sigma = math.sqrt(energy / 10.0 ** (snr_db / 10.0))
     # the draws and the arithmetic of symbols + rng.normal(0, sigma), which
     # computes 0 + sigma * z
     rng.standard_normal(out=out)
@@ -215,22 +229,36 @@ def ebn0_to_channel_snr(ebn0_db: float, code: CodeScheme = CodeScheme.NONE) -> f
 # Monte Carlo engine
 # ---------------------------------------------------------------------------
 
-#: most samples in one Monte Carlo chunk, and so in a retained workspace
-#: buffer (4 MiB of float64).  Every codeword is far shorter, and every
-#: chunk at the ``ber-sweep`` defaults is smaller, the largest being 18,181
-#: Hamming blocks = 272,715 samples.
-_WORKSPACE_CAP = 1 << 19
+#: most samples in one Monte Carlo chunk.  Every codeword is far shorter,
+#: and every chunk at the ``ber-sweep`` defaults is smaller, the largest
+#: being 18,181 Hamming blocks = 272,715 samples.  The cap shapes the chunk
+#: schedule and so the seeded stream.
+_CHUNK_CAP = 1 << 19
+
+#: samples in one tile of a chunk, and in each workspace buffer (256 KiB)
+_TILE = 1 << 15
 
 _workspace = threading.local()
 
 
-def _chunk_buffers(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """This thread's tx and rx buffers of ``size`` <= :data:`_WORKSPACE_CAP`
-    samples."""
+def _tile_buffers() -> tuple[np.ndarray, np.ndarray]:
+    """This thread's tx and rx buffers of :data:`_TILE` samples each."""
     held = getattr(_workspace, "buffers", None)
-    if held is None or held.shape[1] < size:
-        held = _workspace.buffers = np.empty((2, size))
-    return held[0, :size], held[1, :size]
+    if held is None:
+        held = _workspace.buffers = np.empty((2, _TILE))
+    return held[0], held[1]
+
+
+def _chunk_energy(coded: np.ndarray, scheme: Modulation) -> float:
+    """Mean symbol energy of the 0/1 bits ``coded`` once modulated, equal
+    to ``np.mean(np.square(modulate(coded, scheme)))`` to the last bit.
+
+    The squares are 1 (BPSK) or 0 and 4 (ASK), so their float64 sum is an
+    exact integer and the mean is one correctly rounded division.
+    """
+    if scheme is Modulation.BPSK:
+        return 1.0
+    return 4 * int(np.count_nonzero(coded)) / coded.size
 
 
 def _run_blocks(cfg: PhyConfig, snr_db: float, n_blocks: int,
@@ -239,11 +267,16 @@ def _run_blocks(cfg: PhyConfig, snr_db: float, n_blocks: int,
     codec = _CODECS[cfg.code]
     info = rng.integers(0, 2, size=(n_blocks, codec.k)).astype(np.uint8)
     coded = codec.encode(info).reshape(-1)
-    tx_buf, rx_buf = _chunk_buffers(coded.size)
-    tx = modulate(coded, cfg.modulation, out=tx_buf)
-    rx = awgn(tx, snr_db, rng, out=rx_buf)
-    hard = demodulate(rx, cfg.modulation).reshape(n_blocks, codec.n)
-    errors = int(np.count_nonzero(codec.decode(hard) != info))
+    energy = _chunk_energy(coded, cfg.modulation)
+    tx_buf, rx_buf = _tile_buffers()
+    hard = np.empty(coded.size, dtype=np.uint8)
+    for start in range(0, coded.size, _TILE):
+        bits = coded[start:start + _TILE]
+        tx = modulate(bits, cfg.modulation, out=tx_buf[:bits.size])
+        rx = awgn(tx, snr_db, rng, out=rx_buf[:bits.size], energy=energy)
+        hard[start:start + bits.size] = demodulate(rx, cfg.modulation)
+    decoded = codec.decode(hard.reshape(n_blocks, codec.n))
+    errors = int(np.count_nonzero(decoded != info))
     return errors, n_blocks * codec.k
 
 
@@ -255,9 +288,9 @@ def ber_monte_carlo(cfg: PhyConfig, snr_db: float) -> BerEstimate:
     may be overshot by up to k - 1 bits (see :class:`PhyConfig`); counting
     whole codewords keeps every decoded block in the estimate.
 
-    Each chunk holds at most :data:`_WORKSPACE_CAP` samples, and its
-    samples go through this thread's retained workspace (see the module
-    docstring).
+    Each chunk holds at most :data:`_CHUNK_CAP` samples, and its samples
+    go through this thread's retained workspace one tile at a time (see
+    the module docstring).
     """
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=(cfg.seed, _snr_key(snr_db))))
@@ -271,7 +304,7 @@ def ber_monte_carlo(cfg: PhyConfig, snr_db: float) -> BerEstimate:
             break
         chunk = max((cfg.trials if need_bits else cfg.max_bits // 10) // k, 1)
         chunk = min(chunk, max((cfg.max_bits - bits) // k, 1),
-                    _WORKSPACE_CAP // codec.n)
+                    _CHUNK_CAP // codec.n)
         e, b = _run_blocks(cfg, snr_db, chunk, rng)
         errors += e
         bits += b

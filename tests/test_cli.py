@@ -5,13 +5,14 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 from dataclasses import fields
 
 import pytest
 
-from biomote import mac
-from biomote.cli import CSV_SCHEMAS, _check_cdma_grid, main
+from biomote import cli, mac
+from biomote.cli import CSV_SCHEMAS, _check_cdma_grid, main, resolve_seed
 from biomote.config import (
     ConfigError,
     RunParameters,
@@ -20,6 +21,7 @@ from biomote.config import (
     load_config,
     packaged_config_path,
 )
+from biomote.phy import CodeScheme, Modulation, PhyConfig, ber_vs_distance
 
 
 def run_cli(args, env_extra=None):
@@ -169,6 +171,33 @@ def test_env_seed_fallback(tmp_path):
     assert r.returncode == 0
     assert main([*args, "--seed", "123", "--out", str(out_flag)]) == 0
     assert out_env.read_bytes() == out_flag.read_bytes()
+
+
+@pytest.mark.parametrize("subcommand", ["ber-sweep", "mac-cdma", "link-sweep"])
+def test_negative_seed_flag_exits_2(tmp_path, capsys, monkeypatch, subcommand):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the study ran before the seed was checked")
+
+    monkeypatch.setitem(cli.RUNNERS, subcommand, no_work)
+    out = tmp_path / "x.csv"
+    assert main([subcommand, "--seed", "-1", "--out", str(out)]) == 2
+    assert "config error: seed must be a non-negative integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_env_seed_exits_2(tmp_path):
+    out = tmp_path / "x.csv"
+    r = run_cli(["link-sweep", "--out", str(out)], env_extra={"BIOLINK_SEED": "-5"})
+    assert r.returncode == 2
+    assert "config error: seed must be a non-negative integer" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert not out.exists()
+
+
+def test_zero_seed_accepted(monkeypatch):
+    monkeypatch.setenv("BIOLINK_SEED", "0")
+    assert resolve_seed(None) == 0
+    assert resolve_seed(0) == 0
 
 
 def test_set_override(tmp_path):
@@ -325,3 +354,76 @@ def test_oversized_range_exits_2_before_work(tmp_path, capsys):
     assert time.perf_counter() - start < 5.0   # the 1e12 points are never built
     assert "link_distances_m" in capsys.readouterr().err
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# ber-sweep thread pool
+# ---------------------------------------------------------------------------
+
+def small_ber_params():
+    params = default_parameters()
+    for setting in ("ber_distances_m=0.05,0.065", "ber_trials=2000",
+                    "ber_min_errors=20", "ber_max_bits=20000"):
+        apply_setting(params, *setting.split("="))
+    return params
+
+
+@pytest.mark.parametrize("cores", [1, 4])
+def test_ber_sweep_rows_independent_of_core_count(monkeypatch, cores):
+    """On one worker or on four, and with the interpreter switching threads
+    as often as it can, the curves give the rows of a serial loop over the
+    schemes, in scheme order."""
+    params = small_ber_params()
+    seed = 31
+    serial = []
+    schemes = [(Modulation.ASK, CodeScheme.NONE), (Modulation.BPSK, CodeScheme.NONE),
+               (Modulation.BPSK, CodeScheme.HAMMING_15_11),
+               (Modulation.BPSK, CodeScheme.RS_31_26)]
+    for k, (mod, code) in enumerate(schemes):
+        cfg = PhyConfig(modulation=mod, code=code, trials=params.ber_trials,
+                        min_errors=params.ber_min_errors,
+                        max_bits=params.ber_max_bits, seed=seed + k)
+        serial += [(d, mod.value, code.value, ber, bits) for d, ber, bits
+                   in ber_vs_distance(params.link_config(), params.noise(), cfg,
+                                      params.ber_distances_m)]
+    workers = set()
+
+    def recording(*args):
+        workers.add(threading.get_ident())
+        return ber_vs_distance(*args)
+
+    monkeypatch.setattr(cli, "ber_vs_distance", recording)
+    monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)          # switch threads as often as it can
+    try:
+        rows = cli.run_ber_sweep(params, seed)
+    finally:
+        sys.setswitchinterval(interval)
+    assert rows == serial
+    assert threading.get_ident() not in workers
+    assert 1 <= len(workers) <= cores
+
+
+def test_failed_ber_curve_exits_2_and_cancels_the_rest(tmp_path, capsys, monkeypatch):
+    """A curve that raises ValueError ends the run with exit 2, and the
+    curves not yet started never run."""
+    started = []
+
+    def curve(link, noise, cfg, distances):
+        started.append(cfg.code)
+        if cfg.modulation is Modulation.ASK:          # the first curve
+            raise ValueError("curve failed")
+        time.sleep(0.2)
+        return []
+
+    monkeypatch.setattr(cli, "ber_vs_distance", curve)
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 1)
+    out = tmp_path / "x.csv"
+    assert main(["ber-sweep", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: curve failed" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+    # the one worker may take the second curve before the pool shuts down
+    assert 1 <= len(started) <= 2

@@ -134,6 +134,74 @@ def test_awgn_bit_identical_to_normal_draw(case, snr_db):
         assert buf is None or out is buf
 
 
+@pytest.mark.parametrize("case", range(6))
+@pytest.mark.parametrize("snr_db", [-3.0, 4.0, 12.5])
+def test_awgn_energy_of_own_mean_changes_nothing(case, snr_db):
+    """Passing the input's own mean square as ``energy`` gives the bits and
+    the generator state of the call that computes it."""
+    symbols = _awgn_inputs()[case]
+    ref_rng = np.random.default_rng(6)
+    ref = awgn(symbols, snr_db, ref_rng)
+    energy = float(np.mean(np.square(symbols)))
+    for buf in (None, np.full(symbols.shape, np.nan)):
+        rng = np.random.default_rng(6)
+        out = awgn(symbols, snr_db, rng, out=buf, energy=energy)
+        assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert np.array_equal(symbols, _awgn_inputs()[case])
+        assert buf is None or out is buf
+
+
+def test_awgn_rejects_bad_energy():
+    x = modulate(np.ones(100), Modulation.BPSK)
+    for energy in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="energy"):
+            awgn(x, 3.0, np.random.default_rng(0), energy=energy)
+
+
+def _tile_sizes():
+    return [phy._TILE - 5,                  # shorter than one tile
+            2 * phy._TILE,                  # whole tiles
+            3 * phy._TILE + 123]            # a short last tile
+
+
+@pytest.mark.parametrize("scheme", list(Modulation))
+@pytest.mark.parametrize("size", _tile_sizes())
+def test_tiled_awgn_equals_whole_chunk(scheme, size):
+    """Tile by tile with the chunk's energy, the channel gives the bits and
+    the generator state of one call over the whole chunk."""
+    bits = np.random.default_rng(size).integers(0, 2, size=size).astype(np.uint8)
+    tx = modulate(bits, scheme)
+    ref_rng = np.random.default_rng(9)
+    whole = awgn(tx, 2.5, ref_rng)
+    energy = phy._chunk_energy(bits, scheme)
+    rng = np.random.default_rng(9)
+    buf = np.empty(phy._TILE)
+    tiles = []
+    for start in range(0, size, phy._TILE):
+        tile = tx[start:start + phy._TILE]
+        tiles.append(awgn(tile, 2.5, rng, out=buf[:tile.size], energy=energy).copy())
+    tiled = np.concatenate(tiles)
+    assert np.array_equal(tiled.view(np.uint64), whole.view(np.uint64))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("scheme", list(Modulation))
+def test_chunk_energy_exact(scheme):
+    """The chunk energy is the float64 mean square of the modulated chunk to
+    the last bit, at every size and density of ones."""
+    rng = np.random.default_rng(10)
+    sizes = [1, 2, 3, 7, 11, 15, 155, 1000, 4097, phy._TILE + 1,
+             272_715, phy._CHUNK_CAP - 120]
+    for size in sizes:
+        for density in (0.0, 0.003, 0.1, 1 / 3, 0.5, 0.77, 0.999, 1.0):
+            bits = (rng.random(size) < density).astype(np.uint8)
+            energy = phy._chunk_energy(bits, scheme)
+            expected = float(np.mean(np.square(modulate(bits, scheme))))
+            assert type(energy) is float
+            assert energy == expected, (size, density)
+
+
 def test_awgn_out_infinite_snr_copies():
     x = np.linspace(-1, 1, 100)
     buf = np.zeros(100)
@@ -350,10 +418,11 @@ def test_bit_cap_overshoot_below_one_codeword(code):
 
 
 def test_repeat_run_reuses_chunk_buffers():
-    """A repeated run takes its chunk buffers from the workspace the first run
-    left, so it maps no fresh pages: 10 Hamming chunks of 18,181 blocks, the
-    largest chunk of a default ber-sweep (with fresh tx and rx arrays per
-    chunk, glibc's allocator took about 14,000 minor faults on this run)."""
+    """A repeated run takes its tile buffers from the workspace the first run
+    left, so it maps no fresh pages for its samples: 10 Hamming chunks of
+    18,181 blocks, the largest chunk of a default ber-sweep, each in 9
+    tiles (with fresh tx and rx arrays per chunk, glibc's allocator took
+    about 14,000 minor faults on this run)."""
     resource = pytest.importorskip("resource")
     cfg = PhyConfig(code=CodeScheme.HAMMING_15_11, trials=200_000,
                     max_bits=2_000_000, min_errors=10**9, seed=5)
@@ -386,10 +455,9 @@ def _in_fresh_thread(fn):
 
 def test_workspace_bounded_and_order_free():
     """Estimates do not depend on which chunk sizes ran before, and the
-    workspace never grows past the cap: a point with more samples than the
-    cap runs in chunks of at most the cap, and smaller chunks reuse the
-    largest buffers seen."""
-    cap = phy._WORKSPACE_CAP
+    workspace never grows past one tile: a point with more samples than the
+    chunk cap runs in chunks of at most the cap, and every chunk, large or
+    small, goes through the same two tile buffers."""
     points = {
         # 40,000 Hamming blocks = 600,000 samples, past the cap: chunks of
         # 34,952 blocks (524,280 samples) and 5,048 blocks
@@ -412,22 +480,26 @@ def test_workspace_bounded_and_order_free():
     forward, held_forward = _in_fresh_thread(lambda: run(["above", "small", "default"]))
     backward, held_backward = _in_fresh_thread(lambda: run(["default", "small", "above"]))
     assert forward == backward
-    assert held_forward == [524_280] * 3
-    assert held_backward == [272_715, 272_715, 524_280]
-    assert max(held_forward + held_backward) <= cap
-    assert forward["above"].bits_simulated // 11 * 15 > cap
+    assert held_forward == held_backward == [phy._TILE] * 3
+    assert forward["above"].bits_simulated // 11 * 15 > phy._CHUNK_CAP
 
 
 def test_uncoded_chunks_fit_the_workspace(monkeypatch):
     """A long uncoded point (k = n = 1000) runs in chunks of at most the
-    cap, each through the retained workspace, not in 2,000,000-sample
-    chunks on fresh arrays."""
-    chunks = []
+    cap, not in 2,000,000-sample chunks, and each chunk in tiles through
+    the retained workspace."""
+    chunks, tiles = [], []
+
+    def recording_run_blocks(cfg, snr_db, n_blocks, rng):
+        chunks.append(n_blocks * 1000)
+        return run_blocks(cfg, snr_db, n_blocks, rng)
 
     def recording_modulate(bits, scheme, out=None):
-        chunks.append((bits.size, out is not None))
+        tiles.append((bits.size, out is not None))
         return modulate(bits, scheme, out=out)
 
+    run_blocks = phy._run_blocks
+    monkeypatch.setattr(phy, "_run_blocks", recording_run_blocks)
     monkeypatch.setattr(phy, "modulate", recording_modulate)
     cfg = PhyConfig(code=CodeScheme.NONE, trials=2_000_000, min_errors=0,
                     max_bits=2_000_000, seed=4)
@@ -438,10 +510,11 @@ def test_uncoded_chunks_fit_the_workspace(monkeypatch):
 
     est, held = _in_fresh_thread(run)
     assert est.bits_simulated == 2_000_000
-    assert sum(size for size, _ in chunks) == 2_000_000
-    assert all(0 < size <= phy._WORKSPACE_CAP and in_workspace
-               for size, in_workspace in chunks)
-    assert 0 < held <= phy._WORKSPACE_CAP
+    assert sum(chunks) == sum(size for size, _ in tiles) == 2_000_000
+    assert all(0 < size <= phy._CHUNK_CAP for size in chunks)
+    assert all(0 < size <= phy._TILE and in_workspace
+               for size, in_workspace in tiles)
+    assert held == phy._TILE
 
 
 # ---------------------------------------------------------------------------
