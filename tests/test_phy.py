@@ -159,14 +159,9 @@ def test_awgn_rejects_bad_energy():
             awgn(x, 3.0, np.random.default_rng(0), energy=energy)
 
 
-def _tile_sizes():
-    return [phy._TILE - 5,                  # shorter than one tile
-            2 * phy._TILE,                  # whole tiles
-            3 * phy._TILE + 123]            # a short last tile
-
-
 @pytest.mark.parametrize("scheme", list(Modulation))
-@pytest.mark.parametrize("size", _tile_sizes())
+# shorter than one tile, whole tiles, and a short last tile
+@pytest.mark.parametrize("size", [phy._TILE - 5, 2 * phy._TILE, 3 * phy._TILE + 123])
 def test_tiled_awgn_equals_whole_chunk(scheme, size):
     """Tile by tile with the chunk's energy, the channel gives the bits and
     the generator state of one call over the whole chunk."""
