@@ -11,14 +11,15 @@ Exit codes: 0 success, 2 configuration problem, 3 runtime failure.
 ``mac-cdma`` also when one trial's code and bit draws would exceed
 :data:`biomote.mac.MAX_CDMA_DRAW_BYTES`.
 
-``ber-sweep`` runs its four BER curves on a thread pool with one worker
-per core this process may use; each curve has its own seed and the rows
-are written in scheme order.  numpy's BLAS still runs on one thread
-unless the caller sets ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or
-``OMP_NUM_THREADS``: the CDMA products (at most 200 x 256 at the shipped
-defaults) are too small for a second thread to help.  CSV bytes never
+``ber-sweep`` runs the points of its four BER curves on a thread pool
+with one worker per core this process may use; each point has its own
+seed and the rows are written in scheme and distance order.  numpy's
+BLAS still runs on one thread unless the caller sets
+``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS``:
+the CDMA products (at most 200 x 256 at the shipped defaults) are too
+small for a second thread to help.  CSV bytes never
 depend on either thread count, because the despreading is exact integer
-arithmetic in any summation order and each BER curve draws from its own
+arithmetic in any summation order and each BER point draws from its own
 seeded stream.
 """
 
@@ -27,6 +28,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import threading
 from pathlib import Path
 
 # Set before numpy loads: a second OpenBLAS thread costs a core and saves no
@@ -110,7 +112,7 @@ def _usable_cores() -> int:
 
 def run_ber_sweep(params: RunParameters, seed: int):
     # imported here: at module level its ~6 ms would delay every subcommand
-    from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 
     link = params.link_config()
     noise = params.noise()
@@ -120,23 +122,48 @@ def run_ber_sweep(params: RunParameters, seed: int):
         (Modulation.BPSK, CodeScheme.HAMMING_15_11),
         (Modulation.BPSK, CodeScheme.RS_31_26),
     ]
+    n_points = len(schemes) * len(params.ber_distances_m)
 
-    def curve(item):
-        k, (mod, code) = item
+    def curve(k, queued):
+        mod, code = schemes[k]
+
+        def queue_points(fn, *iterables):
+            results = points.map(fn, *iterables)     # queues every point now
+            queued.set()
+            return results
+
         cfg = PhyConfig(modulation=mod, code=code, trials=params.ber_trials,
                         min_errors=params.ber_min_errors,
                         max_bits=params.ber_max_bits, seed=seed + k)
-        return [(d, mod.value, code.value, ber, bits) for d, ber, bits
-                in ber_vs_distance(link, noise, cfg, params.ber_distances_m)]
+        try:
+            return [(d, mod.value, code.value, ber, bits) for d, ber, bits
+                    in ber_vs_distance(link, noise, cfg, params.ber_distances_m,
+                                       mapper=queue_points)]
+        finally:
+            queued.set()                 # also when it fails before queueing
 
     # numpy releases the GIL in the noise draws and the large array
-    # operations, so the curves' Monte Carlo runs on all cores
-    pool = ThreadPoolExecutor(max_workers=min(len(schemes), _usable_cores()))
+    # operations, so the Monte Carlo points run on one worker per core.  All
+    # points share one queue, in scheme and distance order: a worker that is
+    # done takes the next point of any curve, also when another process
+    # slows one core.  Each curve waits for its points in a thread of its
+    # own, and queues them once the curve before it has.
+    points = ThreadPoolExecutor(max_workers=min(n_points, _usable_cores()))
+    curves = ThreadPoolExecutor(max_workers=len(schemes))
     try:
-        curves = list(pool.map(curve, enumerate(schemes)))
+        futures = []
+        for k in range(len(schemes)):
+            queued = threading.Event()
+            futures.append(curves.submit(curve, k, queued))
+            queued.wait()
+        wait(futures, return_when=FIRST_EXCEPTION)
+        # every curve is done, or one has failed and its result() raises
+        # here without waiting for the curves still running
+        return [row for future in futures if future.done()
+                for row in future.result()]
     finally:
-        pool.shutdown(cancel_futures=True)   # a failed curve stops the rest
-    return [row for rows in curves for row in rows]
+        points.shutdown(cancel_futures=True)     # a failed point stops the rest
+        curves.shutdown()
 
 
 def run_mac_scenario1(params: RunParameters, seed: int):

@@ -25,7 +25,7 @@ chunk schedule fixes the seeded stream.  Each chunk is modulated, noised
 and sliced in tiles of :data:`_TILE` samples, through two float64 buffers
 of one tile each (256 KiB a buffer) that a thread keeps between tiles and
 chunks.  A sweep so maps no fresh arrays for its samples, and threads that
-run curves side by side (``ber-sweep`` runs one per core) hold half a MiB
+run points side by side (``ber-sweep`` runs one per core) hold half a MiB
 of workspace each.  Every tile's noise scale is the energy of its whole
 chunk, so the draws and the noisy values are those of one :func:`awgn`
 call over the chunk: the thread count and the tile size never change a
@@ -320,22 +320,28 @@ LINK_SNR_TO_CHANNEL_DB = 10.0 * math.log10(2.0)
 
 
 def ber_vs_distance(link: LinkConfig, noise: NoiseModel, cfg: PhyConfig,
-                    distances) -> list[tuple[float, float, int]]:
+                    distances, mapper: Callable = map
+                    ) -> list[tuple[float, float, int]]:
     """BER curve over reader-mote separations.
 
     Per distance the budget fixes the symbol SNR; every scheme sees the
     same channel (same radiated power).  Returns (distance, ber, bits).
+
+    ``mapper`` runs the Monte Carlo points: a callable with the signature
+    of the builtin ``map`` (the default, which runs them in turn), such as
+    an executor's ``map``.  The budgets are computed first, in the calling
+    thread.  Each point draws from its own seed, so no ``mapper`` changes a
+    result.
     """
     distances = list(distances)
     if any(b <= a for a, b in zip(distances, distances[1:])):
         raise ValueError("distances must be strictly ascending")
-    out = []
-    for i, d in enumerate(distances):
-        budget = link_budget(replace(link, separation=d), noise)
-        snr = budget.snr_db + LINK_SNR_TO_CHANNEL_DB
-        est = ber_monte_carlo(replace(cfg, seed=_sub_seed(cfg.seed, i)), snr)
-        out.append((d, est.ber, est.bits_simulated))
-    return out
+    snrs = [link_budget(replace(link, separation=d), noise).snr_db
+            + LINK_SNR_TO_CHANNEL_DB for d in distances]
+    cfgs = [replace(cfg, seed=_sub_seed(cfg.seed, i))
+            for i in range(len(distances))]
+    return [(d, est.ber, est.bits_simulated)
+            for d, est in zip(distances, mapper(ber_monte_carlo, cfgs, snrs))]
 
 
 def _sub_seed(master: int, index: int) -> int:

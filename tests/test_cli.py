@@ -11,7 +11,7 @@ from dataclasses import fields
 
 import pytest
 
-from biomote import cli, mac
+from biomote import cli, mac, phy
 from biomote.cli import CSV_SCHEMAS, _check_cdma_grid, main, resolve_seed
 from biomote.config import (
     ConfigError,
@@ -371,8 +371,8 @@ def small_ber_params():
 @pytest.mark.parametrize("cores", [1, 4])
 def test_ber_sweep_rows_independent_of_core_count(monkeypatch, cores):
     """On one worker or on four, and with the interpreter switching threads
-    as often as it can, the curves give the rows of a serial loop over the
-    schemes, in scheme order."""
+    as often as it can, the points give the rows of a serial loop over the
+    schemes, in scheme order, and none runs on the calling thread."""
     params = small_ber_params()
     seed = 31
     serial = []
@@ -387,12 +387,13 @@ def test_ber_sweep_rows_independent_of_core_count(monkeypatch, cores):
                    in ber_vs_distance(params.link_config(), params.noise(), cfg,
                                       params.ber_distances_m)]
     workers = set()
+    point = phy.ber_monte_carlo
 
     def recording(*args):
         workers.add(threading.get_ident())
-        return ber_vs_distance(*args)
+        return point(*args)
 
-    monkeypatch.setattr(cli, "ber_vs_distance", recording)
+    monkeypatch.setattr(phy, "ber_monte_carlo", recording)
     monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)          # switch threads as often as it can
@@ -405,25 +406,59 @@ def test_ber_sweep_rows_independent_of_core_count(monkeypatch, cores):
     assert 1 <= len(workers) <= cores
 
 
-def test_failed_ber_curve_exits_2_and_cancels_the_rest(tmp_path, capsys, monkeypatch):
-    """A curve that raises ValueError ends the run with exit 2, and the
-    curves not yet started never run."""
+def test_ber_sweep_queues_points_in_scheme_and_distance_order(monkeypatch):
+    """One worker takes the points of every curve in the order of the rows:
+    each curve queues its points only after the curve before it."""
+    params = small_ber_params()
+    order = []
+
+    def point(cfg, snr_db):
+        order.append((cfg.code, snr_db))
+        time.sleep(0.002)                # let later curves try to jump ahead
+        return phy.BerEstimate(ber=0.0, bits_simulated=1, errors=0,
+                               low_confidence=False)
+
+    monkeypatch.setattr(phy, "ber_monte_carlo", point)
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 1)
+    rows = cli.run_ber_sweep(params, 31)
+    assert [code for code, _ in order] == [CodeScheme(row[2]) for row in rows]
+    assert len(order) == 4 * len(params.ber_distances_m)
+    for k in range(4):
+        snrs = [snr for _, snr in order[2 * k:2 * k + 2]]
+        assert snrs == sorted(snrs, reverse=True)    # nearer point first
+
+
+def test_failed_ber_point_exits_2_and_cancels_the_rest(tmp_path, capsys, monkeypatch):
+    """A point that raises ValueError ends the run with exit 2, and the
+    points not yet started never run."""
     started = []
 
-    def curve(link, noise, cfg, distances):
-        started.append(cfg.code)
-        if cfg.modulation is Modulation.ASK:          # the first curve
-            raise ValueError("curve failed")
+    def point(cfg, snr_db):
+        started.append((cfg.modulation, snr_db))
+        if cfg.modulation is Modulation.ASK and len(started) == 1:
+            raise ValueError("point failed")
         time.sleep(0.2)
-        return []
+        return phy.BerEstimate(ber=0.0, bits_simulated=1, errors=0,
+                               low_confidence=False)
 
-    monkeypatch.setattr(cli, "ber_vs_distance", curve)
+    monkeypatch.setattr(phy, "ber_monte_carlo", point)
     monkeypatch.setattr(cli, "_usable_cores", lambda: 1)
     out = tmp_path / "x.csv"
     assert main(["ber-sweep", "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "config error: curve failed" in err
+    assert "config error: point failed" in err
     assert "Traceback" not in err
     assert not out.exists()
-    # the one worker may take the second curve before the pool shuts down
+    # the one worker may take the second point before the pool shuts down
     assert 1 <= len(started) <= 2
+
+
+def test_ber_curve_failing_before_its_points_exits_2(tmp_path, capsys):
+    """A curve that fails before it queues a point (unsorted distances)
+    ends the run with exit 2 instead of leaving the next curves waiting."""
+    out = tmp_path / "x.csv"
+    assert main(["ber-sweep", "--out", str(out),
+                 "--set", "ber_distances_m=0.06,0.05"]) == 2
+    err = capsys.readouterr().err
+    assert "config error: distances must be strictly ascending" in err
+    assert not out.exists()

@@ -335,6 +335,26 @@ def test_ber_vs_distance_points_worker_independent():
     assert (alone.ber, alone.bits_simulated) == (full[1][1], full[1][2])
 
 
+def test_ber_vs_distance_mapper_changes_no_point():
+    """Points run through a thread pool, or in reverse order, give the
+    curve of the builtin map."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    link = reference_link_config()
+    noise = NoiseModel.from_total_dbm(-105.0)
+    cfg = PhyConfig(trials=20_000, min_errors=20, max_bits=100_000, seed=78)
+    distances = [0.05, 0.055, 0.06, 0.065]
+    serial = ber_vs_distance(link, noise, cfg, distances)
+
+    def backwards(fn, *iterables):
+        return reversed([fn(*args) for args in reversed(list(zip(*iterables)))])
+
+    with ThreadPoolExecutor(max_workers=3) as pool:
+        pooled = ber_vs_distance(link, noise, cfg, distances, mapper=pool.map)
+    assert pooled == serial
+    assert ber_vs_distance(link, noise, cfg, distances, mapper=backwards) == serial
+
+
 def test_ber_vs_distance_rejects_unsorted():
     link = reference_link_config()
     with pytest.raises(ValueError):
