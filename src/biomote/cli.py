@@ -146,8 +146,10 @@ def run_ber_sweep(params: RunParameters, seed: int):
     # operations, so the Monte Carlo points run on one worker per core.  All
     # points share one queue, in scheme and distance order: a worker that is
     # done takes the next point of any curve, also when another process
-    # slows one core.  Each curve waits for its points in a thread of its
-    # own, and queues them once the curve before it has.
+    # slows one core.  Each curve runs ber_vs_distance, which keeps the
+    # budgets and the point seeds, in a thread of its own that only waits
+    # for its points; it queues them once the curve before it has, so no
+    # thread timing changes the order.
     points = ThreadPoolExecutor(max_workers=min(n_points, _usable_cores()))
     curves = ThreadPoolExecutor(max_workers=len(schemes))
     try:
