@@ -44,7 +44,7 @@ curves = {}
 for k, (name, mod, code) in enumerate(schemes):
     cfg = PhyConfig(modulation=mod, code=code, trials=150_000, min_errors=100,
                     max_bits=2_000_000, seed=100 + k)
-    curves[name] = ber_vs_distance(link, noise, cfg, distances)
+    curves[name] = list(ber_vs_distance(link, noise, cfg, distances))
 
 header = "cm    " + "".join(f"{name:>14}" for name, *_ in schemes)
 print(header)

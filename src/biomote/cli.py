@@ -5,15 +5,18 @@ reproducible: identical (config, seed) means byte-identical output, and
 seeds for inner Monte Carlo points derive deterministically from the
 master seed, so results are also invariant to any trial chunking.
 
-Exit codes: 0 success, 2 configuration problem, 3 runtime failure.
+Exit codes: 0 success, 2 configuration problem, 3 runtime failure.  An
+``--out`` whose directory does not exist exits 3 before any work.
 ``mac-cdma`` and ``mac-compare`` exit 2 before any work when a
 ``mac_n_motes`` value is above :data:`biomote.mac.MAX_CDMA_MOTES`, and
 ``mac-cdma`` also when one trial's code and bit draws would exceed
 :data:`biomote.mac.MAX_CDMA_DRAW_BYTES`.
 
-``ber-sweep`` runs the points of its four BER curves on a thread pool
-with one worker per core this process may use; each point has its own
-seed and the rows are written in scheme and distance order.  numpy's
+``ber-sweep`` runs its four BER curves' points on one thread pool with
+one worker per core this process may use: each curve's
+:func:`~biomote.phy.ber_vs_distance` call queues its points before it
+returns the iterator of its rows, so all points are queued in scheme and
+distance order before a row is read.  Each point has its own seed.  numpy's
 BLAS still runs on one thread unless the caller sets
 ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS``:
 the CDMA products (at most 200 x 256 at the shipped defaults) are too
@@ -28,7 +31,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import threading
 from pathlib import Path
 
 # Set before numpy loads: a second OpenBLAS thread costs a core and saves no
@@ -112,7 +114,7 @@ def _usable_cores() -> int:
 
 def run_ber_sweep(params: RunParameters, seed: int):
     # imported here: at module level its ~6 ms would delay every subcommand
-    from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+    from concurrent.futures import ThreadPoolExecutor
 
     link = params.link_config()
     noise = params.noise()
@@ -123,49 +125,25 @@ def run_ber_sweep(params: RunParameters, seed: int):
         (Modulation.BPSK, CodeScheme.RS_31_26),
     ]
     n_points = len(schemes) * len(params.ber_distances_m)
-
-    def curve(k, queued):
-        mod, code = schemes[k]
-
-        def queue_points(fn, *iterables):
-            results = points.map(fn, *iterables)     # queues every point now
-            queued.set()
-            return results
-
-        cfg = PhyConfig(modulation=mod, code=code, trials=params.ber_trials,
-                        min_errors=params.ber_min_errors,
-                        max_bits=params.ber_max_bits, seed=seed + k)
-        try:
-            return [(d, mod.value, code.value, ber, bits) for d, ber, bits
-                    in ber_vs_distance(link, noise, cfg, params.ber_distances_m,
-                                       mapper=queue_points)]
-        finally:
-            queued.set()                 # also when it fails before queueing
-
     # numpy releases the GIL in the noise draws and the large array
-    # operations, so the Monte Carlo points run on one worker per core.  All
-    # points share one queue, in scheme and distance order: a worker that is
-    # done takes the next point of any curve, also when another process
-    # slows one core.  Each curve runs ber_vs_distance, which keeps the
-    # budgets and the point seeds, in a thread of its own that only waits
-    # for its points; it queues them once the curve before it has, so no
-    # thread timing changes the order.
-    points = ThreadPoolExecutor(max_workers=min(n_points, _usable_cores()))
-    curves = ThreadPoolExecutor(max_workers=len(schemes))
+    # operations, so the Monte Carlo points run on one worker per core.  Each
+    # ber_vs_distance call queues its points before it returns, so all points
+    # share one queue in scheme and distance order: a worker that is done
+    # takes the next point of any curve, also when another process slows
+    # one core.
+    pool = ThreadPoolExecutor(max_workers=min(n_points, _usable_cores()))
     try:
-        futures = []
-        for k in range(len(schemes)):
-            queued = threading.Event()
-            futures.append(curves.submit(curve, k, queued))
-            queued.wait()
-        wait(futures, return_when=FIRST_EXCEPTION)
-        # every curve is done, or one has failed and its result() raises
-        # here without waiting for the curves still running
-        return [row for future in futures if future.done()
-                for row in future.result()]
+        curves = []
+        for k, (mod, code) in enumerate(schemes):
+            cfg = PhyConfig(modulation=mod, code=code, trials=params.ber_trials,
+                            min_errors=params.ber_min_errors,
+                            max_bits=params.ber_max_bits, seed=seed + k)
+            curves.append((mod, code, ber_vs_distance(
+                link, noise, cfg, params.ber_distances_m, mapper=pool.map)))
+        return [(d, mod.value, code.value, ber, bits)
+                for mod, code, rows in curves for d, ber, bits in rows]
     finally:
-        points.shutdown(cancel_futures=True)     # a failed point stops the rest
-        curves.shutdown()
+        pool.shutdown(cancel_futures=True)       # a failed point stops the rest
 
 
 def run_mac_scenario1(params: RunParameters, seed: int):
@@ -288,6 +266,8 @@ def main(argv=None) -> int:
         print(f"biomote {args.subcommand}: config error: {exc}", file=sys.stderr)
         return 2
     try:
+        if not args.out.parent.is_dir():     # fail before the study, not after
+            raise NotADirectoryError(f"{args.out.parent} is not an existing directory")
         rows = RUNNERS[args.subcommand](params, seed)
         _write_csv(args.out, CSV_SCHEMAS[args.subcommand], rows)
     except (ConfigError, ValueError) as exc:

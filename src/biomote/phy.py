@@ -38,7 +38,7 @@ import math
 import threading
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -321,17 +321,20 @@ LINK_SNR_TO_CHANNEL_DB = 10.0 * math.log10(2.0)
 
 def ber_vs_distance(link: LinkConfig, noise: NoiseModel, cfg: PhyConfig,
                     distances, mapper: Callable = map
-                    ) -> list[tuple[float, float, int]]:
+                    ) -> Iterator[tuple[float, float, int]]:
     """BER curve over reader-mote separations.
 
     Per distance the budget fixes the symbol SNR; every scheme sees the
-    same channel (same radiated power).  Returns (distance, ber, bits).
+    same channel (same radiated power).  Returns an iterator of
+    (distance, ber, bits) in distance order.
 
     ``mapper`` runs the Monte Carlo points: a callable with the signature
-    of the builtin ``map`` (the default, which runs them in turn), such as
-    an executor's ``map``.  The budgets are computed first, in the calling
-    thread.  Each point draws from its own seed, so no ``mapper`` changes a
-    result.
+    of the builtin ``map`` (the default, which runs each point as its row
+    is read), such as an executor's ``map``, which queues them all at
+    once.  The call itself checks the distances, computes the budgets in
+    the calling thread and hands every point to ``mapper`` in one call;
+    the rows come as the caller reads the iterator.  Each point draws from
+    its own seed, so no ``mapper`` changes a result.
     """
     distances = list(distances)
     if any(b <= a for a, b in zip(distances, distances[1:])):
@@ -340,8 +343,8 @@ def ber_vs_distance(link: LinkConfig, noise: NoiseModel, cfg: PhyConfig,
             + LINK_SNR_TO_CHANNEL_DB for d in distances]
     cfgs = [replace(cfg, seed=_sub_seed(cfg.seed, i))
             for i in range(len(distances))]
-    return [(d, est.ber, est.bits_simulated)
-            for d, est in zip(distances, mapper(ber_monte_carlo, cfgs, snrs))]
+    return ((d, est.ber, est.bits_simulated)
+            for d, est in zip(distances, mapper(ber_monte_carlo, cfgs, snrs)))
 
 
 def _sub_seed(master: int, index: int) -> int:

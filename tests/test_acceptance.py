@@ -100,7 +100,7 @@ def _curve(name, distances, trials, min_errors, max_bits, seed_shift=0):
                     min_errors=min_errors, max_bits=max_bits,
                     seed=SEED + seed_shift)
     link = reference_link_config()
-    return ber_vs_distance(link, NOISE, cfg, distances)
+    return list(ber_vs_distance(link, NOISE, cfg, distances))
 
 
 def test_criterion_3_fig6_properties():

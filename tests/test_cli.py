@@ -321,6 +321,18 @@ def test_unwritable_output_exits_3(capsys):
     assert "runtime error" in capsys.readouterr().err
 
 
+def test_missing_output_directory_exits_3_before_the_study(tmp_path, capsys,
+                                                          monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the study ran before the output was checked")
+
+    monkeypatch.setitem(cli.RUNNERS, "mac-cdma", no_work)
+    out = tmp_path / "missing" / "x.csv"
+    assert main(["mac-cdma", "--out", str(out)]) == 3
+    assert "runtime error" in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
 def test_cli_help_documents_schema():
     r = run_cli(["table1", "--help"])
     assert r.returncode == 0
@@ -455,7 +467,7 @@ def test_failed_ber_point_exits_2_and_cancels_the_rest(tmp_path, capsys, monkeyp
 
 def test_ber_curve_failing_before_its_points_exits_2(tmp_path, capsys):
     """A curve that fails before it queues a point (unsorted distances)
-    ends the run with exit 2 instead of leaving the next curves waiting."""
+    ends the run with exit 2 and writes no CSV."""
     out = tmp_path / "x.csv"
     assert main(["ber-sweep", "--out", str(out),
                  "--set", "ber_distances_m=0.06,0.05"]) == 2

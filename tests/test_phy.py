@@ -3,6 +3,7 @@ closed-form oracle."""
 
 import math
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -265,16 +266,14 @@ def test_ber_theory_vanishes():
 # Monte Carlo
 # ---------------------------------------------------------------------------
 
-def test_uncoded_bpsk_matches_theory_at_4db():
-    cfg = PhyConfig(trials=200_000, min_errors=200, seed=99)
-    est = ber_monte_carlo(cfg, ebn0_to_channel_snr(4.0))
-    assert mc_std_errs(est, ber_theory(Modulation.BPSK, 4.0)) <= 3.0
-
-
-def test_uncoded_ask_matches_theory():
-    cfg = PhyConfig(modulation=Modulation.ASK, trials=200_000, min_errors=200, seed=98)
-    est = ber_monte_carlo(cfg, ebn0_to_channel_snr(4.0))
-    assert mc_std_errs(est, ber_theory(Modulation.ASK, 4.0)) <= 3.0
+@pytest.mark.parametrize("ebn0_db", [0.0, 2.0, 4.0, 6.0, 8.0])
+@pytest.mark.parametrize("modulation, seed", [(Modulation.BPSK, 99),
+                                              (Modulation.ASK, 98)],
+                         ids=["bpsk", "ask"])
+def test_uncoded_matches_theory(modulation, seed, ebn0_db):
+    cfg = PhyConfig(modulation=modulation, trials=200_000, min_errors=200, seed=seed)
+    est = ber_monte_carlo(cfg, ebn0_to_channel_snr(ebn0_db))
+    assert mc_std_errs(est, ber_theory(modulation, ebn0_db)) <= 3.0
 
 
 def test_high_snr_error_free():
@@ -312,7 +311,7 @@ def test_ber_vs_distance_band_properties():
     link = reference_link_config()
     noise = NoiseModel.from_total_dbm(-105.0)
     cfg = PhyConfig(trials=60_000, min_errors=60, max_bits=400_000, seed=21)
-    curve = ber_vs_distance(link, noise, cfg, [0.05, 0.06, 0.07])
+    curve = list(ber_vs_distance(link, noise, cfg, [0.05, 0.06, 0.07]))
     assert [d for d, _, _ in curve] == [0.05, 0.06, 0.07]
     bers = [b for _, b, _ in curve]
     assert bers[0] <= bers[1] <= bers[2]
@@ -325,7 +324,7 @@ def test_ber_vs_distance_points_worker_independent():
     link = reference_link_config()
     noise = NoiseModel.from_total_dbm(-105.0)
     cfg = PhyConfig(trials=30_000, min_errors=30, max_bits=200_000, seed=77)
-    full = ber_vs_distance(link, noise, cfg, [0.055, 0.06, 0.065])
+    full = list(ber_vs_distance(link, noise, cfg, [0.055, 0.06, 0.065]))
     from biomote.phy import _sub_seed, ber_monte_carlo as mc
     from biomote.link import link_budget
     from dataclasses import replace
@@ -344,15 +343,41 @@ def test_ber_vs_distance_mapper_changes_no_point():
     noise = NoiseModel.from_total_dbm(-105.0)
     cfg = PhyConfig(trials=20_000, min_errors=20, max_bits=100_000, seed=78)
     distances = [0.05, 0.055, 0.06, 0.065]
-    serial = ber_vs_distance(link, noise, cfg, distances)
+    serial = list(ber_vs_distance(link, noise, cfg, distances))
 
     def backwards(fn, *iterables):
         return reversed([fn(*args) for args in reversed(list(zip(*iterables)))])
 
     with ThreadPoolExecutor(max_workers=3) as pool:
-        pooled = ber_vs_distance(link, noise, cfg, distances, mapper=pool.map)
+        pooled = list(ber_vs_distance(link, noise, cfg, distances,
+                                      mapper=pool.map))
     assert pooled == serial
-    assert ber_vs_distance(link, noise, cfg, distances, mapper=backwards) == serial
+    assert list(ber_vs_distance(link, noise, cfg, distances,
+                                mapper=backwards)) == serial
+
+
+def test_ber_vs_distance_maps_every_point_before_a_row_is_read():
+    """The call hands all points to ``mapper`` at once, in distance order,
+    and returns before any row is read: a caller can queue several curves
+    on one pool before it waits for the first."""
+    link = reference_link_config()
+    noise = NoiseModel.from_total_dbm(-105.0)
+    cfg = PhyConfig(trials=2_000, min_errors=5, max_bits=10_000, seed=79)
+    distances = [0.05, 0.055, 0.06]
+    calls = []
+
+    def recording(fn, cfgs, snrs):
+        calls.append((list(cfgs), list(snrs)))
+        return map(fn, calls[-1][0], calls[-1][1])
+
+    rows = ber_vs_distance(link, noise, cfg, distances, mapper=recording)
+    assert len(calls) == 1
+    cfgs, snrs = calls[0]
+    assert [c.seed for c in cfgs] == [phy._sub_seed(79, i) for i in range(3)]
+    assert snrs == [phy.link_budget(replace(link, separation=d), noise).snr_db
+                    + phy.LINK_SNR_TO_CHANNEL_DB for d in distances]
+    assert [d for d, _, _ in rows] == distances
+    assert len(calls) == 1
 
 
 def test_ber_vs_distance_rejects_unsorted():
