@@ -6,7 +6,8 @@ seeds for inner Monte Carlo points derive deterministically from the
 master seed, so results are also invariant to any trial chunking.
 
 Exit codes: 0 success, 2 configuration problem, 3 runtime failure.  An
-``--out`` whose directory does not exist exits 3 before any work.
+``--out`` whose directory does not exist, or that is itself a directory,
+exits 3 before any work.
 ``mac-cdma`` and ``mac-compare`` exit 2 before any work when a
 ``mac_n_motes`` value is above :data:`biomote.mac.MAX_CDMA_MOTES`, and
 ``mac-cdma`` also when one trial's code and bit draws would exceed
@@ -126,11 +127,7 @@ def run_ber_sweep(params: RunParameters, seed: int):
     ]
     n_points = len(schemes) * len(params.ber_distances_m)
     # numpy releases the GIL in the noise draws and the large array
-    # operations, so the Monte Carlo points run on one worker per core.  Each
-    # ber_vs_distance call queues its points before it returns, so all points
-    # share one queue in scheme and distance order: a worker that is done
-    # takes the next point of any curve, also when another process slows
-    # one core.
+    # operations; a worker that is done takes the next point of any curve.
     pool = ThreadPoolExecutor(max_workers=min(n_points, _usable_cores()))
     try:
         curves = []
@@ -188,9 +185,9 @@ def run_mac_cdma(params: RunParameters, seed: int):
 
 
 def run_mac_compare(params: RunParameters, seed: int):
-    _check_cdma_grid(params.mac_n_motes, [128], 64)
+    _check_cdma_grid(params.mac_n_motes, [mac.COMPARE_CODE_LEN],
+                     mac.COMPARE_PACKET_BYTES)
     return mac.compare_schemes(params.mac_n_motes, params.mac_durations_slots,
-                               rate=20e3, packet_bytes=64,
                                trials=params.mac_trials, seed=seed)
 
 
@@ -268,6 +265,8 @@ def main(argv=None) -> int:
     try:
         if not args.out.parent.is_dir():     # fail before the study, not after
             raise NotADirectoryError(f"{args.out.parent} is not an existing directory")
+        if args.out.is_dir():
+            raise IsADirectoryError(f"{args.out} is a directory")
         rows = RUNNERS[args.subcommand](params, seed)
         _write_csv(args.out, CSV_SCHEMAS[args.subcommand], rows)
     except (ConfigError, ValueError) as exc:

@@ -49,7 +49,8 @@ __all__ = [
     "scenario2_sweep", "max_fully_read",
     "global_recommendation", "walsh_codes", "cdma_simulate",
     "compare_schemes", "FULL_READ_SHORTFALL", "MAX_CDMA_MOTES",
-    "MAX_CDMA_DRAW_BYTES",
+    "MAX_CDMA_DRAW_BYTES", "COMPARE_RATE_BPS", "COMPARE_PACKET_BYTES",
+    "COMPARE_CODE_LEN",
 ]
 
 #: mean unread motes tolerated by the "fully read" criterion (one collision
@@ -350,12 +351,18 @@ def cdma_simulate(n_motes: int, code_len: int, family: str = "random",
 # scheme comparison
 # ---------------------------------------------------------------------------
 
-def compare_schemes(n_motes_list, duration_slots, rate: float = 20e3,
-                    packet_bytes: int = 64, trials: int = 100,
+#: link rate and packet size of the scheme comparison
+COMPARE_RATE_BPS = 20e3
+COMPARE_PACKET_BYTES = 64
+#: its Walsh code length, which is also its ALOHA frame in slots
+COMPARE_CODE_LEN = 128
+
+
+def compare_schemes(n_motes_list, duration_slots, trials: int = 100,
                     seed: int = 0xB10B10) -> list[tuple]:
-    """ALOHA (128-slot frames over the window) against CDMA with length-128
-    Walsh codes, whose one spread packet fills the same airtime as 128
-    slots.
+    """ALOHA (frames of :data:`COMPARE_CODE_LEN` slots over the window)
+    against CDMA with Walsh codes of that length, whose one spread packet
+    fills the same airtime as a frame.
 
     ``duration_slots`` is one window length in slots or a sequence of
     them.  Returns ``(n_motes, duration_slots, scheme, mean_successes)``
@@ -365,14 +372,16 @@ def compare_schemes(n_motes_list, duration_slots, rate: float = 20e3,
     """
     n_motes_list = list(n_motes_list)
     durations = [duration_slots] if np.ndim(duration_slots) == 0 else duration_slots
-    cdma = {n: cdma_simulate(n, 128, "walsh", packet_bytes, trials, seed)
+    cdma = {n: cdma_simulate(n, COMPARE_CODE_LEN, "walsh", COMPARE_PACKET_BYTES,
+                             trials, seed)
             for n in dict.fromkeys(n_motes_list)}
-    slot = packet_bytes * 8 / rate
+    slot = COMPARE_PACKET_BYTES * 8 / COMPARE_RATE_BPS
     rows = []
     for d in durations:
         for n in n_motes_list:
-            sc = MacScenario(n_motes=n, rate=rate, packet_bytes=packet_bytes,
-                             read_time=slot * d, frame_slots=128,
+            sc = MacScenario(n_motes=n, rate=COMPARE_RATE_BPS,
+                             packet_bytes=COMPARE_PACKET_BYTES,
+                             read_time=slot * d, frame_slots=COMPARE_CODE_LEN,
                              trials=trials, seed=seed)
             rows.append((n, d, "aloha", aloha_mean_successes(sc)))
             rows.append((n, d, "cdma", cdma[n]))

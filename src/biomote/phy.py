@@ -18,24 +18,21 @@ Nyquist bandwidth of the symbol rate), which maps to gamma = SNR + 3.01 dB
 and is common to all schemes at a given range because the radiated power,
 not the per-information-bit energy, is what the link fixes.
 
-Workspace
----------
+Tiles
+-----
 The Monte Carlo runs in chunks of at most :data:`_CHUNK_CAP` samples; the
 chunk schedule fixes the seeded stream.  Each chunk is modulated, noised
-and sliced in tiles of :data:`_TILE` samples, through two float64 buffers
-of one tile each (256 KiB a buffer) that a thread keeps between tiles and
-chunks.  A sweep so maps no fresh arrays for its samples, and threads that
-run points side by side (``ber-sweep`` runs one per core) hold half a MiB
-of workspace each.  Every tile's noise scale is the energy of its whole
-chunk, so the draws and the noisy values are those of one :func:`awgn`
-call over the chunk: the thread count and the tile size never change a
-result.
+and sliced in tiles of :data:`_TILE` samples, so a chunk's float64 tx and
+rx arrays never exist whole: each tile's are 256 KiB, a size the allocator
+hands back from the tiles freed before it.  Every tile's noise scale is the
+energy of its whole chunk, so the draws and the noisy values are those of
+one :func:`awgn` call over the chunk: the thread count and the tile size
+never change a result.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Iterator, NamedTuple
@@ -127,41 +124,23 @@ class BerEstimate:
     low_confidence: bool      # budget ran out before min_errors was reached
 
 
-def _check_out(out: np.ndarray, shape: tuple[int, ...]) -> None:
-    if not (isinstance(out, np.ndarray) and out.dtype == np.float64
-            and out.shape == shape and out.flags.c_contiguous
-            and out.flags.writeable):
-        raise ValueError(f"out must be a writeable C-contiguous float64 array "
-                         f"of shape {shape}")
-
-
-def modulate(bits, scheme: Modulation, out: np.ndarray | None = None) -> np.ndarray:
-    """Map bits to symbol amplitudes (BPSK -1/+1, ASK 0/2).
-
-    With ``out`` (a writeable C-contiguous float64 array of the shape of
-    ``bits``) the symbols are written there and ``out`` is returned.
-    """
+def modulate(bits, scheme: Modulation) -> np.ndarray:
+    """Map bits to symbol amplitudes (BPSK -1/+1, ASK 0/2)."""
     bits = np.asarray(bits)
     if bits.size == 0:
         raise ValueError("bit sequence must be non-empty")
-    if out is not None:
-        _check_out(out, bits.shape)
-    symbols = np.multiply(bits > 0, 2.0, out=out, dtype=float)   # ASK: 0 / 2
+    symbols = np.multiply(bits > 0, 2.0, dtype=float)    # ASK: 0 / 2
     if scheme is Modulation.BPSK:
-        symbols -= 1.0                                           # -1 / +1
+        symbols -= 1.0                                  # -1 / +1
     return symbols
 
 
 def awgn(symbols, snr_db: float, rng: np.random.Generator,
-         out: np.ndarray | None = None,
          energy: float | None = None) -> np.ndarray:
     """Add white Gaussian noise with variance = mean symbol energy / snr.
 
     Deterministic for a given generator state; infinite snr returns a copy
-    of the input.  With ``out`` (a writeable C-contiguous float64 array of
-    the shape of ``symbols`` that shares no memory with it) the noisy
-    symbols are written there and ``out`` is returned; the values and the
-    generator state are those of the call without ``out``.
+    of the input.
 
     ``energy``, when given, replaces the mean symbol energy of ``symbols``:
     a slice of a longer stream then gets the noise scale of the whole
@@ -170,35 +149,21 @@ def awgn(symbols, snr_db: float, rng: np.random.Generator,
     symbols = np.asarray(symbols, dtype=float)
     if symbols.size == 0:
         raise ValueError("symbol sequence must be non-empty")
-    if out is not None:
-        _check_out(out, symbols.shape)
-        if np.shares_memory(out, symbols):
-            raise ValueError("out must not share memory with symbols")
     if not math.isfinite(snr_db):
         if snr_db > 0:
-            if out is None:
-                return symbols.copy()
-            out[...] = symbols
-            return out
+            return symbols.copy()
         raise ValueError("snr_db must be finite or +inf")
     if energy is None:
-        # the squares take the layout of symbols, which fixes the summation
-        # order of their mean; only a C-contiguous input squares into out
-        squares = np.square(symbols, out=out if symbols.flags.c_contiguous else None)
-        energy = float(np.mean(squares))
-        if out is None:                  # draws fill a C-contiguous buffer
-            out = squares if squares.flags.c_contiguous else np.empty(symbols.shape)
+        energy = float(np.mean(np.square(symbols)))
     elif not (math.isfinite(energy) and energy >= 0):
         raise ValueError("energy must be finite and >= 0")
-    elif out is None:
-        out = np.empty(symbols.shape)
     sigma = math.sqrt(energy / 10.0 ** (snr_db / 10.0))
     # the draws and the arithmetic of symbols + rng.normal(0, sigma), which
-    # computes 0 + sigma * z
-    rng.standard_normal(out=out)
-    out *= sigma
-    out += symbols
-    return out
+    # computes 0 + sigma * z; the draws fill a C-contiguous array
+    noisy = rng.standard_normal(symbols.shape)
+    noisy *= sigma
+    noisy += symbols
+    return noisy
 
 
 def demodulate(symbols, scheme: Modulation) -> np.ndarray:
@@ -235,18 +200,8 @@ def ebn0_to_channel_snr(ebn0_db: float, code: CodeScheme = CodeScheme.NONE) -> f
 #: schedule and so the seeded stream.
 _CHUNK_CAP = 1 << 19
 
-#: samples in one tile of a chunk, and in each workspace buffer (256 KiB)
+#: samples in one tile of a chunk (256 KiB of float64)
 _TILE = 1 << 15
-
-_workspace = threading.local()
-
-
-def _tile_buffers() -> tuple[np.ndarray, np.ndarray]:
-    """This thread's tx and rx buffers of :data:`_TILE` samples each."""
-    held = getattr(_workspace, "buffers", None)
-    if held is None:
-        held = _workspace.buffers = np.empty((2, _TILE))
-    return held[0], held[1]
 
 
 def _chunk_energy(coded: np.ndarray, scheme: Modulation) -> float:
@@ -268,12 +223,10 @@ def _run_blocks(cfg: PhyConfig, snr_db: float, n_blocks: int,
     info = rng.integers(0, 2, size=(n_blocks, codec.k)).astype(np.uint8)
     coded = codec.encode(info).reshape(-1)
     energy = _chunk_energy(coded, cfg.modulation)
-    tx_buf, rx_buf = _tile_buffers()
     hard = np.empty(coded.size, dtype=np.uint8)
     for start in range(0, coded.size, _TILE):
         bits = coded[start:start + _TILE]
-        tx = modulate(bits, cfg.modulation, out=tx_buf[:bits.size])
-        rx = awgn(tx, snr_db, rng, out=rx_buf[:bits.size], energy=energy)
+        rx = awgn(modulate(bits, cfg.modulation), snr_db, rng, energy=energy)
         hard[start:start + bits.size] = demodulate(rx, cfg.modulation)
     decoded = codec.decode(hard.reshape(n_blocks, codec.n))
     errors = int(np.count_nonzero(decoded != info))
@@ -289,8 +242,7 @@ def ber_monte_carlo(cfg: PhyConfig, snr_db: float) -> BerEstimate:
     whole codewords keeps every decoded block in the estimate.
 
     Each chunk holds at most :data:`_CHUNK_CAP` samples, and its samples
-    go through this thread's retained workspace one tile at a time (see
-    the module docstring).
+    go through the channel one tile at a time (see the module docstring).
     """
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=(cfg.seed, _snr_key(snr_db))))

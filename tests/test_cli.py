@@ -331,6 +331,11 @@ def test_missing_output_directory_exits_3_before_the_study(tmp_path, capsys,
     assert main(["mac-cdma", "--out", str(out)]) == 3
     assert "runtime error" in capsys.readouterr().err
     assert not out.parent.exists()
+    # an --out that names an existing directory fails the same way
+    out.mkdir(parents=True)
+    assert main(["mac-cdma", "--out", str(out)]) == 3
+    assert "runtime error" in capsys.readouterr().err
+    assert not any(out.iterdir())
 
 
 def test_cli_help_documents_schema():

@@ -415,6 +415,51 @@ def test_walsh_family_exact_for_n_below_length():
         assert cdma_simulate(n, c, "walsh", packet_bytes=64, trials=5, seed=2) == n
 
 
+def walsh_shared_row_law(n, code_len, bits):
+    """Exact mean motes read of a Walsh trial, with mote i on row i mod L.
+
+    A mote reads a bit right when its row's chip sum has the bit's sign
+    (ties decide 1).  With S' the sum of the other g - 1 motes' +-1 bits on
+    a row shared by g, that is S' >= -1 for a 1 and S' <= 0 for a 0, so
+    q_g = (P(S' >= -1) + P(S' <= 0)) / 2 per bit; bits are independent and
+    the mean is the sum over rows of g q_g^bits.
+    """
+    total = Fraction(0)
+    for row in range(code_len):
+        g = len(range(row, n, code_len))
+        if g == 0:
+            continue
+        # S' = 2K - (g - 1) for K ~ Binomial(g - 1, 1/2)
+        law = [(2 * k - (g - 1), Fraction(math.comb(g - 1, k), 2 ** (g - 1)))
+               for k in range(g)]
+        q = (sum(p for s, p in law if s >= -1) + sum(p for s, p in law if s <= 0)) / 2
+        total += g * q ** bits
+    return total
+
+
+@pytest.mark.parametrize("code_len", [4, 8, 16])
+def test_walsh_family_matches_shared_row_law(code_len):
+    """Past n = L, motes share Walsh rows; every n of the grid is within
+    3 sigma of the exact law, sigma from the per-trial counts."""
+    trials, seed = 2_000, 83
+    for n in (code_len + 1, 2 * code_len, 2 * code_len + 3, 3 * code_len,
+              4 * code_len + 1):
+        counts = [_cdma_trial(n, code_len, "walsh", 8, _trial_rng(seed, n, t))
+                  for t in range(trials)]
+        mean = sum(counts) / trials
+        assert mean == cdma_simulate(n, code_len, "walsh", 1, trials, seed)
+        sigma = float(np.std(counts, ddof=1)) / math.sqrt(trials)
+        exact = float(walsh_shared_row_law(n, code_len, 8))
+        assert abs(mean - exact) <= 3 * sigma, (n, mean, exact, sigma)
+
+
+def test_walsh_two_shared_rows_exact():
+    # 130 motes on 128 rows: 126 alone are always read, and the 4 on the
+    # two shared rows each with probability (3/4)^512, about 1e-64
+    assert walsh_shared_row_law(130, 128, 512) == 126 + 4 * Fraction(3, 4) ** 512
+    assert cdma_simulate(130, 128, "walsh", packet_bytes=64, trials=20, seed=2) == 126
+
+
 def test_random_family_peak_then_decline():
     means = {n: cdma_simulate(n, 32, "random", packet_bytes=8, trials=150, seed=13)
              for n in (1, 2, 4, 6, 10, 16, 24)}

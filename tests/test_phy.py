@@ -2,7 +2,6 @@
 closed-form oracle."""
 
 import math
-import threading
 from dataclasses import replace
 
 import numpy as np
@@ -85,6 +84,7 @@ def test_awgn_infinite_snr_passthrough():
     x = np.linspace(-1, 1, 100)
     y = awgn(x, math.inf, np.random.default_rng(0))
     assert np.array_equal(x, y)
+    assert not np.shares_memory(x, y)
 
 
 def test_awgn_variance_within_one_percent():
@@ -119,20 +119,17 @@ def _awgn_inputs():
 @pytest.mark.parametrize("snr_db", [-3.0, 4.0, 12.5])
 def test_awgn_bit_identical_to_normal_draw(case, snr_db):
     """awgn is symbols + rng.normal(0, sigma) to the last bit, in every array
-    layout, with or without an out buffer, and leaves the generator where
-    that draw leaves it."""
+    layout, and leaves the generator where that draw leaves it."""
     symbols = _awgn_inputs()[case]
     ref_rng = np.random.default_rng(6)
     sigma = math.sqrt(float(np.mean(symbols ** 2)) / 10.0 ** (snr_db / 10.0))
     ref = symbols + ref_rng.normal(0.0, sigma, size=symbols.shape)
-    for buf in (None, np.full(symbols.shape, np.nan)):
-        rng = np.random.default_rng(6)
-        out = awgn(symbols, snr_db, rng, out=buf)
-        assert out.dtype == np.float64
-        assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
-        assert np.array_equal(symbols, _awgn_inputs()[case])   # input untouched
-        assert buf is None or out is buf
+    rng = np.random.default_rng(6)
+    out = awgn(symbols, snr_db, rng)
+    assert out.dtype == np.float64
+    assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert np.array_equal(symbols, _awgn_inputs()[case])   # input untouched
 
 
 @pytest.mark.parametrize("case", range(6))
@@ -144,13 +141,11 @@ def test_awgn_energy_of_own_mean_changes_nothing(case, snr_db):
     ref_rng = np.random.default_rng(6)
     ref = awgn(symbols, snr_db, ref_rng)
     energy = float(np.mean(np.square(symbols)))
-    for buf in (None, np.full(symbols.shape, np.nan)):
-        rng = np.random.default_rng(6)
-        out = awgn(symbols, snr_db, rng, out=buf, energy=energy)
-        assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
-        assert np.array_equal(symbols, _awgn_inputs()[case])
-        assert buf is None or out is buf
+    rng = np.random.default_rng(6)
+    out = awgn(symbols, snr_db, rng, energy=energy)
+    assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert np.array_equal(symbols, _awgn_inputs()[case])
 
 
 def test_awgn_rejects_bad_energy():
@@ -172,12 +167,8 @@ def test_tiled_awgn_equals_whole_chunk(scheme, size):
     whole = awgn(tx, 2.5, ref_rng)
     energy = phy._chunk_energy(bits, scheme)
     rng = np.random.default_rng(9)
-    buf = np.empty(phy._TILE)
-    tiles = []
-    for start in range(0, size, phy._TILE):
-        tile = tx[start:start + phy._TILE]
-        tiles.append(awgn(tile, 2.5, rng, out=buf[:tile.size], energy=energy).copy())
-    tiled = np.concatenate(tiles)
+    tiled = np.concatenate([awgn(tx[start:start + phy._TILE], 2.5, rng, energy=energy)
+                            for start in range(0, size, phy._TILE)])
     assert np.array_equal(tiled.view(np.uint64), whole.view(np.uint64))
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -196,43 +187,6 @@ def test_chunk_energy_exact(scheme):
             expected = float(np.mean(np.square(modulate(bits, scheme))))
             assert type(energy) is float
             assert energy == expected, (size, density)
-
-
-def test_awgn_out_infinite_snr_copies():
-    x = np.linspace(-1, 1, 100)
-    buf = np.zeros(100)
-    assert awgn(x, math.inf, np.random.default_rng(0), out=buf) is buf
-    assert np.array_equal(buf, x)
-
-
-@pytest.mark.parametrize("scheme", list(Modulation))
-def test_modulate_out_equals_fresh(scheme):
-    bits = np.random.default_rng(8).integers(0, 2, size=20_000)
-    values = np.random.default_rng(7).normal(size=(40, 50))   # read as bits > 0
-    for layout in [bits] + _layouts(bits) + [values]:
-        buf = np.full(layout.shape, np.nan)
-        assert modulate(layout, scheme, out=buf) is buf
-        assert np.array_equal(buf, modulate(layout, scheme))
-
-
-def test_out_buffer_rejected():
-    """An out buffer of the wrong shape, dtype or layout raises, and so does
-    one that overlaps awgn's input, whose squares would overwrite it."""
-    x = modulate(np.ones(100), Modulation.BPSK)
-    rng = np.random.default_rng(0)
-    bad = [np.empty(99), np.empty(100, dtype=np.float32),
-           np.empty(200)[::2], np.empty((10, 10))]
-    for out in bad:
-        with pytest.raises(ValueError):
-            modulate(np.ones(100), Modulation.BPSK, out=out)
-        with pytest.raises(ValueError):
-            awgn(x, 3.0, rng, out=out)
-    for out in (x, x[:]):
-        with pytest.raises(ValueError):
-            awgn(x, 3.0, rng, out=out)
-    with pytest.raises(ValueError):
-        awgn(x, math.inf, rng, out=x)
-    assert np.array_equal(x, np.ones(100))
 
 
 def test_awgn_deterministic_per_seed():
@@ -458,11 +412,11 @@ def test_bit_cap_overshoot_below_one_codeword(code):
 
 
 def test_repeat_run_reuses_chunk_buffers():
-    """A repeated run takes its tile buffers from the workspace the first run
-    left, so it maps no fresh pages for its samples: 10 Hamming chunks of
-    18,181 blocks, the largest chunk of a default ber-sweep, each in 9
-    tiles (with fresh tx and rx arrays per chunk, glibc's allocator took
-    about 14,000 minor faults on this run)."""
+    """A repeated run maps no fresh pages for its samples: 10 Hamming chunks
+    of 18,181 blocks, the largest chunk of a default ber-sweep, each in 9
+    tiles whose tx and rx arrays the allocator hands back from the tiles
+    freed before them (with whole-chunk tx and rx arrays, glibc's allocator
+    took about 14,000 minor faults on this run)."""
     resource = pytest.importorskip("resource")
     cfg = PhyConfig(code=CodeScheme.HAMMING_15_11, trials=200_000,
                     max_bits=2_000_000, min_errors=10**9, seed=5)
@@ -474,30 +428,29 @@ def test_repeat_run_reuses_chunk_buffers():
     assert faults < 1000
 
 
-def _in_fresh_thread(fn):
-    """fn() in a new thread, so it starts with an empty workspace."""
-    result = {}
+def _recording_chunks_and_tiles(monkeypatch):
+    """Lists that fill with the samples of each Monte Carlo chunk and of each
+    tile modulated, as ber_monte_carlo runs."""
+    chunks, tiles = [], []
 
-    def run():
-        try:
-            result["value"] = fn()
-        except BaseException as exc:       # re-raised below, in the test
-            result["error"] = exc
+    def recording_run_blocks(cfg, snr_db, n_blocks, rng):
+        chunks.append(n_blocks * phy._CODECS[cfg.code].n)
+        return run_blocks(cfg, snr_db, n_blocks, rng)
 
-    worker = threading.Thread(target=run)
-    worker.start()
-    worker.join(timeout=120)
-    assert not worker.is_alive()
-    if "error" in result:
-        raise result["error"]
-    return result["value"]
+    def recording_modulate(bits, scheme):
+        tiles.append(bits.size)
+        return modulate(bits, scheme)
+
+    run_blocks = phy._run_blocks
+    monkeypatch.setattr(phy, "_run_blocks", recording_run_blocks)
+    monkeypatch.setattr(phy, "modulate", recording_modulate)
+    return chunks, tiles
 
 
-def test_workspace_bounded_and_order_free():
-    """Estimates do not depend on which chunk sizes ran before, and the
-    workspace never grows past one tile: a point with more samples than the
-    chunk cap runs in chunks of at most the cap, and every chunk, large or
-    small, goes through the same two tile buffers."""
+def test_workspace_bounded_and_order_free(monkeypatch):
+    """Estimates do not depend on which chunk sizes ran before, and a point
+    with more samples than the chunk cap runs in chunks of at most the cap,
+    each in tiles of at most one tile size."""
     points = {
         # 40,000 Hamming blocks = 600,000 samples, past the cap: chunks of
         # 34,952 blocks (524,280 samples) and 5,048 blocks
@@ -508,53 +461,29 @@ def test_workspace_bounded_and_order_free():
         "default": PhyConfig(code=CodeScheme.HAMMING_15_11, trials=200_000,
                              min_errors=1, max_bits=200_000, seed=3),
     }
-
-    def run(order):
-        estimates, held = {}, []
-        for name in order:
-            estimates[name] = ber_monte_carlo(points[name], 4.0)
-            buffers = getattr(phy._workspace, "buffers", None)
-            held.append(0 if buffers is None else buffers.shape[1])
-        return estimates, held
-
-    forward, held_forward = _in_fresh_thread(lambda: run(["above", "small", "default"]))
-    backward, held_backward = _in_fresh_thread(lambda: run(["default", "small", "above"]))
+    chunks, tiles = _recording_chunks_and_tiles(monkeypatch)
+    forward = {name: ber_monte_carlo(points[name], 4.0)
+               for name in ["above", "small", "default"]}
+    backward = {name: ber_monte_carlo(points[name], 4.0)
+                for name in ["default", "small", "above"]}
     assert forward == backward
-    assert held_forward == held_backward == [phy._TILE] * 3
     assert forward["above"].bits_simulated // 11 * 15 > phy._CHUNK_CAP
+    assert max(chunks) == 34_952 * 15 <= phy._CHUNK_CAP
+    assert sum(chunks) == sum(tiles)
+    assert all(0 < size <= phy._TILE for size in tiles)
 
 
 def test_uncoded_chunks_fit_the_workspace(monkeypatch):
     """A long uncoded point (k = n = 1000) runs in chunks of at most the
-    cap, not in 2,000,000-sample chunks, and each chunk in tiles through
-    the retained workspace."""
-    chunks, tiles = [], []
-
-    def recording_run_blocks(cfg, snr_db, n_blocks, rng):
-        chunks.append(n_blocks * 1000)
-        return run_blocks(cfg, snr_db, n_blocks, rng)
-
-    def recording_modulate(bits, scheme, out=None):
-        tiles.append((bits.size, out is not None))
-        return modulate(bits, scheme, out=out)
-
-    run_blocks = phy._run_blocks
-    monkeypatch.setattr(phy, "_run_blocks", recording_run_blocks)
-    monkeypatch.setattr(phy, "modulate", recording_modulate)
+    cap, not in 2,000,000-sample chunks, and each chunk in tiles."""
+    chunks, tiles = _recording_chunks_and_tiles(monkeypatch)
     cfg = PhyConfig(code=CodeScheme.NONE, trials=2_000_000, min_errors=0,
                     max_bits=2_000_000, seed=4)
-
-    def run():
-        est = ber_monte_carlo(cfg, 6.0)
-        return est, phy._workspace.buffers.shape[1]
-
-    est, held = _in_fresh_thread(run)
+    est = ber_monte_carlo(cfg, 6.0)
     assert est.bits_simulated == 2_000_000
-    assert sum(chunks) == sum(size for size, _ in tiles) == 2_000_000
+    assert sum(chunks) == sum(tiles) == 2_000_000
     assert all(0 < size <= phy._CHUNK_CAP for size in chunks)
-    assert all(0 < size <= phy._TILE and in_workspace
-               for size, in_workspace in tiles)
-    assert held == phy._TILE
+    assert all(0 < size <= phy._TILE for size in tiles)
 
 
 # ---------------------------------------------------------------------------
