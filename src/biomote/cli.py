@@ -11,7 +11,9 @@ exits 3 before any work.
 ``mac-cdma`` and ``mac-compare`` exit 2 before any work when a
 ``mac_n_motes`` value is above :data:`biomote.mac.MAX_CDMA_MOTES`, and
 ``mac-cdma`` also when one trial's code and bit draws would exceed
-:data:`biomote.mac.MAX_CDMA_DRAW_BYTES`.
+:data:`biomote.mac.MAX_CDMA_DRAW_BYTES`.  ``mac-scenario1``,
+``mac-scenario2`` and ``mac-compare`` exit 2 before any work when a read
+window would hold more than :data:`biomote.mac.MAX_ALOHA_SLOTS` slots.
 
 ``ber-sweep`` runs its four BER curves' points on one thread pool with
 one worker per core this process may use: each curve's
@@ -144,6 +146,8 @@ def run_ber_sweep(params: RunParameters, seed: int):
 
 
 def run_mac_scenario1(params: RunParameters, seed: int):
+    for rt in params.mac_read_times_s:      # every window, before the first scan
+        mac.MacScenario(0, params.mac_rate_bps, params.mac_packet_bytes, rt)
     rows = []
     for rt in params.mac_read_times_s:
         n = mac.max_fully_read(params.mac_rate_bps, rt, params.mac_packet_bytes,

@@ -29,17 +29,27 @@ every mote has its own row, so all n are read and nothing is drawn.
 
 Every routine is deterministic in (seed, parameters): per-trial generator
 streams derive from a seed sequence keyed by (seed, point, trial), so
-results are independent of any chunking of trials across workers.  The
-ALOHA routines memoise each key's PCG64 start state per process, in a
-bounded cache (:data:`_SEED_MEMO_SIZE` keys); a trial restored from the
-memo draws exactly the numbers a freshly seeded generator would.
+results are independent of any chunking of trials across workers.
+
+ALOHA runs all trials of a point together as arrays.  A trial's slot picks
+are numpy's bounded-integer draws, ``Generator.integers(0, frame)``,
+reproduced from the raw PCG64 words of its stream: Lemire's method on
+32-bit words, low half of each 64-bit output first, with numpy's rare
+rejections replayed word by word.  NEP 19 does not promise that path
+across numpy releases, so the tests that pin the batched runs to
+``integers`` on fresh streams, and the recorded CSV digests, are the
+guard.  The first words of each (seed, n, trial) stream, about the n that
+its first frame reads, are memoised per process within 4 MiB
+(:data:`_WORD_MEMO`), so a scan that revisits a deployment at another read
+time seeds no stream again.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -48,7 +58,7 @@ __all__ = [
     "binary_tree_iterations", "aloha_simulate", "aloha_mean_successes",
     "scenario2_sweep", "max_fully_read",
     "global_recommendation", "walsh_codes", "cdma_simulate",
-    "compare_schemes", "FULL_READ_SHORTFALL", "MAX_CDMA_MOTES",
+    "compare_schemes", "FULL_READ_SHORTFALL", "MAX_ALOHA_SLOTS", "MAX_CDMA_MOTES",
     "MAX_CDMA_DRAW_BYTES", "COMPARE_RATE_BPS", "COMPARE_PACKET_BYTES",
     "COMPARE_CODE_LEN",
 ]
@@ -56,6 +66,10 @@ __all__ = [
 #: mean unread motes tolerated by the "fully read" criterion (one collision
 #: pair on average)
 FULL_READ_SHORTFALL = 2.25
+
+#: most slots an ALOHA window or frame may hold: a mote's slot is one
+#: bounded 32-bit draw
+MAX_ALOHA_SLOTS = 2**32 - 1
 
 
 @dataclass(frozen=True)
@@ -79,6 +93,13 @@ class MacScenario:
             raise ValueError("frame_slots must be >= 1")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        # the draws follow numpy's bounded-integer path for 32-bit ranges
+        if self.frame_slots is not None and self.frame_slots > MAX_ALOHA_SLOTS:
+            raise ValueError(f"a frame of {self.frame_slots} slots is above "
+                             f"the {MAX_ALOHA_SLOTS} an ALOHA run supports")
+        if self.slots_available > MAX_ALOHA_SLOTS:
+            raise ValueError(f"a read window of {self.slots_available} slots is "
+                             f"above the {MAX_ALOHA_SLOTS} an ALOHA run supports")
 
     # computed once per scenario, not once per ALOHA trial
     @cached_property
@@ -136,72 +157,226 @@ def _trial_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=(seed, *key)))
 
 
-#: most keys whose PCG64 start state is memoised per process (about 264 B
-#: each).  A ``max_fully_read`` scan or a ``scenario2_sweep`` reuses every
-#: (seed, n, trial) key at each read time.
-_SEED_MEMO_SIZE = 4096
+def _raw_words(bit_gen: np.random.PCG64, raw: int) -> np.ndarray:
+    """The next ``2 * raw`` uint32 words of a PCG64 stream, low half of each
+    64-bit output first, as numpy's 32-bit draws consume them."""
+    return bit_gen.random_raw(raw).astype("<u8", copy=False).view("<u4")
 
 
-@lru_cache(maxsize=_SEED_MEMO_SIZE)
-def _pcg64_start(seed: int, *key: int) -> tuple[int, int]:
-    """The PCG64 ``(state, inc)`` that ``_trial_rng(seed, *key)`` starts at."""
-    start = _trial_rng(seed, *key).bit_generator.state["state"]
-    return start["state"], start["inc"]
+def _raw_for(picks: int, frame: int) -> int:
+    """64-bit outputs to draw for ``picks`` draws in [0, frame): a word a
+    pick, the words numpy rejects among them on average and a quarter more,
+    and two words to spare."""
+    rejected = picks * ((1 << 32) % frame) // ((1 << 32) - (1 << 32) % frame)
+    return (picks + rejected + rejected // 4 + 3) // 2
 
 
-def _singletons(picks: np.ndarray) -> int:
-    """How many values occur exactly once in ``picks``; sorts it in place."""
-    picks.sort()
-    # differs[i]: element i differs from element i - 1; both ends count
-    differs = np.ones(picks.size + 1, dtype=bool)
-    np.not_equal(picks[1:], picks[:-1], out=differs[1:-1])
-    return int(np.count_nonzero(differs[:-1] & differs[1:]))
+class _WordMemo:
+    """Least-recently-used map from a block of trials to their streams'
+    first words, bounded by the bytes of the words it holds; ``hits`` and
+    ``misses`` count trials."""
+
+    def __init__(self, max_bytes: int):
+        self.max_bytes = max_bytes
+        self.nbytes = self.hits = self.misses = 0
+        self._tables: OrderedDict[tuple, np.ndarray] = OrderedDict()
+
+    def clear(self) -> None:
+        self._tables.clear()
+        self.nbytes = self.hits = self.misses = 0
+
+    def words(self, seed: int, n: int, first: int, stop: int, raw: int):
+        """The first words of trials ``first`` to ``stop - 1`` of (seed, n),
+        one row each, ``2 * raw`` of them unless the memo holds them
+        already, and the generators of the trials it had to seed, each
+        positioned after its row."""
+        key = (seed, n, first, stop)
+        table = self._tables.get(key)
+        if table is not None:
+            self.hits += stop - first
+            self._tables.move_to_end(key)
+            return table, {}
+        self.misses += stop - first
+        gens = {t: np.random.PCG64(np.random.SeedSequence((seed, n, t)))
+                for t in range(first, stop)}
+        table = np.stack([_raw_words(g, raw) for g in gens.values()])
+        table.flags.writeable = False       # shared by every later caller
+        self._tables[key] = table
+        self.nbytes += table.nbytes
+        while self.nbytes > self.max_bytes:
+            self.nbytes -= self._tables.popitem(last=False)[1].nbytes
+        return table, gens
 
 
-def aloha_simulate(sc: MacScenario, rng: np.random.Generator) -> tuple[int, int]:
-    """One framed-ALOHA run; returns (motes read, slots consumed).
+#: the first words of each (seed, n, trial) stream, about the n its first
+#: frame reads, memoised per process within 4 MiB of words in blocks of
+#: trials (for one thread at a time).  A ``max_fully_read`` scan or a
+#: ``scenario2_sweep`` reuses every key at each read time.
+_WORD_MEMO = _WordMemo(4 << 20)
 
-    A trailing partial frame is truncated: draws landing past the window
-    are lost with the window.
+#: words one block of ALOHA trials holds per frame (256 KiB as uint32); a
+#: point runs its trials in blocks of this many words, or of one trial
+_BLOCK_WORDS = 1 << 16
+
+
+class _TrialStreams:
+    """The word streams of a block of trials, each read from its own offset.
+
+    Row i holds words ``pos[i]:end[i]`` of its trial's stream that are not
+    yet consumed; a row that runs short drops what it consumed and draws on
+    from its own generator.
     """
-    frame = sc.effective_frame_slots
-    budget = sc.slots_available
-    remaining = sc.n_motes
-    successes = 0
-    used = 0
-    while remaining > 0 and used < budget:
+
+    def __init__(self, seed: int, n: int, first: int, stop: int, frame: int):
+        self.seed, self.n = seed, n
+        self.trials = np.arange(first, stop)
+        # trial -> its generator, positioned after the words drawn so far
+        self.words, self.gens = _WORD_MEMO.words(seed, n, first, stop,
+                                                 _raw_for(n, frame))
+        self.pos = np.zeros(stop - first, dtype=np.int64)
+        self.end = np.full(stop - first, self.words.shape[1], dtype=np.int64)
+        self.drawn = self.end.copy()    # words drawn from each stream so far
+
+    def keep(self, rows: np.ndarray) -> None:
+        """Keep only the rows where ``rows`` is true."""
+        self.trials, self.words = self.trials[rows], self.words[rows]
+        self.pos, self.end, self.drawn = self.pos[rows], self.end[rows], self.drawn[rows]
+
+    def _generator(self, i: int) -> np.random.PCG64:
+        t = int(self.trials[i])
+        bit_gen = self.gens.get(t)
+        if bit_gen is None:
+            # a memoised row: seed it again and skip the words it holds
+            bit_gen = np.random.PCG64(np.random.SeedSequence((self.seed, self.n, t)))
+            bit_gen.advance(int(self.drawn[i]) // 2)
+            self.gens[t] = bit_gen
+        return bit_gen
+
+    def _window(self, width: int) -> np.ndarray:
+        """Each row's next ``width`` words; past a row's end, any words."""
+        if (self.pos == self.pos[0]).all():
+            return self.words[:, self.pos[0]:self.pos[0] + width]
+        cols = self.pos[:, None] + np.arange(width)
+        return np.take_along_axis(
+            self.words, np.minimum(cols, self.words.shape[1] - 1), axis=1)
+
+    def _ensure(self, need: np.ndarray, frame: int, ahead: int) -> None:
+        """Give every row at least ``need`` unconsumed words.  A row that
+        runs short draws what it lacks with room for the words numpy
+        rejects (:func:`_raw_for`), and ``ahead`` words for later frames."""
+        short = np.flatnonzero(self.pos + need > self.end).tolist()
+        if not short:
+            return
+        held = self.end - self.pos
+        extra = {}
+        for i in short:
+            raw = _raw_for(int(need[i] - held[i]), frame) + ahead // 2
+            extra[i] = _raw_words(self._generator(i), raw)
+        end = held.copy()
+        for i, words in extra.items():
+            end[i] += words.size
+            self.drawn[i] += words.size
+        # drop the consumed words, moving each row to column 0
+        words = np.empty((len(end), end.max()), dtype=np.uint32)
+        words[:, :held.max()] = self._window(int(held.max()))
+        for i, drawn in extra.items():
+            words[i, held[i]:end[i]] = drawn
+        self.words, self.pos, self.end = words, np.zeros_like(self.pos), end
+
+    def picks(self, counts: np.ndarray, frame: int, ahead: int) -> np.ndarray:
+        """Row i's next ``counts[i]`` draws of ``integers(0, frame)``, padded
+        with ``frame`` to a (rows, width) uint32 array in no particular order.
+
+        numpy draws them by Lemire's method on 32-bit words: a word u gives
+        ``(u * frame) >> 32`` unless ``(u * frame) mod 2**32`` is below
+        ``2**32 mod frame``, when numpy rejects it and takes the next word.
+        A frame of one slot draws no word.
+        """
+        if frame == 1:
+            return (np.arange(int(counts.max())) >= counts[:, None]).astype(np.uint32)
+        threshold = (1 << 32) % frame
+        # Each pass reads, per row, as many words as it still needs picks, so
+        # a row consumes exactly the words numpy would: its picks and the
+        # words rejected among them.
+        parts = []
+        need = counts
+        while need.any():
+            self._ensure(need, frame, ahead)
+            width = int(need.max())
+            words = self._window(width)
+            # the products u * frame as (low, high) halves
+            halves = np.multiply(words, frame, dtype="<u8").view("<u4")
+            accepted = halves[:, 0::2] >= threshold
+            if need.min() < width:
+                accepted &= np.arange(width) < need[:, None]
+            parts.append(np.where(accepted, halves[:, 1::2], frame))
+            self.pos += need
+            need = need - np.count_nonzero(accepted, axis=1)
+        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+
+
+def _singletons(picks: np.ndarray, span: int) -> np.ndarray:
+    """Per row, how many values below ``span`` occur exactly once in
+    ``picks``; sorts each row in place."""
+    picks.sort(axis=1)
+    # differs[:, j]: element j differs from element j - 1; both ends count
+    differs = np.ones((picks.shape[0], picks.shape[1] + 1), dtype=bool)
+    np.not_equal(picks[:, 1:], picks[:, :-1], out=differs[:, 1:-1])
+    return np.count_nonzero(differs[:, :-1] & differs[:, 1:] & (picks < span), axis=1)
+
+
+def _aloha_trials(sc: MacScenario, first: int, stop: int) -> tuple[int, int]:
+    """(motes read, slots used) summed over trials ``first`` to ``stop - 1``,
+    all run together: every unread mote of every trial picks its slot of a
+    frame in one array, and the trials move through their frames in step."""
+    frame, budget = sc.effective_frame_slots, sc.slots_available
+    if sc.n_motes == 0 or budget < 1:
+        return 0, 0
+    streams = _TrialStreams(sc.seed, sc.n_motes, first, stop, frame)
+    # later frames' words a row that runs short draws at once, within a block
+    per_draw = max(1, _BLOCK_WORDS // ((stop - first) * sc.n_motes))
+    remaining = np.full(stop - first, sc.n_motes)
+    reads = slots = used = 0
+    while remaining.size and used < budget:
         span = min(frame, budget - used)
-        picks = rng.integers(0, frame, size=remaining)
-        if span < frame:
-            picks = picks[picks < span]
-        s = _singletons(picks)
-        successes += s
-        remaining -= s
+        later = min(-(-(budget - used) // frame) - 1, per_draw)
+        read = _singletons(streams.picks(remaining, frame, sc.n_motes * later), span)
+        reads += int(read.sum())
+        slots += span * remaining.size
         used += span
-    return successes, used
+        remaining -= read
+        unread = remaining > 0
+        if not unread.all():
+            streams.keep(unread)
+            remaining = remaining[unread]
+    return reads, slots
+
+
+def aloha_simulate(sc: MacScenario) -> tuple[int, int]:
+    """Framed ALOHA over all ``sc.trials`` trials; returns (motes read,
+    slots consumed), each summed over the trials.
+
+    Trial t picks from the stream of ``_trial_rng(sc.seed, sc.n_motes, t)``
+    exactly what ``integers(0, frame, size=unread)`` would draw there, one
+    call per frame, but from the stream's raw words (see the module
+    docstring for why that is exact and what guards it).  A trailing partial
+    frame is truncated: draws landing past the window are lost with the
+    window.  Trials run in blocks of about :data:`_BLOCK_WORDS` words, so
+    memory does not grow with ``sc.trials``; a block holds one trial at
+    least, so one trial of a very large deployment may exceed it.
+    """
+    rows = max(1, _BLOCK_WORDS // (sc.n_motes + 1))
+    reads = slots = 0
+    for first in range(0, sc.trials, rows):
+        block = _aloha_trials(sc, first, min(first + rows, sc.trials))
+        reads += block[0]
+        slots += block[1]
+    return reads, slots
 
 
 def aloha_mean_successes(sc: MacScenario) -> float:
-    """Mean motes read over ``sc.trials`` independent runs.
-
-    Trial t draws from the stream of ``_trial_rng(sc.seed, sc.n_motes, t)``.
-    Its start state comes from a bounded per-process memo, so a key seen
-    before (the same point at another read time) is not seeded again; the
-    drawn numbers are the same either way.
-    """
-    if sc.n_motes == 0:
-        return 0.0
-    bit_gen = np.random.PCG64(0)
-    rng = np.random.Generator(bit_gen)
-    total = 0
-    for t in range(sc.trials):
-        state, inc = _pcg64_start(sc.seed, sc.n_motes, t)
-        # the whole state, so no half-used 32-bit word carries over
-        bit_gen.state = {"bit_generator": "PCG64",
-                         "state": {"state": state, "inc": inc},
-                         "has_uint32": 0, "uinteger": 0}
-        total += aloha_simulate(sc, rng)[0]
-    return total / sc.trials
+    """Mean motes read over ``sc.trials`` independent runs."""
+    return aloha_simulate(sc)[0] / sc.trials
 
 
 def max_fully_read(rate: float, read_time: float, packet_bytes: int,
@@ -227,16 +402,15 @@ def scenario2_sweep(n_motes_list, rates, read_times, packet_bytes: int,
 
     Returns ``(n_motes, rate_bps, read_time_s, mean_successes)`` rows.
     """
-    if not list(n_motes_list) or not list(rates) or not list(read_times):
+    n_motes_list, rates, read_times = list(n_motes_list), list(rates), list(read_times)
+    if not n_motes_list or not rates or not read_times:
         raise ValueError("sweep lists must be non-empty")
-    rows = []
-    for rate in rates:
-        for rt in read_times:
-            for n in n_motes_list:
-                sc = MacScenario(n_motes=n, rate=rate, packet_bytes=packet_bytes,
-                                 read_time=rt, trials=trials, seed=seed)
-                rows.append((n, rate, rt, aloha_mean_successes(sc)))
-    return rows
+    # every point is checked before the first one runs
+    points = [MacScenario(n_motes=n, rate=rate, packet_bytes=packet_bytes,
+                          read_time=rt, trials=trials, seed=seed)
+              for rate in rates for rt in read_times for n in n_motes_list]
+    return [(sc.n_motes, sc.rate, sc.read_time, aloha_mean_successes(sc))
+            for sc in points]
 
 
 def global_recommendation(zone_successes: int, geom: DeploymentGeometry) -> int:
@@ -372,17 +546,18 @@ def compare_schemes(n_motes_list, duration_slots, trials: int = 100,
     """
     n_motes_list = list(n_motes_list)
     durations = [duration_slots] if np.ndim(duration_slots) == 0 else duration_slots
+    slot = COMPARE_PACKET_BYTES * 8 / COMPARE_RATE_BPS
+    # every window is checked before the first point runs
+    aloha = [(n, d, MacScenario(n_motes=n, rate=COMPARE_RATE_BPS,
+                                packet_bytes=COMPARE_PACKET_BYTES,
+                                read_time=slot * d, frame_slots=COMPARE_CODE_LEN,
+                                trials=trials, seed=seed))
+             for d in durations for n in n_motes_list]
     cdma = {n: cdma_simulate(n, COMPARE_CODE_LEN, "walsh", COMPARE_PACKET_BYTES,
                              trials, seed)
             for n in dict.fromkeys(n_motes_list)}
-    slot = COMPARE_PACKET_BYTES * 8 / COMPARE_RATE_BPS
     rows = []
-    for d in durations:
-        for n in n_motes_list:
-            sc = MacScenario(n_motes=n, rate=COMPARE_RATE_BPS,
-                             packet_bytes=COMPARE_PACKET_BYTES,
-                             read_time=slot * d, frame_slots=COMPARE_CODE_LEN,
-                             trials=trials, seed=seed)
-            rows.append((n, d, "aloha", aloha_mean_successes(sc)))
-            rows.append((n, d, "cdma", cdma[n]))
+    for n, d, sc in aloha:
+        rows.append((n, d, "aloha", aloha_mean_successes(sc)))
+        rows.append((n, d, "cdma", cdma[n]))
     return rows

@@ -253,6 +253,30 @@ def test_oversized_cdma_grid_exits_2(tmp_path, capsys, monkeypatch, subcommand):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("subcommand,setting", [
+    ("mac-scenario1", "mac_read_times_s=2e7"),
+    ("mac-scenario1", "mac_read_times_s=2,2e7"),
+    ("mac-scenario2", "mac_read_times_s=2e7"),
+    ("mac-scenario2", "mac_read_times_s=2,2e7"),
+    ("mac-compare", "mac_durations_slots=4294967296"),
+    ("mac-compare", "mac_durations_slots=128,4294967296"),
+])
+def test_oversized_aloha_window_exits_2(tmp_path, capsys, monkeypatch, subcommand,
+                                        setting):
+    # 2e7 s is about 7.8e9 slots of 2.56 ms; a window of 2**32 slots or more
+    # is rejected before any point runs
+    def no_work(*args, **kwargs):
+        raise AssertionError("a point ran before the windows were checked")
+
+    for name in ("aloha_simulate", "cdma_simulate"):
+        monkeypatch.setattr(mac, name, no_work)
+    out = tmp_path / "x.csv"
+    rc = main([subcommand, "--set", setting, "--out", str(out)])
+    assert rc == 2
+    assert "slots" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("setting", ["mac_packet_bytes=100000000",
                                      "mac_code_lens=10000000000"])
 def test_oversized_cdma_draws_exit_2(tmp_path, setting):

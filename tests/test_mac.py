@@ -4,19 +4,23 @@ enumeration, chip-level CDMA properties, scheme comparison contract."""
 import math
 from fractions import Fraction
 from itertools import chain, product
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from biomote import mac
 from biomote.mac import (
     _DESPREAD_BLOCK,
-    _SEED_MEMO_SIZE,
+    _WORD_MEMO,
+    MAX_ALOHA_SLOTS,
     DeploymentGeometry,
     MacScenario,
     ZoneShape,
     _cdma_trial,
     _gram_dtype,
-    _pcg64_start,
     _trial_rng,
     aloha_mean_successes,
     aloha_simulate,
@@ -81,18 +85,23 @@ def test_slot_arithmetic_exact():
 
 
 def test_single_mote_always_read():
+    for seed in range(20):
+        sc = MacScenario(n_motes=1, rate=20e3, packet_bytes=64, read_time=1.0,
+                         trials=1, seed=seed)
+        s, used = aloha_simulate(sc)
+        assert s == 1
+        assert used <= sc.slots_available
     sc = MacScenario(n_motes=1, rate=20e3, packet_bytes=64, read_time=1.0)
-    s, used = aloha_simulate(sc, _rng(5))
-    assert s == 1
-    assert used <= sc.slots_available
+    assert aloha_simulate(sc)[0] == sc.trials
 
 
 def test_successes_bounded():
-    sc = MacScenario(n_motes=500, rate=20e3, packet_bytes=64, read_time=1.0,
-                     frame_slots=16)
-    s, used = aloha_simulate(sc, _rng(7))
-    assert s <= min(sc.n_motes, sc.slots_available)
-    assert used <= sc.slots_available
+    for seed in range(20):
+        sc = MacScenario(n_motes=500, rate=20e3, packet_bytes=64, read_time=1.0,
+                         frame_slots=16, trials=1, seed=seed)
+        s, used = aloha_simulate(sc)
+        assert s <= min(sc.n_motes, sc.slots_available)
+        assert used <= sc.slots_available
 
 
 def test_two_motes_two_slots_expected_value():
@@ -154,6 +163,25 @@ def test_scenario_validation():
                     trials=0)
 
 
+@pytest.mark.parametrize("frame_slots,read_time,ok", [
+    (MAX_ALOHA_SLOTS, 1.0, True),
+    (MAX_ALOHA_SLOTS + 1, 1.0, False),
+    # 1 ms slots: a window of 2**32 - 1 slots, then one of 2**32
+    (None, (MAX_ALOHA_SLOTS + 0.5) * 1e-3, True),
+    (None, (MAX_ALOHA_SLOTS + 1.5) * 1e-3, False),
+])
+def test_scenario_slot_cap(frame_slots, read_time, ok):
+    def build():
+        return MacScenario(n_motes=5, rate=16e3, packet_bytes=2, read_time=read_time,
+                           frame_slots=frame_slots)
+    if ok:
+        sc = build()        # constructed only, never run
+        assert max(sc.slots_available, sc.effective_frame_slots) <= MAX_ALOHA_SLOTS
+    else:
+        with pytest.raises(ValueError, match="slots"):
+            build()
+
+
 # ---------------------------------------------------------------------------
 # ALOHA trial streams: the sort-based count and the seed memo
 # ---------------------------------------------------------------------------
@@ -189,9 +217,16 @@ def _aloha_simulate_unique(sc, rng):
     return successes, used
 
 
+def _reference(sc):
+    """(motes read, slots used) summed over ``sc``'s trials, each run by the
+    reference on its own fresh stream."""
+    runs = [_aloha_simulate_unique(sc, _trial_rng(sc.seed, sc.n_motes, t))
+            for t in range(sc.trials)]
+    return sum(r for r, _ in runs), sum(u for _, u in runs)
+
+
 def _fresh_stream_mean(sc):
-    return sum(_aloha_simulate_unique(sc, _trial_rng(sc.seed, sc.n_motes, t))[0]
-               for t in range(sc.trials)) / sc.trials
+    return _reference(sc)[0] / sc.trials
 
 
 @pytest.mark.parametrize("s", [4, 16, 128])
@@ -204,36 +239,102 @@ def test_singleton_count_matches_unique_reference(s):
     }
     for layout, (frame_slots, budget) in layouts.items():
         for n in (1, 2, s - 1, s, 3 * s):
-            sc = _scenario(n, frame_slots, budget)
+            # trial by trial: one trial per seed, so each stream is its own
             for seed in range(40):
-                rng, ref_rng = _trial_rng(seed, n), _trial_rng(seed, n)
-                assert aloha_simulate(sc, rng) == _aloha_simulate_unique(sc, ref_rng), \
-                    (layout, n, seed)
-                assert rng.bit_generator.state == ref_rng.bit_generator.state
+                sc = _scenario(n, frame_slots, budget, trials=1, seed=seed)
+                assert aloha_simulate(sc) == _reference(sc), (layout, n, seed)
+            # and 40 trials of one seed run together
+            sc = _scenario(n, frame_slots, budget, trials=40, seed=s)
+            assert aloha_simulate(sc) == _reference(sc), (layout, n)
+
+
+#: frames by how they draw: a frame of one slot draws no word, 2 and 16
+#: never reject a word, 3 and 100 rarely do, and 2**31 + 1 rejects about
+#: half of all words (2**32 mod 2**31 + 1 = 2**31 - 1)
+_FRAMES = (1, 2, 3, 16, 100, 2**31 + 1)
+
+
+@st.composite
+def _layouts(draw):
+    """(n, frame_slots, budget): a window shorter than, equal to or longer
+    than the frame, whole frames or a truncated trailing one, or one frame
+    spanning the window (frame_slots None)."""
+    n = draw(st.integers(0, 48))
+    frame = draw(st.sampled_from(_FRAMES))
+    kind = draw(st.sampled_from(["spanning", "shorter", "equal", "frames",
+                                 "truncated"]))
+    if kind == "spanning":
+        return n, None, frame
+    if kind == "shorter" and frame > 1:
+        return n, frame, draw(st.integers(1, frame - 1))
+    if kind == "equal" or frame == 1 and kind == "shorter":
+        return n, frame, frame
+    whole = draw(st.integers(1 if kind == "truncated" else 2, 5))
+    whole = min(whole, MAX_ALOHA_SLOTS // frame)
+    if kind == "truncated" and frame > 1:
+        return n, frame, whole * frame + draw(
+            st.integers(1, min(frame - 1, MAX_ALOHA_SLOTS - whole * frame)))
+    return n, frame, whole * frame
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(layout=_layouts(), seed=st.integers(0, 2**32 - 1),
+       block_words=st.sampled_from([1, 40, mac._BLOCK_WORDS]))
+@example(layout=(0, 16, 40), seed=1, block_words=mac._BLOCK_WORDS)
+@example(layout=(9, 1, 5), seed=2, block_words=mac._BLOCK_WORDS)
+@example(layout=(30, 16, 7), seed=3, block_words=40)
+@example(layout=(30, 16, 16), seed=4, block_words=40)
+@example(layout=(30, 16, 80), seed=5, block_words=40)
+@example(layout=(30, 16, 71), seed=6, block_words=1)
+@example(layout=(40, 2**31 + 1, 2**30), seed=7, block_words=mac._BLOCK_WORDS)
+@example(layout=(40, 2**31 + 1, MAX_ALOHA_SLOTS), seed=8, block_words=40)
+def test_batched_aloha_matches_per_trial_reference(layout, seed, block_words):
+    """The batched trials equal the per-trial reference on ``_trial_rng``
+    streams, trial by trial and as sums over trials, whatever the block
+    size (``block_words`` of 1 runs every trial alone)."""
+    n, frame_slots, budget = layout
+    with mock.patch.object(mac, "_BLOCK_WORDS", block_words):
+        for trial_seed in range(seed, seed + 3):
+            sc = _scenario(n, frame_slots, budget, trials=1, seed=trial_seed)
+            assert aloha_simulate(sc) == _reference(sc)
+        sc = _scenario(n, frame_slots, budget, trials=9, seed=seed)
+        assert aloha_simulate(sc) == _reference(sc)
+        assert aloha_mean_successes(sc) == _fresh_stream_mean(sc)
 
 
 def test_mean_successes_is_mean_over_fresh_streams():
-    _pcg64_start.cache_clear()
+    _WORD_MEMO.clear()
     # seeds interleaved; the second window reuses every (seed, n, trial) key
     for budget in (48, 96):
         for n, seed in product((1, 7, 40), (5, 0xB10B10, 6)):
             sc = _scenario(n, 16, budget, trials=30, seed=seed)
             assert aloha_mean_successes(sc) == _fresh_stream_mean(sc), (budget, n, seed)
-    info = _pcg64_start.cache_info()
-    assert (info.misses, info.hits) == (9 * 30, 9 * 30)
+    assert (_WORD_MEMO.misses, _WORD_MEMO.hits) == (9 * 30, 9 * 30)
 
 
-def test_seed_memo_eviction_keeps_streams():
-    _pcg64_start.cache_clear()
-    trials = _SEED_MEMO_SIZE // 2 + 1       # two points overflow the memo
+def test_seed_memo_eviction_keeps_streams(monkeypatch):
+    trials = 50
+    # blocks of 2 trials at n = 30 and of 16 at n = 3
+    monkeypatch.setattr(mac, "_BLOCK_WORDS", 64)
     points = [_scenario(n, None, 64, trials=trials, seed=11) for n in (3, 30)]
+    sizes = []
+    for sc in points:
+        _WORD_MEMO.clear()
+        aloha_mean_successes(sc)
+        sizes.append(_WORD_MEMO.nbytes)
+    # each point's words fit in the memo, but not both points' words
+    _WORD_MEMO.clear()
+    monkeypatch.setattr(_WORD_MEMO, "max_bytes", max(sizes) + min(sizes) // 2)
     expect = [_fresh_stream_mean(sc) for sc in points]
     for sc, mean in zip(points * 2, expect * 2):
         assert aloha_mean_successes(sc) == mean
-    info = _pcg64_start.cache_info()
-    assert info.currsize == _SEED_MEMO_SIZE
-    assert info.hits + info.misses == 4 * trials
-    assert info.misses > 2 * trials         # evicted keys were seeded again
+        assert _WORD_MEMO.nbytes <= _WORD_MEMO.max_bytes
+    assert _WORD_MEMO.hits + _WORD_MEMO.misses == 4 * trials
+    assert _WORD_MEMO.misses > 2 * trials       # evicted keys were seeded again
+    # the point just run is still held, and is not seeded again
+    misses = _WORD_MEMO.misses
+    assert aloha_mean_successes(points[1]) == expect[1]
+    assert _WORD_MEMO.misses == misses
 
 
 # Recorded from the np.unique count with a SeedSequence per trial, before
@@ -364,6 +465,18 @@ def test_scenario2_rows_bounded():
                          read_time=read_time)
         assert 0 <= mean <= min(max(n, 1), sc.slots_available)
     assert rows[0][3] == 0.0
+
+
+def test_scenario2_sweep_takes_iterators():
+    lists = ([10, 20], [200e3], [2.0, 4.0])
+    rows = scenario2_sweep(*lists, 64, trials=20, seed=9)
+    assert [row[:3] for row in rows] == [(n, 200e3, rt) for rt in lists[2]
+                                         for n in lists[0]]
+    assert scenario2_sweep(*map(iter, lists), 64, trials=20, seed=9) == rows
+    assert scenario2_sweep(*((x for x in xs) for xs in lists), 64, trials=20,
+                           seed=9) == rows
+    with pytest.raises(ValueError, match="non-empty"):
+        scenario2_sweep(iter([]), [200e3], [2.0], 64)
 
 
 # ---------------------------------------------------------------------------
