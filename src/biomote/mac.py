@@ -333,7 +333,7 @@ def _aloha_trials(sc: MacScenario, first: int, stop: int) -> tuple[int, int]:
     if sc.n_motes == 0 or budget < 1:
         return 0, 0
     streams = _TrialStreams(sc.seed, sc.n_motes, first, stop, frame)
-    # later frames' words a row that runs short draws at once, within a block
+    # how many later frames' words a row that runs short draws at once
     per_draw = max(1, _BLOCK_WORDS // ((stop - first) * sc.n_motes))
     remaining = np.full(stop - first, sc.n_motes)
     reads = slots = used = 0
