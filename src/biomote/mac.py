@@ -41,7 +41,9 @@ across numpy releases, so the tests that pin the batched runs to
 guard.  The first words of each (seed, n, trial) stream, about the n that
 its first frame reads, are memoised per process within 4 MiB
 (:data:`_WORD_MEMO`), so a scan that revisits a deployment at another read
-time seeds no stream again.
+time seeds no stream again.  A trial that reads past its memoised words,
+in later frames or through rejected words, has its stream seeded again and
+advanced past them.
 """
 
 from __future__ import annotations
@@ -153,8 +155,13 @@ def binary_tree_iterations(n: int) -> float:
 # slotted ALOHA
 # ---------------------------------------------------------------------------
 
-def _trial_rng(seed: int, *key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=(seed, *key)))
+def _stream(seed: int, n: int, t: int) -> np.random.PCG64:
+    """The bit generator of trial t of point (seed, n), at its start."""
+    return np.random.PCG64(np.random.SeedSequence((seed, n, t)))
+
+
+def _trial_rng(seed: int, n: int, t: int) -> np.random.Generator:
+    return np.random.Generator(_stream(seed, n, t))
 
 
 def _raw_words(bit_gen: np.random.PCG64, raw: int) -> np.ndarray:
@@ -171,48 +178,34 @@ def _raw_for(picks: int, frame: int) -> int:
     return (picks + rejected + rejected // 4 + 3) // 2
 
 
-class _WordMemo:
-    """Least-recently-used map from a block of trials to their streams'
-    first words, bounded by the bytes of the words it holds; ``hits`` and
-    ``misses`` count trials."""
-
-    def __init__(self, max_bytes: int):
-        self.max_bytes = max_bytes
-        self.nbytes = self.hits = self.misses = 0
-        self._tables: OrderedDict[tuple, np.ndarray] = OrderedDict()
-
-    def clear(self) -> None:
-        self._tables.clear()
-        self.nbytes = self.hits = self.misses = 0
-
-    def words(self, seed: int, n: int, first: int, stop: int, raw: int):
-        """The first words of trials ``first`` to ``stop - 1`` of (seed, n),
-        one row each, ``2 * raw`` of them unless the memo holds them
-        already, and the generators of the trials it had to seed, each
-        positioned after its row."""
-        key = (seed, n, first, stop)
-        table = self._tables.get(key)
-        if table is not None:
-            self.hits += stop - first
-            self._tables.move_to_end(key)
-            return table, {}
-        self.misses += stop - first
-        gens = {t: np.random.PCG64(np.random.SeedSequence((seed, n, t)))
-                for t in range(first, stop)}
-        table = np.stack([_raw_words(g, raw) for g in gens.values()])
-        table.flags.writeable = False       # shared by every later caller
-        self._tables[key] = table
-        self.nbytes += table.nbytes
-        while self.nbytes > self.max_bytes:
-            self.nbytes -= self._tables.popitem(last=False)[1].nbytes
-        return table, gens
-
+#: bytes of words :data:`_WORD_MEMO` holds at most
+_WORD_MEMO_BYTES = 4 << 20
 
 #: the first words of each (seed, n, trial) stream, about the n its first
-#: frame reads, memoised per process within 4 MiB of words in blocks of
-#: trials (for one thread at a time).  A ``max_fully_read`` scan or a
-#: ``scenario2_sweep`` reuses every key at each read time.
-_WORD_MEMO = _WordMemo(4 << 20)
+#: frame reads, memoised per process in blocks of trials keyed by (seed, n,
+#: first trial, stop), least recently used first (for one thread at a
+#: time).  A ``max_fully_read`` scan or a ``scenario2_sweep`` reuses every
+#: key at each read time.
+_WORD_MEMO: OrderedDict[tuple, np.ndarray] = OrderedDict()
+
+
+def _first_words(seed: int, n: int, first: int, stop: int, raw: int) -> np.ndarray:
+    """The first words of trials ``first`` to ``stop - 1`` of (seed, n), one
+    row each: ``2 * raw`` of them, or as many as :data:`_WORD_MEMO` already
+    holds for these trials, which may have been sized for another frame."""
+    key = (seed, n, first, stop)
+    table = _WORD_MEMO.get(key)
+    if table is not None:
+        _WORD_MEMO.move_to_end(key)
+        return table
+    table = np.stack([_raw_words(_stream(seed, n, t), raw) for t in range(first, stop)])
+    table.flags.writeable = False       # shared by every later caller
+    _WORD_MEMO[key] = table
+    held = sum(words.nbytes for words in _WORD_MEMO.values())
+    while held > _WORD_MEMO_BYTES:
+        held -= _WORD_MEMO.popitem(last=False)[1].nbytes
+    return table
+
 
 #: words one block of ALOHA trials holds per frame (256 KiB as uint32); a
 #: point runs its trials in blocks of this many words, or of one trial
@@ -223,16 +216,15 @@ class _TrialStreams:
     """The word streams of a block of trials, each read from its own offset.
 
     Row i holds words ``pos[i]:end[i]`` of its trial's stream that are not
-    yet consumed; a row that runs short drops what it consumed and draws on
-    from its own generator.
+    yet consumed.  A row that runs past its memoised words drops what it
+    consumed, and its stream is seeded again and advanced past the words
+    drawn so far.
     """
 
     def __init__(self, seed: int, n: int, first: int, stop: int, frame: int):
         self.seed, self.n = seed, n
         self.trials = np.arange(first, stop)
-        # trial -> its generator, positioned after the words drawn so far
-        self.words, self.gens = _WORD_MEMO.words(seed, n, first, stop,
-                                                 _raw_for(n, frame))
+        self.words = _first_words(seed, n, first, stop, _raw_for(n, frame))
         self.pos = np.zeros(stop - first, dtype=np.int64)
         self.end = np.full(stop - first, self.words.shape[1], dtype=np.int64)
         self.drawn = self.end.copy()    # words drawn from each stream so far
@@ -241,16 +233,6 @@ class _TrialStreams:
         """Keep only the rows where ``rows`` is true."""
         self.trials, self.words = self.trials[rows], self.words[rows]
         self.pos, self.end, self.drawn = self.pos[rows], self.end[rows], self.drawn[rows]
-
-    def _generator(self, i: int) -> np.random.PCG64:
-        t = int(self.trials[i])
-        bit_gen = self.gens.get(t)
-        if bit_gen is None:
-            # a memoised row: seed it again and skip the words it holds
-            bit_gen = np.random.PCG64(np.random.SeedSequence((self.seed, self.n, t)))
-            bit_gen.advance(int(self.drawn[i]) // 2)
-            self.gens[t] = bit_gen
-        return bit_gen
 
     def _window(self, width: int) -> np.ndarray:
         """Each row's next ``width`` words; past a row's end, any words."""
@@ -262,16 +244,19 @@ class _TrialStreams:
 
     def _ensure(self, need: np.ndarray, frame: int, ahead: int) -> None:
         """Give every row at least ``need`` unconsumed words.  A row that
-        runs short draws what it lacks with room for the words numpy
-        rejects (:func:`_raw_for`), and ``ahead`` words for later frames."""
+        runs short seeds its stream again, advances it past the words drawn
+        so far and draws what it lacks with room for the words numpy rejects
+        (:func:`_raw_for`), and ``ahead`` words for later frames."""
         short = np.flatnonzero(self.pos + need > self.end).tolist()
         if not short:
             return
         held = self.end - self.pos
         extra = {}
         for i in short:
+            bit_gen = _stream(self.seed, self.n, int(self.trials[i]))
+            bit_gen.advance(int(self.drawn[i]) // 2)
             raw = _raw_for(int(need[i] - held[i]), frame) + ahead // 2
-            extra[i] = _raw_words(self._generator(i), raw)
+            extra[i] = _raw_words(bit_gen, raw)
         end = held.copy()
         for i, words in extra.items():
             end[i] += words.size
@@ -328,7 +313,9 @@ def _singletons(picks: np.ndarray, span: int) -> np.ndarray:
 def _aloha_trials(sc: MacScenario, first: int, stop: int) -> tuple[int, int]:
     """(motes read, slots used) summed over trials ``first`` to ``stop - 1``,
     all run together: every unread mote of every trial picks its slot of a
-    frame in one array, and the trials move through their frames in step."""
+    frame in one array, and the trials move through their frames in step.
+    Each trial starts on its memoised first words (:func:`_first_words`); a
+    trial that reads past them has its stream seeded again and advanced."""
     frame, budget = sc.effective_frame_slots, sc.slots_available
     if sc.n_motes == 0 or budget < 1:
         return 0, 0
@@ -538,14 +525,16 @@ def compare_schemes(n_motes_list, duration_slots, trials: int = 100,
     against CDMA with Walsh codes of that length, whose one spread packet
     fills the same airtime as a frame.
 
-    ``duration_slots`` is one window length in slots or a sequence of
-    them.  Returns ``(n_motes, duration_slots, scheme, mean_successes)``
-    rows, ALOHA then CDMA for each n, for each duration in turn.  CDMA rows
-    depend only on (n, seed), never on the duration, so each n is simulated
-    once.
+    ``duration_slots`` is one window length in slots or an iterable of
+    them; neither it nor ``n_motes_list`` may be empty.  Returns
+    ``(n_motes, duration_slots, scheme, mean_successes)`` rows, ALOHA then
+    CDMA for each n, for each duration in turn.  CDMA rows depend only on
+    (n, seed), never on the duration, so each n is simulated once.
     """
     n_motes_list = list(n_motes_list)
-    durations = [duration_slots] if np.ndim(duration_slots) == 0 else duration_slots
+    durations = list(duration_slots) if np.iterable(duration_slots) else [duration_slots]
+    if not n_motes_list or not durations:
+        raise ValueError("n_motes and duration lists must be non-empty")
     slot = COMPARE_PACKET_BYTES * 8 / COMPARE_RATE_BPS
     # every window is checked before the first point runs
     aloha = [(n, d, MacScenario(n_motes=n, rate=COMPARE_RATE_BPS,

@@ -3,6 +3,7 @@ enumeration, chip-level CDMA properties, scheme comparison contract."""
 
 import math
 from fractions import Fraction
+from collections import Counter
 from itertools import chain, product
 from unittest import mock
 
@@ -14,7 +15,6 @@ from hypothesis import strategies as st
 from biomote import mac
 from biomote.mac import (
     _DESPREAD_BLOCK,
-    _WORD_MEMO,
     MAX_ALOHA_SLOTS,
     DeploymentGeometry,
     MacScenario,
@@ -302,39 +302,95 @@ def test_batched_aloha_matches_per_trial_reference(layout, seed, block_words):
         assert aloha_mean_successes(sc) == _fresh_stream_mean(sc)
 
 
-def test_mean_successes_is_mean_over_fresh_streams():
-    _WORD_MEMO.clear()
+def _count_seedings(monkeypatch):
+    """Record the key of every stream ``mac`` seeds from here on."""
+    seeded = []
+    stream = mac._stream
+
+    def counted(*key):
+        seeded.append(key)
+        return stream(*key)
+
+    monkeypatch.setattr(mac, "_stream", counted)
+    return seeded
+
+
+def _memo_bytes():
+    return sum(words.nbytes for words in mac._WORD_MEMO.values())
+
+
+def test_mean_successes_is_mean_over_fresh_streams(monkeypatch):
     # seeds interleaved; the second window reuses every (seed, n, trial) key
-    for budget in (48, 96):
-        for n, seed in product((1, 7, 40), (5, 0xB10B10, 6)):
-            sc = _scenario(n, 16, budget, trials=30, seed=seed)
-            assert aloha_mean_successes(sc) == _fresh_stream_mean(sc), (budget, n, seed)
-    assert (_WORD_MEMO.misses, _WORD_MEMO.hits) == (9 * 30, 9 * 30)
+    windows = {budget: [_scenario(n, 16, budget, trials=30, seed=seed)
+                        for n, seed in product((1, 7, 40), (5, 0xB10B10, 6))]
+               for budget in (48, 96)}
+    expect = {budget: [_fresh_stream_mean(sc) for sc in points]
+              for budget, points in windows.items()}
+    keys = Counter((sc.seed, sc.n_motes, t) for sc in windows[48]
+                   for t in range(sc.trials))
+    assert len(keys) == 9 * 30
+    seeded = _count_seedings(monkeypatch)
+
+    def run(budget):
+        seeded.clear()
+        for sc, mean in zip(windows[budget], expect[budget]):
+            assert aloha_mean_successes(sc) == mean, (budget, sc)
+        return Counter(seeded)
+
+    mac._WORD_MEMO.clear()
+    assert set(run(48)) == set(keys)
+    warm = run(96)
+    mac._WORD_MEMO.clear()
+    # without the memo the second window seeds every key once more: with it,
+    # it seeds none of them from its start, only streams read past their
+    # memoised words
+    assert run(96) == warm + keys
 
 
 def test_seed_memo_eviction_keeps_streams(monkeypatch):
     trials = 50
-    # blocks of 2 trials at n = 30 and of 16 at n = 3
+    # blocks of 2 trials at n = 30 and of 16 at n = 3; one frame of 64 slots
+    # rejects no word, so every stream is seeded only for its first words
     monkeypatch.setattr(mac, "_BLOCK_WORDS", 64)
     points = [_scenario(n, None, 64, trials=trials, seed=11) for n in (3, 30)]
+    expect = [_fresh_stream_mean(sc) for sc in points]
     sizes = []
     for sc in points:
-        _WORD_MEMO.clear()
+        mac._WORD_MEMO.clear()
         aloha_mean_successes(sc)
-        sizes.append(_WORD_MEMO.nbytes)
+        sizes.append(_memo_bytes())
     # each point's words fit in the memo, but not both points' words
-    _WORD_MEMO.clear()
-    monkeypatch.setattr(_WORD_MEMO, "max_bytes", max(sizes) + min(sizes) // 2)
-    expect = [_fresh_stream_mean(sc) for sc in points]
+    mac._WORD_MEMO.clear()
+    cap = max(sizes) + min(sizes) // 2
+    monkeypatch.setattr(mac, "_WORD_MEMO_BYTES", cap)
+    seeded = _count_seedings(monkeypatch)
     for sc, mean in zip(points * 2, expect * 2):
         assert aloha_mean_successes(sc) == mean
-        assert _WORD_MEMO.nbytes <= _WORD_MEMO.max_bytes
-    assert _WORD_MEMO.hits + _WORD_MEMO.misses == 4 * trials
-    assert _WORD_MEMO.misses > 2 * trials       # evicted keys were seeded again
+        assert _memo_bytes() <= cap
+    counts = Counter(seeded)
+    assert set(counts) <= {(11, sc.n_motes, t) for sc in points for t in range(trials)}
+    assert max(counts.values()) <= 2
+    assert len(seeded) > 2 * trials         # evicted keys were seeded again
     # the point just run is still held, and is not seeded again
-    misses = _WORD_MEMO.misses
+    seeded.clear()
     assert aloha_mean_successes(points[1]) == expect[1]
-    assert _WORD_MEMO.misses == misses
+    assert seeded == []
+
+
+def test_memo_reuse_across_frames():
+    """A (seed, n, trials) key memoised at one frame is read at another,
+    with the words it holds sized for the first: every run equals the
+    reference, in either order.  Frames of 16 never reject a word, and
+    frames of 2**31 + 1 reject about half of them."""
+    points = [_scenario(40, frame, min(4 * frame, MAX_ALOHA_SLOTS), trials=9,
+                        seed=61)
+              for frame in (16, 3, 100, 2**31 + 1)]
+    expect = [_reference(sc) for sc in points]
+    for order in (points, points[::-1]):
+        mac._WORD_MEMO.clear()
+        for sc in order:
+            assert aloha_simulate(sc) == expect[points.index(sc)], sc
+    assert len(mac._WORD_MEMO) == 1
 
 
 # Recorded from the np.unique count with a SeedSequence per trial, before
@@ -689,6 +745,17 @@ def test_compare_schemes_takes_a_list_of_durations():
     assert [row[:3] for row in rows] == [(n, d, scheme) for d in durations
                                          for n in ns
                                          for scheme in ("aloha", "cdma")]
+    # iterators and generators are taken once, like lists
+    assert compare_schemes(iter(ns), iter(durations), trials=5, seed=55) == rows
+    assert compare_schemes((n for n in ns), (d for d in durations),
+                           trials=5, seed=55) == rows
+
+
+@pytest.mark.parametrize("ns, durations", [([], 128), ([], [128]), ([20], []),
+                                           ([20], iter([]))])
+def test_compare_schemes_rejects_empty_lists(ns, durations):
+    with pytest.raises(ValueError, match="non-empty"):
+        compare_schemes(ns, durations, trials=5, seed=55)
 
 
 # ---------------------------------------------------------------------------
