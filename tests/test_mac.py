@@ -2,8 +2,8 @@
 enumeration, chip-level CDMA properties, scheme comparison contract."""
 
 import math
-from fractions import Fraction
 from collections import Counter
+from fractions import Fraction
 from itertools import chain, product
 from unittest import mock
 
