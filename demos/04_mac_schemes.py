@@ -10,10 +10,10 @@ from biomote.mac import (
     MacScenario,
     aloha_mean_successes,
     binary_tree_iterations,
-    cdma_simulate,
+    cdma_sweep,
     compare_schemes,
     global_recommendation,
-    max_fully_read,
+    scenario1_sweep,
 )
 
 SEED = 0xB10B10
@@ -26,11 +26,13 @@ print("Selection cost grows only logarithmically, but every iteration is a "
 
 print("\n=== Slotted ALOHA: deployment sizing ===")
 print("rate=200 kbps, 64-byte packets; window scanned in steps of 10 motes")
-for read_time in (2.0, 4.0, 6.0, 8.0, 10.0, 20.0):
-    n = max_fully_read(200e3, read_time, 64, trials=100, seed=SEED)
+capacity = {}
+for _, read_time, _, n in scenario1_sweep(200e3, (2.0, 4.0, 6.0, 8.0, 10.0, 20.0),
+                                          64, trials=100, seed=SEED):
+    capacity[read_time] = n
     print(f"  read window {read_time:4.1f} s -> up to {n:3d} motes fully read")
 
-zone_capacity = max_fully_read(200e3, 10.0, 64, trials=100, seed=SEED)
+zone_capacity = capacity[10.0]
 geom = DeploymentGeometry()
 print(f"\nA 10 s window reads {zone_capacity} motes per interrogation zone "
       f"(hemisphere, r = {geom.zone_radius_cm:.0f} cm, "
@@ -40,12 +42,12 @@ print(f"Scaled to a {geom.body_volume_cm3:.3e} cm^3 body: deploy about "
 
 print("\n=== CDMA: spreading codes vs contention ===")
 print("random +-1 codes, 8-byte packets; mean motes read error-free")
-header = "n motes " + "".join(f"  C={c:<5d}" for c in (16, 32, 64, 128, 256))
-print(header)
-for n in (2, 5, 10, 20, 40, 80):
-    cells = "".join(f"  {cdma_simulate(n, c, 'random', 8, 100, SEED):7.2f}"
-                    for c in (16, 32, 64, 128, 256))
-    print(f"{n:7d} {cells}")
+code_lens, deployments = (16, 32, 64, 128, 256), (2, 5, 10, 20, 40, 80)
+means = {(n, c): m for n, c, _, m in cdma_sweep(deployments, code_lens, 8,
+                                                  trials=100, seed=SEED)}
+print("n motes " + "".join(f"  C={c:<5d}" for c in code_lens))
+for n in deployments:
+    print(f"{n:7d} " + "".join(f"  {means[n, c]:7.2f}" for c in code_lens))
 print("Longer codes push the peak out: each family rises, tops out, then "
       "collapses as multi-access interference wins.")
 

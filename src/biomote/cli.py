@@ -5,15 +5,19 @@ reproducible: identical (config, seed) means byte-identical output, and
 seeds for inner Monte Carlo points derive deterministically from the
 master seed, so results are also invariant to any trial chunking.
 
+Every subcommand but ``table1`` is one call into the layer that owns its
+points, which checks the whole grid before the first point runs and
+returns the rows in :data:`CSV_SCHEMAS` column order.
+
 Exit codes: 0 success, 2 configuration problem, 3 runtime failure.  An
 ``--out`` whose directory does not exist, or that is itself a directory,
-exits 3 before any work.
-``mac-cdma`` and ``mac-compare`` exit 2 before any work when a
-``mac_n_motes`` value is above :data:`biomote.mac.MAX_CDMA_MOTES`, and
-``mac-cdma`` also when one trial's code and bit draws would exceed
-:data:`biomote.mac.MAX_CDMA_DRAW_BYTES`.  ``mac-scenario1``,
-``mac-scenario2`` and ``mac-compare`` exit 2 before any work when a read
-window would hold more than :data:`biomote.mac.MAX_ALOHA_SLOTS` slots.
+exits 3 before any work.  A layer's ``ValueError`` exits 2: the grid checks
+of :func:`~biomote.mac.scenario1_sweep`, :func:`~biomote.mac.scenario2_sweep`,
+:func:`~biomote.mac.cdma_sweep` and :func:`~biomote.mac.compare_schemes`,
+which guard library callers too, reject a read window above
+:data:`biomote.mac.MAX_ALOHA_SLOTS` slots and a CDMA point above
+:data:`biomote.mac.MAX_CDMA_MOTES` motes or whose trial would draw more
+than :data:`biomote.mac.MAX_CDMA_DRAW_BYTES` bytes.
 
 ``ber-sweep`` runs its four BER curves' points on one thread pool with
 one worker per core this process may use: each curve's
@@ -90,8 +94,8 @@ def _write_csv(path: Path, header: str, rows) -> None:
 # ---------------------------------------------------------------------------
 
 def run_link_sweep(params: RunParameters, seed: int):
-    cfg = params.link_config()
-    return backscatter_sweep(cfg, params.noise(), params.link_distances_m)
+    return backscatter_sweep(params.link_config(), params.noise(),
+                             params.link_distances_m)
 
 
 def run_table1(params: RunParameters, seed: int):
@@ -119,8 +123,7 @@ def run_ber_sweep(params: RunParameters, seed: int):
     # imported here: at module level its ~6 ms would delay every subcommand
     from concurrent.futures import ThreadPoolExecutor
 
-    link = params.link_config()
-    noise = params.noise()
+    link, noise = params.link_config(), params.noise()
     schemes = [
         (Modulation.ASK, CodeScheme.NONE),
         (Modulation.BPSK, CodeScheme.NONE),
@@ -137,23 +140,17 @@ def run_ber_sweep(params: RunParameters, seed: int):
             cfg = PhyConfig(modulation=mod, code=code, trials=params.ber_trials,
                             min_errors=params.ber_min_errors,
                             max_bits=params.ber_max_bits, seed=seed + k)
-            curves.append((mod, code, ber_vs_distance(
-                link, noise, cfg, params.ber_distances_m, mapper=pool.map)))
-        return [(d, mod.value, code.value, ber, bits)
-                for mod, code, rows in curves for d, ber, bits in rows]
+            curves.append(ber_vs_distance(link, noise, cfg, params.ber_distances_m,
+                                          mapper=pool.map))
+        return [row for rows in curves for row in rows]
     finally:
         pool.shutdown(cancel_futures=True)       # a failed point stops the rest
 
 
 def run_mac_scenario1(params: RunParameters, seed: int):
-    for rt in params.mac_read_times_s:      # every window, before the first scan
-        mac.MacScenario(0, params.mac_rate_bps, params.mac_packet_bytes, rt)
-    rows = []
-    for rt in params.mac_read_times_s:
-        n = mac.max_fully_read(params.mac_rate_bps, rt, params.mac_packet_bytes,
-                               trials=params.mac_trials, seed=seed)
-        rows.append((params.mac_rate_bps, rt, params.mac_packet_bytes, n))
-    return rows
+    return mac.scenario1_sweep(params.mac_rate_bps, params.mac_read_times_s,
+                               params.mac_packet_bytes, trials=params.mac_trials,
+                               seed=seed)
 
 
 def run_mac_scenario2(params: RunParameters, seed: int):
@@ -162,35 +159,13 @@ def run_mac_scenario2(params: RunParameters, seed: int):
                                trials=params.mac_trials, seed=seed)
 
 
-def _check_cdma_grid(n_motes, code_lens, packet_bytes: int) -> None:
-    """Reject a CDMA grid whose largest deployment would not fit in memory,
-    before any point runs."""
-    n = max(n_motes)
-    if n > mac.MAX_CDMA_MOTES:
-        raise ConfigError(f"mac_n_motes above {mac.MAX_CDMA_MOTES} "
-                          f"is too large for a CDMA run")
-    # one trial draws an n x L code and an n x bits packet matrix of int64
-    if 8 * n * (max(code_lens) + 8 * packet_bytes) > mac.MAX_CDMA_DRAW_BYTES:
-        raise ConfigError(f"mac_n_motes, mac_code_lens and mac_packet_bytes "
-                          f"draw more than {mac.MAX_CDMA_DRAW_BYTES} bytes "
-                          f"in one CDMA trial")
-
-
 def run_mac_cdma(params: RunParameters, seed: int):
-    _check_cdma_grid(params.mac_n_motes, params.mac_code_lens,
-                     params.mac_packet_bytes)
-    rows = []
-    for c in params.mac_code_lens:
-        for n in params.mac_n_motes:
-            m = mac.cdma_simulate(n, c, "random", params.mac_packet_bytes,
-                                  trials=params.mac_trials, seed=seed)
-            rows.append((n, c, "random", m))
-    return rows
+    return mac.cdma_sweep(params.mac_n_motes, params.mac_code_lens,
+                          params.mac_packet_bytes, trials=params.mac_trials,
+                          seed=seed)
 
 
 def run_mac_compare(params: RunParameters, seed: int):
-    _check_cdma_grid(params.mac_n_motes, [mac.COMPARE_CODE_LEN],
-                     mac.COMPARE_PACKET_BYTES)
     return mac.compare_schemes(params.mac_n_motes, params.mac_durations_slots,
                                trials=params.mac_trials, seed=seed)
 

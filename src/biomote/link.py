@@ -33,7 +33,7 @@ __all__ = [
     "Coil", "LinkConfig", "LinkBudget", "NoiseModel", "SingularityError",
     "skin_depth", "ac_resistance", "self_inductance", "mutual_inductance",
     "resonance_capacitance", "reflected_impedance", "link_budget",
-    "backscatter_sweep",
+    "check_distances", "backscatter_sweep",
     "REFERENCE_READER", "REFERENCE_MOTE", "reference_link_config",
 ]
 
@@ -46,6 +46,14 @@ MOTE_MAX_HEIGHT = 250e-6
 
 class SingularityError(ArithmeticError):
     """Raised when the coupled-circuit denominators vanish (lossless short)."""
+
+
+def _check_positive(obj, *names: str) -> None:
+    """Reject an attribute of ``obj`` that is nan, infinite or not above 0."""
+    for name in names:
+        value = getattr(obj, name)
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and strictly positive")
 
 
 # ---------------------------------------------------------------------------
@@ -69,12 +77,10 @@ class Coil:
     is_mote: bool = False
 
     def __post_init__(self):
-        if self.turns < 1:
-            raise ValueError("turns must be >= 1")
-        for name in ("loop_radius", "wire_diameter", "coil_height",
-                     "resistivity", "core_rel_permeability"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+        if not (math.isfinite(self.turns) and self.turns >= 1):
+            raise ValueError("turns must be finite and >= 1")
+        _check_positive(self, "loop_radius", "wire_diameter", "coil_height",
+                        "resistivity", "core_rel_permeability")
         if self.is_mote:
             if 2 * self.loop_radius > MOTE_MAX_DIAMETER:
                 raise ValueError("mote coil diameter exceeds 250 um envelope")
@@ -169,21 +175,15 @@ class LinkConfig:
     medium_rel_permeability: float = 1.0
 
     def __post_init__(self):
-        if self.separation <= 0:
-            raise ValueError("separation must be strictly positive")
+        _check_positive(self, "separation", "drive_voltage", "resonance_freq",
+                        "medium_rel_permeability")
         contact = (self.reader.wire_diameter + self.mote.wire_diameter) / 2.0
         if self.separation <= contact:
             raise ValueError(
                 f"separation {self.separation} m is inside the coil contact "
                 f"distance {contact:.3g} m")
-        if self.drive_voltage <= 0:
-            raise ValueError("drive_voltage must be strictly positive")
-        if self.resonance_freq <= 0:
-            raise ValueError("resonance_freq must be strictly positive")
-        if self.subcarrier_divider < 1:
+        if not self.subcarrier_divider >= 1:
             raise ValueError("subcarrier_divider must be >= 1")
-        if self.medium_rel_permeability <= 0:
-            raise ValueError("medium_rel_permeability must be strictly positive")
 
     @property
     def subcarrier_freq(self) -> float:
@@ -305,19 +305,25 @@ def link_budget(config: LinkConfig, noise: NoiseModel) -> LinkBudget:
     )
 
 
+def check_distances(distances) -> list[float]:
+    """``distances`` as a list, which must be non-empty and strictly
+    ascending; every separation sweep takes its grid through here."""
+    distances = list(distances)
+    if not distances:
+        raise ValueError("distances must be non-empty")
+    if any(b <= a for a, b in zip(distances, distances[1:])):
+        raise ValueError("distances must be strictly ascending")
+    return distances
+
+
 def backscatter_sweep(config: LinkConfig, noise: NoiseModel,
                       distances) -> list[tuple[float, float, float]]:
     """Budget per separation: list of (distance m, P_re dBm, SNR dB).
 
     ``distances`` must be a non-empty ascending sequence.
     """
-    distances = list(distances)
-    if not distances:
-        raise ValueError("distances must be non-empty")
-    if any(b <= a for a, b in zip(distances, distances[1:])):
-        raise ValueError("distances must be strictly ascending")
     out = []
-    for d in distances:
+    for d in check_distances(distances):
         b = link_budget(replace(config, separation=d), noise)
         out.append((d, b.p_re_dbm, b.snr_db))
     return out

@@ -58,8 +58,8 @@ import numpy as np
 __all__ = [
     "MacScenario", "DeploymentGeometry", "ZoneShape",
     "binary_tree_iterations", "aloha_simulate", "aloha_mean_successes",
-    "scenario2_sweep", "max_fully_read",
-    "global_recommendation", "walsh_codes", "cdma_simulate",
+    "scenario1_sweep", "scenario2_sweep", "max_fully_read",
+    "global_recommendation", "walsh_codes", "cdma_simulate", "cdma_sweep",
     "compare_schemes", "FULL_READ_SHORTFALL", "MAX_ALOHA_SLOTS", "MAX_CDMA_MOTES",
     "MAX_CDMA_DRAW_BYTES", "COMPARE_RATE_BPS", "COMPARE_PACKET_BYTES",
     "COMPARE_CODE_LEN",
@@ -89,8 +89,10 @@ class MacScenario:
     def __post_init__(self):
         if self.n_motes < 0:
             raise ValueError("n_motes must be non-negative")
-        if self.rate <= 0 or self.packet_bytes <= 0 or self.read_time <= 0:
-            raise ValueError("rate, packet_bytes and read_time must be positive")
+        for name in ("rate", "packet_bytes", "read_time"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive")
         if self.frame_slots is not None and self.frame_slots < 1:
             raise ValueError("frame_slots must be >= 1")
         if self.trials < 1:
@@ -383,15 +385,35 @@ def max_fully_read(rate: float, read_time: float, packet_bytes: int,
         n += 10
 
 
+def _axes(*axes) -> list[list]:
+    """Each axis of a sweep grid as a list, taken once; none may be empty."""
+    axes = [list(axis) for axis in axes]
+    if not all(axes):
+        raise ValueError("sweep lists must be non-empty")
+    return axes
+
+
+def scenario1_sweep(rate: float, read_times, packet_bytes: int,
+                    trials: int = 100, seed: int = 0xB10B10) -> list[tuple]:
+    """Deployment-sizing question: the largest fully read deployment for
+    each read window (:func:`max_fully_read`).
+
+    Returns ``(rate_bps, read_time_s, packet_bytes, max_motes)`` rows.
+    """
+    [read_times] = _axes(read_times)
+    for rt in read_times:       # every window, before the first scan
+        MacScenario(0, rate, packet_bytes, rt, trials=trials, seed=seed)
+    return [(rate, rt, packet_bytes, max_fully_read(rate, rt, packet_bytes, trials, seed))
+            for rt in read_times]
+
+
 def scenario2_sweep(n_motes_list, rates, read_times, packet_bytes: int,
                     trials: int = 100, seed: int = 0xB10B10) -> list[tuple]:
     """Local-deployment question: mean successful motes at fixed sizes.
 
     Returns ``(n_motes, rate_bps, read_time_s, mean_successes)`` rows.
     """
-    n_motes_list, rates, read_times = list(n_motes_list), list(rates), list(read_times)
-    if not n_motes_list or not rates or not read_times:
-        raise ValueError("sweep lists must be non-empty")
+    n_motes_list, rates, read_times = _axes(n_motes_list, rates, read_times)
     # every point is checked before the first one runs
     points = [MacScenario(n_motes=n, rate=rate, packet_bytes=packet_bytes,
                           read_time=rt, trials=trials, seed=seed)
@@ -426,11 +448,11 @@ def walsh_codes(length: int) -> np.ndarray:
 
 
 #: most motes a CDMA run may hold: their float64 Gram matrix, n x n, stays
-#: within 64 MiB (the CLI rejects larger ``mac_n_motes`` before any work)
+#: within 64 MiB (every CDMA point is checked before anything is drawn)
 MAX_CDMA_MOTES = math.isqrt(64 * 2**20 // 8)
 
 #: most bytes one CDMA trial may draw: its n x L code and n x bits packet
-#: matrices, both int64 (the CLI rejects a larger grid before any work)
+#: matrices, both int64 (checked with :data:`MAX_CDMA_MOTES`)
 MAX_CDMA_DRAW_BYTES = 64 * 2**20
 
 #: bit columns despread per block; a random-code trial stops after the
@@ -488,24 +510,55 @@ def _cdma_trial(n: int, code_len: int, family: str, packet_bits: int,
     return alive.size
 
 
-def cdma_simulate(n_motes: int, code_len: int, family: str = "random",
-                  packet_bytes: int = 8, trials: int = 100,
-                  seed: int = 0xB10B10) -> float:
-    """Mean motes whose whole packet survives the multi-access interference."""
-    if n_motes < 1:
-        raise ValueError("n_motes must be >= 1")
+def _check_cdma(n_motes: int, code_len: int, family: str, packet_bytes: int,
+                trials: int) -> None:
+    """Reject a CDMA point, before anything is drawn, that is malformed or
+    whose trial would not fit in memory (:data:`MAX_CDMA_MOTES`,
+    :data:`MAX_CDMA_DRAW_BYTES`).  The messages name the CLI's keys."""
     if family == "walsh":
         _check_walsh_length(code_len)
     elif family != "random":
         raise ValueError(f"unknown spreading family {family!r}")
-    if code_len < 1 or packet_bytes < 1 or trials < 1:
-        raise ValueError("code_len, packet_bytes and trials must be >= 1")
+    if min(n_motes, code_len, packet_bytes, trials) < 1:
+        raise ValueError("n_motes, code_len, packet_bytes and trials must be >= 1")
+    if n_motes > MAX_CDMA_MOTES:
+        raise ValueError(f"mac_n_motes above {MAX_CDMA_MOTES} "
+                         f"is too large for a CDMA run")
+    # one trial draws an n x L code and an n x bits packet matrix of int64
+    if 8 * n_motes * (code_len + 8 * packet_bytes) > MAX_CDMA_DRAW_BYTES:
+        raise ValueError(f"mac_n_motes, mac_code_lens and mac_packet_bytes draw more "
+                         f"than {MAX_CDMA_DRAW_BYTES} bytes in one CDMA trial")
+
+
+def cdma_simulate(n_motes: int, code_len: int, family: str = "random",
+                  packet_bytes: int = 8, trials: int = 100,
+                  seed: int = 0xB10B10) -> float:
+    """Mean motes whose whole packet survives the multi-access interference."""
+    _check_cdma(n_motes, code_len, family, packet_bytes, trials)
     bits = packet_bytes * 8
     total = 0
     for t in range(trials):
         total += _cdma_trial(n_motes, code_len, family, bits,
                              _trial_rng(seed, n_motes, t))
     return total / trials
+
+
+def cdma_sweep(n_motes, code_lens, packet_bytes: int, trials: int = 100,
+               seed: int = 0xB10B10) -> list[tuple]:
+    """Random-code CDMA over every (code length, deployment) pair.
+
+    Returns ``(n_motes, code_len, "random", mean_successes)`` rows, every n
+    for each code length in turn.  The whole grid is checked before the
+    first point runs: the caps grow with n and L, so every n is checked at
+    the largest L and every L at the largest n.
+    """
+    n_motes, code_lens = _axes(n_motes, code_lens)
+    for n in n_motes:
+        _check_cdma(n, max(code_lens), "random", packet_bytes, trials)
+    for c in code_lens:
+        _check_cdma(max(n_motes), c, "random", packet_bytes, trials)
+    return [(n, c, "random", cdma_simulate(n, c, "random", packet_bytes, trials, seed))
+            for c in code_lens for n in n_motes]
 
 
 # ---------------------------------------------------------------------------
@@ -531,12 +584,12 @@ def compare_schemes(n_motes_list, duration_slots, trials: int = 100,
     CDMA for each n, for each duration in turn.  CDMA rows depend only on
     (n, seed), never on the duration, so each n is simulated once.
     """
-    n_motes_list = list(n_motes_list)
-    durations = list(duration_slots) if np.iterable(duration_slots) else [duration_slots]
-    if not n_motes_list or not durations:
-        raise ValueError("n_motes and duration lists must be non-empty")
+    n_motes_list, durations = _axes(n_motes_list, duration_slots
+                                    if np.iterable(duration_slots) else [duration_slots])
+    # every deployment and window is checked before the first point runs
+    for n in n_motes_list:
+        _check_cdma(n, COMPARE_CODE_LEN, "walsh", COMPARE_PACKET_BYTES, trials)
     slot = COMPARE_PACKET_BYTES * 8 / COMPARE_RATE_BPS
-    # every window is checked before the first point runs
     aloha = [(n, d, MacScenario(n_motes=n, rate=COMPARE_RATE_BPS,
                                 packet_bytes=COMPARE_PACKET_BYTES,
                                 read_time=slot * d, frame_slots=COMPARE_CODE_LEN,
@@ -545,8 +598,6 @@ def compare_schemes(n_motes_list, duration_slots, trials: int = 100,
     cdma = {n: cdma_simulate(n, COMPARE_CODE_LEN, "walsh", COMPARE_PACKET_BYTES,
                              trials, seed)
             for n in dict.fromkeys(n_motes_list)}
-    rows = []
-    for n, d, sc in aloha:
-        rows.append((n, d, "aloha", aloha_mean_successes(sc)))
-        rows.append((n, d, "cdma", cdma[n]))
-    return rows
+    return [row for n, d, sc in aloha
+            for row in ((n, d, "aloha", aloha_mean_successes(sc)),
+                        (n, d, "cdma", cdma[n]))]

@@ -40,7 +40,7 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from biomote import fec
-from biomote.link import LinkConfig, NoiseModel, link_budget
+from biomote.link import LinkConfig, NoiseModel, check_distances, link_budget
 
 __all__ = [
     "Modulation", "CodeScheme", "PhyConfig", "BerEstimate",
@@ -273,29 +273,29 @@ LINK_SNR_TO_CHANNEL_DB = 10.0 * math.log10(2.0)
 
 def ber_vs_distance(link: LinkConfig, noise: NoiseModel, cfg: PhyConfig,
                     distances, mapper: Callable = map
-                    ) -> Iterator[tuple[float, float, int]]:
+                    ) -> Iterator[tuple[float, str, str, float, int]]:
     """BER curve over reader-mote separations.
 
     Per distance the budget fixes the symbol SNR; every scheme sees the
     same channel (same radiated power).  Returns an iterator of
-    (distance, ber, bits) in distance order.
+    ``(distance, modulation, code, ber, bits)`` rows in distance order,
+    the scheme named by ``cfg.modulation.value`` and ``cfg.code.value``.
 
     ``mapper`` runs the Monte Carlo points: a callable with the signature
     of the builtin ``map`` (the default, which runs each point as its row
     is read), such as an executor's ``map``, which queues them all at
-    once.  The call itself checks the distances, computes the budgets in
+    once.  The call itself checks the distances
+    (:func:`~biomote.link.check_distances`), computes the budgets in
     the calling thread and hands every point to ``mapper`` in one call;
     the rows come as the caller reads the iterator.  Each point draws from
     its own seed, so no ``mapper`` changes a result.
     """
-    distances = list(distances)
-    if any(b <= a for a, b in zip(distances, distances[1:])):
-        raise ValueError("distances must be strictly ascending")
+    distances = check_distances(distances)
     snrs = [link_budget(replace(link, separation=d), noise).snr_db
             + LINK_SNR_TO_CHANNEL_DB for d in distances]
     cfgs = [replace(cfg, seed=_sub_seed(cfg.seed, i))
             for i in range(len(distances))]
-    return ((d, est.ber, est.bits_simulated)
+    return ((d, cfg.modulation.value, cfg.code.value, est.ber, est.bits_simulated)
             for d, est in zip(distances, mapper(ber_monte_carlo, cfgs, snrs)))
 
 

@@ -110,14 +110,14 @@ def test_criterion_3_fig6_properties():
     worst = 1.0
     ok = True
     for name in SCHEMES:
-        for _, ber, bits in _curve(name, far, 100_000, 200, 1_000_000, 1):
+        for _, _, _, ber, bits in _curve(name, far, 100_000, 200, 1_000_000, 1):
             worst = min(worst, ber)
             ok &= ber > 0.01
             ok &= bits <= 10_000_000
     # (b) the strongest combination reaches 1e-3 inside the working band
     band = [0.055, 0.0575, 0.06]
     rs_band = _curve("bpsk+rs", band, 200_000, 200, 4_000_000, 2)
-    best_rs = min(b for _, b, _ in rs_band)
+    best_rs = min(row[3] for row in rs_band)
     ok &= best_rs <= 1e-3
     # (c) scheme ordering inside the operating band, 3 sigma on each pair
     grid = [0.045, 0.0475, 0.05]
@@ -126,8 +126,8 @@ def test_criterion_3_fig6_properties():
     order = ["bpsk+rs", "bpsk+hamming", "bpsk", "ask"]
     for i in range(len(grid)):
         for a, b in zip(order, order[1:]):
-            pa, na = curves[a][i][1], curves[a][i][2]
-            pb, nb = curves[b][i][1], curves[b][i][2]
+            pa, na = curves[a][i][3:]
+            pb, nb = curves[b][i][3:]
             sigma = math.sqrt(max(pa * (1 - pa) / na, 1 / na ** 2)
                               + max(pb * (1 - pb) / nb, 1 / nb ** 2))
             ok &= pa <= pb + 3 * sigma

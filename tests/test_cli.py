@@ -12,7 +12,7 @@ from dataclasses import fields
 import pytest
 
 from biomote import cli, mac, phy
-from biomote.cli import CSV_SCHEMAS, _check_cdma_grid, main, resolve_seed
+from biomote.cli import CSV_SCHEMAS, main, resolve_seed
 from biomote.config import (
     ConfigError,
     RunParameters,
@@ -21,6 +21,7 @@ from biomote.config import (
     load_config,
     packaged_config_path,
 )
+from biomote.link import backscatter_sweep
 from biomote.phy import CodeScheme, Modulation, PhyConfig, ber_vs_distance
 
 
@@ -124,6 +125,23 @@ def test_schema_headers_match_contract(tmp_path):
     out = tmp_path / "t.csv"
     assert main(["table1", "--out", str(out)]) == 0
     assert out.read_text().splitlines()[0] == CSV_SCHEMAS["table1"]
+    # every other subcommand's rows come whole from one layer sweep, whose
+    # rows are as wide as the schema
+    params = default_parameters()
+    link, noise = params.link_config(), params.noise()
+    cfg = PhyConfig(trials=1_000, min_errors=1, max_bits=2_000)
+    sweeps = {
+        "link-sweep": backscatter_sweep(link, noise, [0.05, 0.06]),
+        "ber-sweep": ber_vs_distance(link, noise, cfg, [0.05, 0.06]),
+        "mac-scenario1": mac.scenario1_sweep(200e3, [0.1, 0.2], 64, trials=2),
+        "mac-scenario2": mac.scenario2_sweep([2, 4], [200e3], [0.1], 64, trials=2),
+        "mac-cdma": mac.cdma_sweep([2, 4], [16], 8, trials=2),
+        "mac-compare": mac.compare_schemes([2, 4], [128], trials=2),
+    }
+    assert sweeps.keys() == CSV_SCHEMAS.keys() - {"table1"}
+    for subcommand, rows in sweeps.items():
+        widths = {len(row) for row in rows}
+        assert widths == {len(CSV_SCHEMAS[subcommand].split(","))}, subcommand
 
 
 def test_table1_brackets_reference_rows(tmp_path):
@@ -291,12 +309,15 @@ def test_oversized_cdma_draws_exit_2(tmp_path, setting):
 
 def test_cdma_draw_cap_boundary():
     params = default_parameters()
-    _check_cdma_grid(params.mac_n_motes, params.mac_code_lens, params.mac_packet_bytes)
+    for n in params.mac_n_motes:
+        for code_len in params.mac_code_lens:
+            mac._check_cdma(n, code_len, "random", params.mac_packet_bytes,
+                            params.mac_trials)
     # one mote, L = 64 and packets that fill the cap exactly, then 8 chips more
     packet_bytes = (mac.MAX_CDMA_DRAW_BYTES // 8 - 64) // 8
-    _check_cdma_grid([1], [64], packet_bytes)
-    with pytest.raises(ConfigError, match="mac_code_lens"):
-        _check_cdma_grid([1], [72], packet_bytes)
+    mac._check_cdma(1, 64, "random", packet_bytes, 1)
+    with pytest.raises(ValueError, match="mac_code_lens"):
+        mac._check_cdma(1, 72, "random", packet_bytes, 1)
 
 
 def test_cdma_cap_leaves_aloha_alone(tmp_path):
@@ -424,9 +445,8 @@ def test_ber_sweep_rows_independent_of_core_count(monkeypatch, cores):
         cfg = PhyConfig(modulation=mod, code=code, trials=params.ber_trials,
                         min_errors=params.ber_min_errors,
                         max_bits=params.ber_max_bits, seed=seed + k)
-        serial += [(d, mod.value, code.value, ber, bits) for d, ber, bits
-                   in ber_vs_distance(params.link_config(), params.noise(), cfg,
-                                      params.ber_distances_m)]
+        serial += ber_vs_distance(params.link_config(), params.noise(), cfg,
+                                  params.ber_distances_m)
     workers = set()
     point = phy.ber_monte_carlo
 

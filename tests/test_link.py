@@ -15,6 +15,7 @@ from biomote.link import (
     SingularityError,
     ac_resistance,
     backscatter_sweep,
+    check_distances,
     link_budget,
     mutual_inductance,
     reference_link_config,
@@ -325,6 +326,19 @@ def test_sweep_rejects_empty_and_unsorted():
         backscatter_sweep(cfg, NOISE, [0.06, 0.05])
 
 
+@pytest.mark.parametrize("distances,message", [
+    ([], "non-empty"), (iter([]), "non-empty"),
+    ([0.06, 0.05], "ascending"), ([0.05, 0.05], "ascending"),
+])
+def test_check_distances_rejects(distances, message):
+    with pytest.raises(ValueError, match=message):
+        check_distances(distances)
+
+
+def test_check_distances_takes_an_iterator_once():
+    assert check_distances(iter([0.05, 0.06])) == [0.05, 0.06]
+
+
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
@@ -336,6 +350,32 @@ def test_coil_invariants():
     with pytest.raises(ValueError):
         Coil(turns=5, loop_radius=-0.01, wire_diameter=1e-3, coil_height=0.01,
              resistivity=1.68e-8)
+
+
+BAD_VALUES = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("value", BAD_VALUES)
+@pytest.mark.parametrize("field", ["turns", "loop_radius", "wire_diameter",
+                                   "coil_height", "resistivity",
+                                   "core_rel_permeability"])
+def test_coil_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=field):
+        replace(REFERENCE_READER, **{field: value})
+
+
+@pytest.mark.parametrize("value", BAD_VALUES)
+@pytest.mark.parametrize("field", ["separation", "drive_voltage", "resonance_freq",
+                                   "medium_rel_permeability"])
+def test_link_config_rejects_non_finite(field, value):
+    # each of these, nan or infinite, used to give a budget with snr_db = nan
+    with pytest.raises(ValueError, match=field):
+        replace(reference_link_config(), **{field: value})
+
+
+def test_link_config_rejects_nan_divider():
+    with pytest.raises(ValueError, match="subcarrier_divider"):
+        replace(reference_link_config(), subcarrier_divider=math.nan)
 
 
 def test_mote_envelope_enforced():

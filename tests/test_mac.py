@@ -26,9 +26,11 @@ from biomote.mac import (
     aloha_simulate,
     binary_tree_iterations,
     cdma_simulate,
+    cdma_sweep,
     compare_schemes,
     global_recommendation,
     max_fully_read,
+    scenario1_sweep,
     scenario2_sweep,
     walsh_codes,
 )
@@ -161,6 +163,15 @@ def test_scenario_validation():
     with pytest.raises(ValueError):
         MacScenario(n_motes=1, rate=20e3, packet_bytes=64, read_time=1.0,
                     trials=0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["rate", "packet_bytes", "read_time"])
+def test_scenario_rejects_non_finite(field, value):
+    # rate=inf used to raise ZeroDivisionError, read_time=nan fail in int()
+    args = dict(n_motes=5, rate=20e3, packet_bytes=64, read_time=1.0) | {field: value}
+    with pytest.raises(ValueError, match=field):
+        MacScenario(**args)
 
 
 @pytest.mark.parametrize("frame_slots,read_time,ok", [
@@ -514,6 +525,24 @@ def test_max_fully_read_monotone_in_rate():
     assert fast >= slow
 
 
+def test_scenario1_sweep_rows_are_max_fully_read():
+    read_times = [2.0, 4.0]
+    rows = scenario1_sweep(200e3, iter(read_times), 64, trials=20, seed=3)
+    assert rows == [(200e3, rt, 64, max_fully_read(200e3, rt, 64, trials=20, seed=3))
+                    for rt in read_times]
+
+
+@pytest.mark.parametrize("read_times", [[2.0, 2e7], [], [2.0, math.nan]])
+def test_scenario1_sweep_checks_every_window_first(monkeypatch, read_times):
+    # 2e7 s at 2.56 ms a slot is above MAX_ALOHA_SLOTS
+    def no_work(*args, **kwargs):
+        raise AssertionError("a scan ran before every window was checked")
+
+    monkeypatch.setattr(mac, "max_fully_read", no_work)
+    with pytest.raises(ValueError):
+        scenario1_sweep(200e3, read_times, 64, trials=20, seed=3)
+
+
 def test_scenario2_rows_bounded():
     rows = scenario2_sweep([0, 20, 40], [200e3], [2.0], 64, trials=30, seed=9)
     for n, rate, read_time, mean in rows:
@@ -653,6 +682,47 @@ def test_cdma_validation():
         cdma_simulate(0, 16)
     with pytest.raises(ValueError):
         cdma_simulate(4, 16, family="gold")
+
+
+def _no_cdma_trial(*args, **kwargs):
+    raise AssertionError("a CDMA trial ran before its point was checked")
+
+
+def test_cdma_caps_raise_before_any_draw(monkeypatch):
+    monkeypatch.setattr(mac, "_cdma_trial", _no_cdma_trial)
+    monkeypatch.setattr(mac, "aloha_simulate", _no_cdma_trial)
+    over = mac.MAX_CDMA_MOTES + 1
+    with pytest.raises(ValueError, match="mac_n_motes"):
+        cdma_simulate(over, 16)
+    with pytest.raises(ValueError, match="mac_n_motes"):
+        cdma_simulate(over, 16, "walsh")
+    with pytest.raises(ValueError, match="mac_n_motes"):
+        compare_schemes([over], [128])
+    with pytest.raises(ValueError, match="mac_n_motes"):
+        compare_schemes([10, over], [128])
+    # one mote, but its packet alone draws more than the cap
+    with pytest.raises(ValueError, match="mac_code_lens"):
+        cdma_simulate(1, 16, packet_bytes=mac.MAX_CDMA_DRAW_BYTES // 64)
+
+
+@pytest.mark.parametrize("n_motes,code_lens", [
+    ([10, mac.MAX_CDMA_MOTES + 1], [16]),
+    ([10, 2000], [16, 8192]),           # only the last point is over the draw cap
+    ([10, 0], [16]),
+    ([10], [16, 0]),
+    ([], [16]),
+])
+def test_cdma_sweep_checks_every_point_first(monkeypatch, n_motes, code_lens):
+    monkeypatch.setattr(mac, "_cdma_trial", _no_cdma_trial)
+    with pytest.raises(ValueError):
+        cdma_sweep(n_motes, code_lens, 8, trials=3, seed=5)
+
+
+def test_cdma_sweep_rows():
+    ns, lens = [2, 5], [16, 32]
+    rows = cdma_sweep(iter(ns), iter(lens), 8, trials=5, seed=13)
+    assert rows == [(n, c, "random", cdma_simulate(n, c, "random", 8, 5, 13))
+                    for c in lens for n in ns]
 
 
 @pytest.mark.parametrize("code_len,packet_bytes,trials",

@@ -266,8 +266,8 @@ def test_ber_vs_distance_band_properties():
     noise = NoiseModel.from_total_dbm(-105.0)
     cfg = PhyConfig(trials=60_000, min_errors=60, max_bits=400_000, seed=21)
     curve = list(ber_vs_distance(link, noise, cfg, [0.05, 0.06, 0.07]))
-    assert [d for d, _, _ in curve] == [0.05, 0.06, 0.07]
-    bers = [b for _, b, _ in curve]
+    assert [row[:3] for row in curve] == [(d, "bpsk", "none") for d in (0.05, 0.06, 0.07)]
+    bers = [row[3] for row in curve]
     assert bers[0] <= bers[1] <= bers[2]
     assert bers[2] > 0.01            # far side of the range is unusable
 
@@ -285,7 +285,7 @@ def test_ber_vs_distance_points_worker_independent():
     b = link_budget(replace(link, separation=0.06), noise)
     alone = mc(replace(cfg, seed=_sub_seed(77, 1)),
                b.snr_db + 10 * math.log10(2))
-    assert (alone.ber, alone.bits_simulated) == (full[1][1], full[1][2])
+    assert (alone.ber, alone.bits_simulated) == full[1][3:]
 
 
 def test_ber_vs_distance_mapper_changes_no_point():
@@ -330,7 +330,7 @@ def test_ber_vs_distance_maps_every_point_before_a_row_is_read():
     assert [c.seed for c in cfgs] == [phy._sub_seed(79, i) for i in range(3)]
     assert snrs == [phy.link_budget(replace(link, separation=d), noise).snr_db
                     + phy.LINK_SNR_TO_CHANNEL_DB for d in distances]
-    assert [d for d, _, _ in rows] == distances
+    assert [row[0] for row in rows] == distances
     assert len(calls) == 1
 
 
@@ -339,6 +339,28 @@ def test_ber_vs_distance_rejects_unsorted():
     with pytest.raises(ValueError):
         ber_vs_distance(link, NoiseModel.from_total_dbm(-105.0), PhyConfig(),
                         [0.06, 0.05])
+
+
+def test_ber_vs_distance_rejects_empty_before_any_point():
+    """No distances is an error, as for ``backscatter_sweep``, raised by the
+    call itself before ``mapper`` sees a point."""
+    def no_work(*args):
+        raise AssertionError("a point was mapped")
+
+    for distances in ([], iter([])):
+        with pytest.raises(ValueError, match="non-empty"):
+            ber_vs_distance(reference_link_config(), NoiseModel.from_total_dbm(-105.0),
+                            PhyConfig(), distances, mapper=no_work)
+
+
+def test_ber_vs_distance_rows_name_the_scheme():
+    """Each row carries the modulation and code values of ``cfg``."""
+    cfg = PhyConfig(modulation=Modulation.ASK, code=CodeScheme.RS_31_26,
+                    trials=1_000, min_errors=1, max_bits=2_000, seed=80)
+    [row] = ber_vs_distance(reference_link_config(),
+                            NoiseModel.from_total_dbm(-105.0), cfg, [0.06])
+    assert row[:3] == (0.06, "ask", "rs31_26")
+    assert isinstance(row[3], float) and isinstance(row[4], int)
 
 
 def test_phyconfig_validation():
