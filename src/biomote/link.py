@@ -25,6 +25,7 @@ All computation is SI; dB/dBm appear only in the reported budget.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 
@@ -54,6 +55,14 @@ def _check_positive(obj, *names: str) -> None:
         value = getattr(obj, name)
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and strictly positive")
+
+
+def _check_finite(obj, *names: str) -> None:
+    """Reject an attribute of ``obj`` that is nan or infinite; None passes."""
+    for name in names:
+        value = getattr(obj, name)
+        if value is not None and not cmath.isfinite(value):
+            raise ValueError(f"{name} must be finite")
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +186,7 @@ class LinkConfig:
     def __post_init__(self):
         _check_positive(self, "separation", "drive_voltage", "resonance_freq",
                         "medium_rel_permeability")
+        _check_finite(self, "load_impedance")
         contact = (self.reader.wire_diameter + self.mote.wire_diameter) / 2.0
         if self.separation <= contact:
             raise ValueError(
@@ -216,6 +226,10 @@ class NoiseModel:
     bandwidth: float = 200e3            # [Hz]
     noise_figure: float = 15.0          # [dB]
     total_override_dbm: float | None = None
+
+    def __post_init__(self):
+        _check_positive(self, "temperature", "bandwidth")
+        _check_finite(self, "noise_figure", "total_override_dbm")
 
     @property
     def total_dbm(self) -> float:

@@ -33,12 +33,11 @@ results are independent of any chunking of trials across workers.
 
 ALOHA runs all trials of a point together as arrays.  A trial's slot picks
 are numpy's bounded-integer draws, ``Generator.integers(0, frame)``,
-reproduced from the raw PCG64 words of its stream: Lemire's method on
-32-bit words, low half of each 64-bit output first, with numpy's rare
-rejections replayed word by word.  NEP 19 does not promise that path
-across numpy releases, so the tests that pin the batched runs to
-``integers`` on fresh streams, and the recorded CSV digests, are the
-guard.  The first words of each (seed, n, trial) stream, about the n that
+reproduced from the raw PCG64 words of its stream (:mod:`biomote._draws`
+says why that is exact and what guards it): Lemire's method on 32-bit
+words, with numpy's rare rejections replayed word by word.  CDMA draws its
+codes and packet bits the same way (:func:`~biomote._draws.random_bits`).
+The first words of each (seed, n, trial) stream, about the n that
 its first frame reads, are memoised per process within 4 MiB
 (:data:`_WORD_MEMO`), so a scan that revisits a deployment at another read
 time seeds no stream again.  A trial that reads past its memoised words,
@@ -49,11 +48,14 @@ advanced past them.
 from __future__ import annotations
 
 import math
+import operator
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+from biomote import _draws
 
 __all__ = [
     "MacScenario", "DeploymentGeometry", "ZoneShape",
@@ -87,6 +89,16 @@ class MacScenario:
     seed: int = 0xB10B10
 
     def __post_init__(self):
+        for name in ("n_motes", "frame_slots", "trials"):
+            value = getattr(self, name)
+            if value is None and name == "frame_slots":
+                continue
+            try:
+                # held as a Python int: a numpy integer would overflow the
+                # 2**32 slot arithmetic of the ALOHA draws
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, not {value!r}") from None
         if self.n_motes < 0:
             raise ValueError("n_motes must be non-negative")
         for name in ("rate", "packet_bytes", "read_time"):
@@ -157,19 +169,8 @@ def binary_tree_iterations(n: int) -> float:
 # slotted ALOHA
 # ---------------------------------------------------------------------------
 
-def _stream(seed: int, n: int, t: int) -> np.random.PCG64:
-    """The bit generator of trial t of point (seed, n), at its start."""
-    return np.random.PCG64(np.random.SeedSequence((seed, n, t)))
-
-
 def _trial_rng(seed: int, n: int, t: int) -> np.random.Generator:
-    return np.random.Generator(_stream(seed, n, t))
-
-
-def _raw_words(bit_gen: np.random.PCG64, raw: int) -> np.ndarray:
-    """The next ``2 * raw`` uint32 words of a PCG64 stream, low half of each
-    64-bit output first, as numpy's 32-bit draws consume them."""
-    return bit_gen.random_raw(raw).astype("<u8", copy=False).view("<u4")
+    return np.random.Generator(_draws.stream(seed, n, t))
 
 
 def _raw_for(picks: int, frame: int) -> int:
@@ -200,7 +201,8 @@ def _first_words(seed: int, n: int, first: int, stop: int, raw: int) -> np.ndarr
     if table is not None:
         _WORD_MEMO.move_to_end(key)
         return table
-    table = np.stack([_raw_words(_stream(seed, n, t), raw) for t in range(first, stop)])
+    table = np.stack([_draws.raw_words(_draws.stream(seed, n, t), raw)
+                      for t in range(first, stop)])
     table.flags.writeable = False       # shared by every later caller
     _WORD_MEMO[key] = table
     held = sum(words.nbytes for words in _WORD_MEMO.values())
@@ -255,10 +257,10 @@ class _TrialStreams:
         held = self.end - self.pos
         extra = {}
         for i in short:
-            bit_gen = _stream(self.seed, self.n, int(self.trials[i]))
+            bit_gen = _draws.stream(self.seed, self.n, int(self.trials[i]))
             bit_gen.advance(int(self.drawn[i]) // 2)
             raw = _raw_for(int(need[i] - held[i]), frame) + ahead // 2
-            extra[i] = _raw_words(bit_gen, raw)
+            extra[i] = _draws.raw_words(bit_gen, raw)
         end = held.copy()
         for i, words in extra.items():
             end[i] += words.size
@@ -451,8 +453,11 @@ def walsh_codes(length: int) -> np.ndarray:
 #: within 64 MiB (every CDMA point is checked before anything is drawn)
 MAX_CDMA_MOTES = math.isqrt(64 * 2**20 // 8)
 
-#: most bytes one CDMA trial may draw: its n x L code and n x bits packet
-#: matrices, both int64 (checked with :data:`MAX_CDMA_MOTES`)
+#: most bytes one CDMA trial may draw, counted at 8 bytes for each of its
+#: n x L code chips and n x bits packet bits (checked with
+#: :data:`MAX_CDMA_MOTES`).  A trial holds less: a bit is half a raw 64-bit
+#: word (4 bytes) while it is drawn and a uint8 after, and a chip a float32
+#: or float64 +-1
 MAX_CDMA_DRAW_BYTES = 64 * 2**20
 
 #: bit columns despread per block; a random-code trial stops after the
@@ -488,15 +493,17 @@ def _cdma_trial(n: int, code_len: int, family: str, packet_bits: int,
         # the narrowest signed type holding +-groups, the largest row sum
         padded = np.zeros((groups * code_len, packet_bits),
                           dtype=np.min_scalar_type(-groups - 1))
-        padded[:n] = rng.integers(0, 2, size=(n, packet_bits)) * 2 - 1
+        # +-1 in the padded dtype: uint8 bits * 2 - 1 would wrap 0 to 255
+        bits = _draws.random_bits(rng, (n, packet_bits))
+        padded[:n] = bits.astype(padded.dtype) * 2 - 1
         stacked = padded.reshape(groups, code_len, packet_bits)
         decided = stacked.sum(axis=0, dtype=padded.dtype) >= 0
         read = np.all(decided == (stacked > 0), axis=2).reshape(-1)[:n]
         return int(np.count_nonzero(read))
     dtype = _gram_dtype(n, code_len)
-    chips = rng.integers(0, 2, size=(n, code_len)).astype(dtype) * 2 - 1
+    chips = _draws.random_bits(rng, (n, code_len)).astype(dtype) * 2 - 1
     # drawn after the codes: the draw order is part of the seeded output
-    draws = rng.integers(0, 2, size=(n, packet_bits))
+    draws = _draws.random_bits(rng, (n, packet_bits))
     gram = chips @ chips.T
     # Despread block by block over the motes still error-free; most trials
     # of a crowded channel lose every mote in the first block.
@@ -524,7 +531,9 @@ def _check_cdma(n_motes: int, code_len: int, family: str, packet_bytes: int,
     if n_motes > MAX_CDMA_MOTES:
         raise ValueError(f"mac_n_motes above {MAX_CDMA_MOTES} "
                          f"is too large for a CDMA run")
-    # one trial draws an n x L code and an n x bits packet matrix of int64
+    # the cap counts 8 bytes for each code chip and packet bit of a trial,
+    # which bounds what one holds: a float64 chip, or a bit's 4 bytes of raw
+    # word and its uint8
     if 8 * n_motes * (code_len + 8 * packet_bytes) > MAX_CDMA_DRAW_BYTES:
         raise ValueError(f"mac_n_motes, mac_code_lens and mac_packet_bytes draw more "
                          f"than {MAX_CDMA_DRAW_BYTES} bytes in one CDMA trial")

@@ -21,10 +21,13 @@ not the per-information-bit energy, is what the link fixes.
 Tiles
 -----
 The Monte Carlo runs in chunks of at most :data:`_CHUNK_CAP` samples; the
-chunk schedule fixes the seeded stream.  Each chunk is modulated, noised
-and sliced in tiles of :data:`_TILE` samples, so a chunk's float64 tx and
-rx arrays never exist whole: each tile's are 256 KiB, a size the allocator
-hands back from the tiles freed before it.  Every tile's noise scale is the
+chunk schedule fixes the seeded stream.  A chunk's information bits are
+``integers(0, 2)`` draws rebuilt from the raw PCG64 words of the point's
+stream (:func:`biomote._draws.random_bits`), so no int64 array holds them.
+Each chunk is modulated, noised and sliced in tiles of :data:`_TILE`
+samples, so a chunk's float64 tx and rx arrays never exist whole: each
+tile's are 256 KiB, a size the allocator hands back from the tiles freed
+before it.  Every tile's noise scale is the
 energy of its whole chunk, so the draws and the noisy values are those of
 one :func:`awgn` call over the chunk: the thread count and the tile size
 never change a result.
@@ -40,6 +43,7 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from biomote import fec
+from biomote._draws import random_bits
 from biomote.link import LinkConfig, NoiseModel, check_distances, link_budget
 
 __all__ = [
@@ -220,7 +224,7 @@ def _run_blocks(cfg: PhyConfig, snr_db: float, n_blocks: int,
                 rng: np.random.Generator) -> tuple[int, int]:
     """Simulate ``n_blocks`` codewords; returns (info bit errors, info bits)."""
     codec = _CODECS[cfg.code]
-    info = rng.integers(0, 2, size=(n_blocks, codec.k)).astype(np.uint8)
+    info = random_bits(rng, (n_blocks, codec.k))
     coded = codec.encode(info).reshape(-1)
     energy = _chunk_energy(coded, cfg.modulation)
     hard = np.empty(coded.size, dtype=np.uint8)

@@ -366,11 +366,33 @@ def test_coil_rejects_non_finite(field, value):
 
 @pytest.mark.parametrize("value", BAD_VALUES)
 @pytest.mark.parametrize("field", ["separation", "drive_voltage", "resonance_freq",
-                                   "medium_rel_permeability"])
+                                   "medium_rel_permeability", "load_impedance"])
 def test_link_config_rejects_non_finite(field, value):
     # each of these, nan or infinite, used to give a budget with snr_db = nan
     with pytest.raises(ValueError, match=field):
         replace(reference_link_config(), **{field: value})
+
+
+@pytest.mark.parametrize("load", [complex(math.nan, 0.0), complex(50.0, math.inf),
+                                  complex(-math.inf, 1.0)])
+def test_link_config_rejects_non_finite_complex_load(load):
+    with pytest.raises(ValueError, match="load_impedance"):
+        replace(reference_link_config(), load_impedance=load)
+
+
+@pytest.mark.parametrize("value", BAD_VALUES)
+@pytest.mark.parametrize("field", ["temperature", "bandwidth", "noise_figure",
+                                   "total_override_dbm"])
+def test_noise_model_rejects_non_finite(field, value):
+    # these used to give a nan or infinite snr_db without an error
+    with pytest.raises(ValueError, match=field):
+        NoiseModel(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["temperature", "bandwidth"])
+def test_noise_model_rejects_non_positive(field):
+    with pytest.raises(ValueError, match=field):
+        NoiseModel(**{field: 0.0})
 
 
 def test_link_config_rejects_nan_divider():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from biomote import mac
+from biomote import _draws, mac
 from biomote.mac import (
     _DESPREAD_BLOCK,
     MAX_ALOHA_SLOTS,
@@ -174,6 +174,23 @@ def test_scenario_rejects_non_finite(field, value):
         MacScenario(**args)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, 2.5, 10.0])
+@pytest.mark.parametrize("field", ["n_motes", "frame_slots", "trials"])
+def test_scenario_rejects_non_integer_counts(field, value):
+    # each used to pass construction and fail in numpy with a TypeError
+    args = dict(n_motes=5, rate=20e3, packet_bytes=64, read_time=1.0) | {field: value}
+    with pytest.raises(ValueError, match=field):
+        MacScenario(**args)
+
+
+def test_scenario_takes_numpy_counts():
+    sc = MacScenario(n_motes=np.int64(5), rate=20e3, packet_bytes=64, read_time=1.0,
+                     frame_slots=np.int32(16), trials=np.uint16(3))
+    assert aloha_simulate(sc) == aloha_simulate(
+        MacScenario(n_motes=5, rate=20e3, packet_bytes=64, read_time=1.0,
+                    frame_slots=16, trials=3))
+
+
 @pytest.mark.parametrize("frame_slots,read_time,ok", [
     (MAX_ALOHA_SLOTS, 1.0, True),
     (MAX_ALOHA_SLOTS + 1, 1.0, False),
@@ -316,13 +333,13 @@ def test_batched_aloha_matches_per_trial_reference(layout, seed, block_words):
 def _count_seedings(monkeypatch):
     """Record the key of every stream ``mac`` seeds from here on."""
     seeded = []
-    stream = mac._stream
+    stream = _draws.stream
 
     def counted(*key):
         seeded.append(key)
         return stream(*key)
 
-    monkeypatch.setattr(mac, "_stream", counted)
+    monkeypatch.setattr(_draws, "stream", counted)
     return seeded
 
 
@@ -754,8 +771,11 @@ def test_despread_matches_int32_reference():
     ties = 0
     # random-code trials, by how the block-wise despread ends
     late_failures = first_block_wipeouts = 0
+    # with an odd L, an odd n * L leaves the packet bits' first one in the
+    # half word the code draw buffered
     cases = chain(product(("walsh", "random"), (8, 16), (8, 64, 72, 520)),
-                  product(("walsh",), (1,), (8, 72)))
+                  product(("walsh",), (1,), (8, 72)),
+                  product(("random",), (3, 7, 31), (8, 72)))
     for family, code_len, packet_bits in cases:
         # n = 1, n < L, n = L, n = L + 1, n = 2L, n = 2L + 3, n = 4L + 1
         for n in (1, code_len // 2 + 1, code_len, code_len + 1, 2 * code_len,
@@ -779,13 +799,16 @@ def test_despread_matches_int32_reference():
 
 
 class _ConstantDraws:
-    """A generator stub whose every draw is ``value``."""
+    """A generator stub, and its own bit generator, whose every drawn bit is
+    ``value``: its raw 64-bit words are all zeros or all ones."""
 
     def __init__(self, value):
-        self.value = value
+        self.bit_generator = self
+        self.state = {"has_uint32": 0, "uinteger": 0}
+        self.word = (2**64 - 1) * value
 
-    def integers(self, low, high, size):
-        return np.full(size, self.value, dtype=np.int64)
+    def random_raw(self, size):
+        return np.full(size, self.word, dtype=np.uint64)
 
 
 @pytest.mark.parametrize("value", [0, 1])
@@ -795,6 +818,15 @@ def test_walsh_row_sums_do_not_overflow(n, code_len, value):
     # equal bits on every mote sharing a row sum to +-ceil(n / L), the
     # largest row sum the Walsh path must hold; every mote then decodes
     assert _cdma_trial(n, code_len, "walsh", 8, _ConstantDraws(value)) == n
+
+
+@pytest.mark.parametrize("n,code_len", [(129, 1), (300, 2), (32_768, 1)])
+def test_walsh_wide_row_sums_match_int32_reference(n, code_len):
+    # rows shared by more than 127 motes sum in int16 or int32, where a
+    # uint8 bits * 2 - 1 would turn every 0 bit into +255 and read every mote
+    for t in range(3):
+        expect = _despread_int32(n, code_len, "walsh", 8, _trial_rng(5, n, t))[0]
+        assert _cdma_trial(n, code_len, "walsh", 8, _trial_rng(5, n, t)) == expect
 
 
 def test_gram_dtype_at_float32_bound():
