@@ -1,0 +1,40 @@
+"""Field checks of the link, MAC and PHY layers: the config parser's rules
+for library callers.  Each check returns the value it accepts and raises a
+``ValueError`` that names the field."""
+
+import cmath
+import math
+import operator
+
+
+def count(name: str, value, low: int = 1) -> int:
+    """``value`` as a Python int of at least ``low``; a float, even 10.0, is
+    no count, and a numpy integer is converted, so no count overflows."""
+    try:
+        value = int(operator.index(value))
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, not {value!r}") from None
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}")
+    return value
+
+
+def positive(name: str, value):
+    """``value``, which must be finite and above 0."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and strictly positive")
+    return value
+
+
+def finite(name: str, value):
+    """``value``, real or complex, which must be finite; None passes."""
+    if value is not None and not cmath.isfinite(value):
+        raise ValueError(f"{name} must be finite")
+    return value
+
+
+def fields(obj, check, *names: str, **limits) -> None:
+    """Check each named field of ``obj``, frozen or not, and store the value
+    the check returns."""
+    for name in names:
+        object.__setattr__(obj, name, check(name, getattr(obj, name), **limits))

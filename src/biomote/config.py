@@ -207,10 +207,12 @@ def apply_setting(params: RunParameters, key: str, value: str,
 def load_config(path: str | Path) -> RunParameters:
     """Parse a config file into :class:`RunParameters`."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     params = default_parameters()
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         text = raw.split("#", 1)[0].strip()
         if not text:
             continue

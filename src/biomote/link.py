@@ -25,9 +25,10 @@ All computation is SI; dB/dBm appear only in the reported budget.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, replace
+
+from biomote._checks import count, fields, finite, positive
 
 __all__ = [
     "MU0", "K_BOLTZMANN",
@@ -47,22 +48,6 @@ MOTE_MAX_HEIGHT = 250e-6
 
 class SingularityError(ArithmeticError):
     """Raised when the coupled-circuit denominators vanish (lossless short)."""
-
-
-def _check_positive(obj, *names: str) -> None:
-    """Reject an attribute of ``obj`` that is nan, infinite or not above 0."""
-    for name in names:
-        value = getattr(obj, name)
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and strictly positive")
-
-
-def _check_finite(obj, *names: str) -> None:
-    """Reject an attribute of ``obj`` that is nan or infinite; None passes."""
-    for name in names:
-        value = getattr(obj, name)
-        if value is not None and not cmath.isfinite(value):
-            raise ValueError(f"{name} must be finite")
 
 
 # ---------------------------------------------------------------------------
@@ -86,10 +71,9 @@ class Coil:
     is_mote: bool = False
 
     def __post_init__(self):
-        if not (math.isfinite(self.turns) and self.turns >= 1):
-            raise ValueError("turns must be finite and >= 1")
-        _check_positive(self, "loop_radius", "wire_diameter", "coil_height",
-                        "resistivity", "core_rel_permeability")
+        fields(self, count, "turns")
+        fields(self, positive, "loop_radius", "wire_diameter", "coil_height",
+               "resistivity", "core_rel_permeability")
         if self.is_mote:
             if 2 * self.loop_radius > MOTE_MAX_DIAMETER:
                 raise ValueError("mote coil diameter exceeds 250 um envelope")
@@ -104,8 +88,9 @@ class Coil:
 
 def skin_depth(freq: float, resistivity: float, rel_permeability: float = 1.0) -> float:
     """Skin depth delta = sqrt(rho / (pi f mu0 mur)) [m]."""
-    if freq <= 0 or resistivity <= 0 or rel_permeability <= 0:
-        raise ValueError("skin_depth arguments must be strictly positive")
+    positive("freq", freq)
+    positive("resistivity", resistivity)
+    positive("rel_permeability", rel_permeability)
     return math.sqrt(resistivity / (math.pi * freq * MU0 * rel_permeability))
 
 
@@ -115,10 +100,9 @@ def ac_resistance(coil: Coil, freq: float) -> float:
     Below the crossover (delta >= d/2) the full cross-section conducts and
     R is the DC value; above it the current is confined to a surface
     annulus of depth delta, area pi (d delta - delta^2).  The two branches
-    meet continuously at delta = d/2.
+    meet continuously at delta = d/2.  0 Hz is the DC case; any other
+    ``freq`` must be finite and positive (:func:`skin_depth` checks it).
     """
-    if freq < 0:
-        raise ValueError("frequency must be non-negative")
     d = coil.wire_diameter
     full_area = math.pi * (d / 2.0) ** 2
     if freq == 0:
@@ -147,8 +131,8 @@ def mutual_inductance(reader: Coil, mote: Coil, separation: float,
     swapping the coils; with one radius much smaller than the other it
     reduces to the usual on-axis dipole form.  Valid for coaxial alignment.
     """
-    if separation <= 0:
-        raise ValueError("separation must be strictly positive")
+    positive("separation", separation)
+    positive("medium_mu", medium_mu)
     a1, a2 = reader.loop_radius, mote.loop_radius
     return (MU0 * medium_mu * math.pi * reader.turns * mote.turns
             * a1 ** 2 * a2 ** 2
@@ -184,16 +168,15 @@ class LinkConfig:
     medium_rel_permeability: float = 1.0
 
     def __post_init__(self):
-        _check_positive(self, "separation", "drive_voltage", "resonance_freq",
-                        "medium_rel_permeability")
-        _check_finite(self, "load_impedance")
+        fields(self, positive, "separation", "drive_voltage", "resonance_freq",
+               "medium_rel_permeability")
+        fields(self, finite, "load_impedance")
+        fields(self, count, "subcarrier_divider")
         contact = (self.reader.wire_diameter + self.mote.wire_diameter) / 2.0
         if self.separation <= contact:
             raise ValueError(
                 f"separation {self.separation} m is inside the coil contact "
                 f"distance {contact:.3g} m")
-        if not self.subcarrier_divider >= 1:
-            raise ValueError("subcarrier_divider must be >= 1")
 
     @property
     def subcarrier_freq(self) -> float:
@@ -228,8 +211,8 @@ class NoiseModel:
     total_override_dbm: float | None = None
 
     def __post_init__(self):
-        _check_positive(self, "temperature", "bandwidth")
-        _check_finite(self, "noise_figure", "total_override_dbm")
+        fields(self, positive, "temperature", "bandwidth")
+        fields(self, finite, "noise_figure", "total_override_dbm")
 
     @property
     def total_dbm(self) -> float:

@@ -48,7 +48,6 @@ advanced past them.
 from __future__ import annotations
 
 import math
-import operator
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
@@ -56,6 +55,7 @@ from functools import cached_property
 import numpy as np
 
 from biomote import _draws
+from biomote._checks import count, fields, positive
 
 __all__ = [
     "MacScenario", "DeploymentGeometry", "ZoneShape",
@@ -78,7 +78,12 @@ MAX_ALOHA_SLOTS = 2**32 - 1
 
 @dataclass(frozen=True)
 class MacScenario:
-    """One multi-access run: deployment size, radio parameters, window."""
+    """One multi-access run: deployment size, radio parameters, window.
+
+    ``n_motes``, ``packet_bytes``, ``frame_slots`` (unless None), ``trials``
+    and ``seed`` are counts held as Python ints, ``n_motes`` and ``seed``
+    from 0; ``rate`` and ``read_time`` are finite and positive.
+    """
 
     n_motes: int
     rate: float                 # [bit/s]
@@ -89,26 +94,11 @@ class MacScenario:
     seed: int = 0xB10B10
 
     def __post_init__(self):
-        for name in ("n_motes", "frame_slots", "trials"):
-            value = getattr(self, name)
-            if value is None and name == "frame_slots":
-                continue
-            try:
-                # held as a Python int: a numpy integer would overflow the
-                # 2**32 slot arithmetic of the ALOHA draws
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, not {value!r}") from None
-        if self.n_motes < 0:
-            raise ValueError("n_motes must be non-negative")
-        for name in ("rate", "packet_bytes", "read_time"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive")
-        if self.frame_slots is not None and self.frame_slots < 1:
-            raise ValueError("frame_slots must be >= 1")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        fields(self, count, "n_motes", "seed", low=0)
+        fields(self, count, "packet_bytes", "trials")
+        if self.frame_slots is not None:
+            fields(self, count, "frame_slots")
+        fields(self, positive, "rate", "read_time")
         # the draws follow numpy's bounded-integer path for 32-bit ranges
         if self.frame_slots is not None and self.frame_slots > MAX_ALOHA_SLOTS:
             raise ValueError(f"a frame of {self.frame_slots} slots is above "
@@ -136,6 +126,11 @@ class ZoneShape:
     SPHERE = "sphere"
 
 
+#: a zone's volume over its radius cubed, per shape
+_ZONE_VOLUME_PER_R3 = {ZoneShape.HEMISPHERE: 2.0 / 3.0 * math.pi,
+                       ZoneShape.SPHERE: 4.0 / 3.0 * math.pi}
+
+
 @dataclass(frozen=True)
 class DeploymentGeometry:
     """Body volume and the reader's interrogation zone."""
@@ -144,14 +139,14 @@ class DeploymentGeometry:
     zone_radius_cm: float = 5.0
     zone_shape: str = ZoneShape.HEMISPHERE
 
+    def __post_init__(self):
+        fields(self, positive, "body_volume_cm3", "zone_radius_cm")
+        if self.zone_shape not in _ZONE_VOLUME_PER_R3:
+            raise ValueError(f"unknown zone_shape {self.zone_shape!r}")
+
     @property
     def zone_volume_cm3(self) -> float:
-        r3 = self.zone_radius_cm ** 3
-        if self.zone_shape == ZoneShape.HEMISPHERE:
-            return 2.0 / 3.0 * math.pi * r3
-        if self.zone_shape == ZoneShape.SPHERE:
-            return 4.0 / 3.0 * math.pi * r3
-        raise ValueError(f"unknown zone shape {self.zone_shape!r}")
+        return _ZONE_VOLUME_PER_R3[self.zone_shape] * self.zone_radius_cm ** 3
 
     @property
     def zones(self) -> float:
@@ -160,9 +155,7 @@ class DeploymentGeometry:
 
 def binary_tree_iterations(n: int) -> float:
     """Average reader iterations to single out one mote of n: log2(n) + 1."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return math.log(n) / math.log(2) + 1.0
+    return math.log(count("n", n)) / math.log(2) + 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -426,23 +419,23 @@ def scenario2_sweep(n_motes_list, rates, read_times, packet_bytes: int,
 
 def global_recommendation(zone_successes: int, geom: DeploymentGeometry) -> int:
     """Whole-body deployment implied by one interrogation zone's capacity."""
-    if zone_successes < 0:
-        raise ValueError("zone_successes must be non-negative")
-    return round(zone_successes * geom.zones)
+    return round(count("zone_successes", zone_successes, low=0) * geom.zones)
 
 
 # ---------------------------------------------------------------------------
 # CDMA
 # ---------------------------------------------------------------------------
 
-def _check_walsh_length(length: int) -> None:
-    if length < 1 or length & (length - 1):
+def _check_walsh_length(name: str, length: int) -> None:
+    """Reject a Walsh code length that is not an integer or not a power of
+    two, 0 included."""
+    if count(name, length, low=0).bit_count() != 1:
         raise ValueError("Walsh code length must be a power of two")
 
 
 def walsh_codes(length: int) -> np.ndarray:
     """Sylvester-Hadamard rows: ``length`` mutually orthogonal +-1 chips."""
-    _check_walsh_length(length)
+    _check_walsh_length("length", length)
     h = np.array([[1]], dtype=np.int8)
     while h.shape[0] < length:
         h = np.block([[h, h], [h, -h]])
@@ -521,13 +514,14 @@ def _check_cdma(n_motes: int, code_len: int, family: str, packet_bytes: int,
                 trials: int) -> None:
     """Reject a CDMA point, before anything is drawn, that is malformed or
     whose trial would not fit in memory (:data:`MAX_CDMA_MOTES`,
-    :data:`MAX_CDMA_DRAW_BYTES`).  The messages name the CLI's keys."""
+    :data:`MAX_CDMA_DRAW_BYTES`); the caps' messages name the CLI's keys."""
     if family == "walsh":
-        _check_walsh_length(code_len)
+        _check_walsh_length("code_len", code_len)
     elif family != "random":
         raise ValueError(f"unknown spreading family {family!r}")
-    if min(n_motes, code_len, packet_bytes, trials) < 1:
-        raise ValueError("n_motes, code_len, packet_bytes and trials must be >= 1")
+    n_motes, code_len, packet_bytes, trials = map(
+        count, ("n_motes", "code_len", "packet_bytes", "trials"),
+        (n_motes, code_len, packet_bytes, trials))
     if n_motes > MAX_CDMA_MOTES:
         raise ValueError(f"mac_n_motes above {MAX_CDMA_MOTES} "
                          f"is too large for a CDMA run")
@@ -544,6 +538,7 @@ def cdma_simulate(n_motes: int, code_len: int, family: str = "random",
                   seed: int = 0xB10B10) -> float:
     """Mean motes whose whole packet survives the multi-access interference."""
     _check_cdma(n_motes, code_len, family, packet_bytes, trials)
+    count("seed", seed, low=0)
     bits = packet_bytes * 8
     total = 0
     for t in range(trials):
@@ -595,6 +590,7 @@ def compare_schemes(n_motes_list, duration_slots, trials: int = 100,
     """
     n_motes_list, durations = _axes(n_motes_list, duration_slots
                                     if np.iterable(duration_slots) else [duration_slots])
+    durations = [count("duration_slots", d) for d in durations]
     # every deployment and window is checked before the first point runs
     for n in n_motes_list:
         _check_cdma(n, COMPARE_CODE_LEN, "walsh", COMPARE_PACKET_BYTES, trials)

@@ -43,6 +43,7 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from biomote import fec
+from biomote._checks import count, fields, finite
 from biomote._draws import random_bits
 from biomote.link import LinkConfig, NoiseModel, check_distances, link_budget
 
@@ -98,6 +99,10 @@ class PhyConfig:
     """Monte Carlo stopping policy: run at least ``trials`` information bits
     and at least ``min_errors`` bit errors, capped at ``max_bits``.
 
+    ``trials``, ``min_errors``, ``max_bits`` and ``seed`` are counts, held
+    as Python ints: ``trials`` at least 1, ``max_bits`` at least
+    ``trials``, and ``min_errors`` and ``seed`` at least 0.
+
     Bits are simulated in whole codewords of k information bits, so a run
     that reaches the cap ends between ``max_bits`` and ``max_bits + k - 1``
     bits: 2,000,009 for Hamming (k = 11) and 2,000,050 for RS (k = 130) at
@@ -112,12 +117,9 @@ class PhyConfig:
     seed: int = 0xB10B10
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.min_errors < 0:
-            raise ValueError("min_errors must be >= 0")
-        if self.max_bits < self.trials:
-            raise ValueError("max_bits must be >= trials")
+        fields(self, count, "trials")
+        fields(self, count, "min_errors", "seed", low=0)
+        fields(self, count, "max_bits", low=self.trials)
 
 
 @dataclass(frozen=True)
@@ -159,8 +161,8 @@ def awgn(symbols, snr_db: float, rng: np.random.Generator,
         raise ValueError("snr_db must be finite or +inf")
     if energy is None:
         energy = float(np.mean(np.square(symbols)))
-    elif not (math.isfinite(energy) and energy >= 0):
-        raise ValueError("energy must be finite and >= 0")
+    elif finite("energy", energy) < 0:
+        raise ValueError("energy must be >= 0")
     sigma = math.sqrt(energy / 10.0 ** (snr_db / 10.0))
     # the draws and the arithmetic of symbols + rng.normal(0, sigma), which
     # computes 0 + sigma * z; the draws fill a C-contiguous array
@@ -248,6 +250,7 @@ def ber_monte_carlo(cfg: PhyConfig, snr_db: float) -> BerEstimate:
     Each chunk holds at most :data:`_CHUNK_CAP` samples, and its samples
     go through the channel one tile at a time (see the module docstring).
     """
+    finite("snr_db", snr_db)
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=(cfg.seed, _snr_key(snr_db))))
     codec = _CODECS[cfg.code]

@@ -91,6 +91,23 @@ def test_missing_file():
         load_config("/nonexistent/nowhere.cfg")
 
 
+@pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+def test_unreadable_config_exits_2(tmp_path, capsys, kind):
+    # each used to end the run with exit 1 and a traceback
+    cfg = tmp_path / "run.cfg"
+    if kind == "directory":
+        cfg.mkdir()
+    else:
+        cfg.write_bytes(b"separation_m = 0.05 # \xff\xfe\n")
+    with pytest.raises(ConfigError, match="run.cfg"):
+        load_config(cfg)
+    out = tmp_path / "x.csv"
+    rc = main(["link-sweep", "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    assert str(cfg) in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_list_and_range_syntax(tmp_path):
     p = tmp_path / "c.cfg"
     p.write_text("mac_n_motes = 10:40:10\nlink_distances_m = 0.05, 0.06\n")

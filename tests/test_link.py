@@ -107,6 +107,30 @@ def test_skin_depth_rejects_nonpositive():
         skin_depth(1e6, -1.0)
 
 
+@pytest.mark.parametrize("call,field", [
+    pytest.param(lambda: skin_depth(math.nan, 1.68e-8), "freq", id="skin_depth-freq"),
+    pytest.param(lambda: skin_depth(1e6, math.nan), "resistivity",
+                 id="skin_depth-resistivity"),
+    pytest.param(lambda: skin_depth(1e6, 1.68e-8, math.nan), "rel_permeability",
+                 id="skin_depth-rel_permeability"),
+    pytest.param(lambda: ac_resistance(REFERENCE_READER, math.nan), "freq",
+                 id="ac_resistance-nan"),
+    pytest.param(lambda: ac_resistance(REFERENCE_READER, -1e6), "freq",
+                 id="ac_resistance-negative"),
+    pytest.param(lambda: ac_resistance(REFERENCE_READER, math.inf), "freq",
+                 id="ac_resistance-inf"),
+    pytest.param(lambda: mutual_inductance(REFERENCE_READER, REFERENCE_MOTE, math.nan),
+                 "separation", id="mutual_inductance-separation"),
+    pytest.param(lambda: mutual_inductance(REFERENCE_READER, REFERENCE_MOTE, 0.06,
+                                           math.nan),
+                 "medium_mu", id="mutual_inductance-medium_mu"),
+])
+def test_link_functions_reject_nan(call, field):
+    # a nan argument used to return nan
+    with pytest.raises(ValueError, match=field):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # coil resistance
 # ---------------------------------------------------------------------------
@@ -396,8 +420,25 @@ def test_noise_model_rejects_non_positive(field):
 
 
 def test_link_config_rejects_nan_divider():
-    with pytest.raises(ValueError, match="subcarrier_divider"):
-        replace(reference_link_config(), subcarrier_divider=math.nan)
+    for divider in (math.nan, 2.5, 6.0, 0):
+        with pytest.raises(ValueError, match="subcarrier_divider"):
+            replace(reference_link_config(), subcarrier_divider=divider)
+
+
+@pytest.mark.parametrize("turns", [2.5, 81.0, 0])
+def test_coil_rejects_non_integer_turns(turns):
+    # Coil(turns=2.5) used to give a budget; the config parser rejects it
+    with pytest.raises(ValueError, match="turns"):
+        replace(REFERENCE_READER, turns=turns)
+
+
+def test_counts_take_numpy_integers():
+    coil = replace(REFERENCE_READER, turns=np.int64(REFERENCE_READER.turns))
+    cfg = replace(reference_link_config(), reader=coil,
+                  subcarrier_divider=np.int32(6))
+    assert type(coil.turns) is int and type(cfg.subcarrier_divider) is int
+    noise = NoiseModel.from_total_dbm(-105.0)
+    assert link_budget(cfg, noise) == link_budget(reference_link_config(), noise)
 
 
 def test_mote_envelope_enforced():

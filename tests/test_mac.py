@@ -71,6 +71,9 @@ def test_binary_tree_monotone():
 def test_binary_tree_rejects_zero():
     with pytest.raises(ValueError):
         binary_tree_iterations(0)
+    for n in (math.nan, 2.5):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            binary_tree_iterations(n)
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +166,9 @@ def test_scenario_validation():
     with pytest.raises(ValueError):
         MacScenario(n_motes=1, rate=20e3, packet_bytes=64, read_time=1.0,
                     trials=0)
+    with pytest.raises(ValueError, match="seed"):
+        MacScenario(n_motes=1, rate=20e3, packet_bytes=64, read_time=1.0,
+                    seed=-1)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -175,20 +181,25 @@ def test_scenario_rejects_non_finite(field, value):
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, 2.5, 10.0])
-@pytest.mark.parametrize("field", ["n_motes", "frame_slots", "trials"])
+@pytest.mark.parametrize("field", ["n_motes", "frame_slots", "trials",
+                                   "packet_bytes", "seed"])
 def test_scenario_rejects_non_integer_counts(field, value):
-    # each used to pass construction and fail in numpy with a TypeError
+    # each used to pass construction and fail in numpy with a TypeError, or
+    # (packet_bytes=2.5) run with a 20-bit slot
     args = dict(n_motes=5, rate=20e3, packet_bytes=64, read_time=1.0) | {field: value}
     with pytest.raises(ValueError, match=field):
         MacScenario(**args)
 
 
 def test_scenario_takes_numpy_counts():
-    sc = MacScenario(n_motes=np.int64(5), rate=20e3, packet_bytes=64, read_time=1.0,
-                     frame_slots=np.int32(16), trials=np.uint16(3))
+    sc = MacScenario(n_motes=np.int64(5), rate=20e3, packet_bytes=np.int16(64),
+                     read_time=1.0, frame_slots=np.int32(16), trials=np.uint16(3),
+                     seed=np.uint64(7))
+    for name in ("n_motes", "packet_bytes", "frame_slots", "trials", "seed"):
+        assert type(getattr(sc, name)) is int
     assert aloha_simulate(sc) == aloha_simulate(
         MacScenario(n_motes=5, rate=20e3, packet_bytes=64, read_time=1.0,
-                    frame_slots=16, trials=3))
+                    frame_slots=16, trials=3, seed=7))
 
 
 @pytest.mark.parametrize("frame_slots,read_time,ok", [
@@ -592,6 +603,23 @@ def test_global_recommendation_anchor():
     assert abs(global_recommendation(91, geom) - 230906) <= 1
 
 
+@pytest.mark.parametrize("field,value", [
+    ("zone_radius_cm", 0.0),        # used to divide by zero in .zones
+    ("body_volume_cm3", math.nan),
+    ("body_volume_cm3", -1.0),
+    ("zone_shape", "cube"),
+])
+def test_geometry_rejects_bad_fields(field, value):
+    with pytest.raises(ValueError, match=field):
+        DeploymentGeometry(**{field: value})
+
+
+@pytest.mark.parametrize("value", [-1, 2.5, math.nan])
+def test_global_recommendation_rejects_bad_counts(value):
+    with pytest.raises(ValueError, match="zone_successes"):
+        global_recommendation(value, DeploymentGeometry())
+
+
 def test_global_recommendation_zero_and_linearity():
     geom = DeploymentGeometry()
     assert global_recommendation(0, geom) == 0
@@ -620,6 +648,9 @@ def test_walsh_rows_orthogonal():
 def test_walsh_length_validation():
     with pytest.raises(ValueError):
         walsh_codes(24)
+    for length in (16.0, math.nan, -16):
+        with pytest.raises(ValueError, match="length"):
+            walsh_codes(length)
     for length in (24, 0):
         with pytest.raises(ValueError, match="power of two"):
             cdma_simulate(4, length, "walsh")
@@ -694,11 +725,20 @@ def test_longer_codes_never_hurt():
             prev = m
 
 
-def test_cdma_validation():
+def test_cdma_validation(monkeypatch):
     with pytest.raises(ValueError):
         cdma_simulate(0, 16)
     with pytest.raises(ValueError):
         cdma_simulate(4, 16, family="gold")
+    # each used to fail in numpy with a TypeError; now it fails, naming its
+    # field, before a trial runs
+    monkeypatch.setattr(mac, "_cdma_trial", _no_cdma_trial)
+    point = dict(n_motes=5, code_len=16, packet_bytes=8, trials=3, seed=1)
+    for field, value in [("n_motes", 5.5), ("n_motes", math.nan),
+                         ("code_len", 16.5), ("trials", 2.5),
+                         ("packet_bytes", 1.5), ("seed", 1.5), ("seed", -1)]:
+        with pytest.raises(ValueError, match=field):
+            cdma_simulate(**point | {field: value})
 
 
 def _no_cdma_trial(*args, **kwargs):
@@ -733,6 +773,21 @@ def test_cdma_sweep_checks_every_point_first(monkeypatch, n_motes, code_lens):
     monkeypatch.setattr(mac, "_cdma_trial", _no_cdma_trial)
     with pytest.raises(ValueError):
         cdma_sweep(n_motes, code_lens, 8, trials=3, seed=5)
+
+
+@pytest.mark.parametrize("durations", [2.5, [128, 2.5], [math.nan], [0]])
+def test_compare_schemes_rejects_bad_durations(monkeypatch, durations):
+    # compare_schemes([10], 2.5) used to run a 2-slot window and print 2.5
+    monkeypatch.setattr(mac, "_cdma_trial", _no_cdma_trial)
+    monkeypatch.setattr(mac, "aloha_simulate", _no_cdma_trial)
+    with pytest.raises(ValueError, match="duration_slots"):
+        compare_schemes([10], durations, trials=3)
+
+
+def test_compare_schemes_takes_numpy_durations():
+    rows = compare_schemes([4], np.array([128]), trials=3, seed=5)
+    assert rows == compare_schemes([4], [128], trials=3, seed=5)
+    assert all(type(d) is int for _, d, _, _ in rows)
 
 
 def test_cdma_sweep_rows():

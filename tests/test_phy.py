@@ -371,6 +371,30 @@ def test_phyconfig_validation():
     with pytest.raises(ValueError):
         PhyConfig(min_errors=-5)
     assert PhyConfig(min_errors=0).min_errors == 0
+    # trials=nan used to pass and simulate 524,000 bits; each now fails
+    # naming its field
+    for field, value in [("trials", math.nan), ("trials", 2.5),
+                         ("min_errors", math.nan), ("max_bits", math.inf),
+                         ("max_bits", 2e6), ("seed", 1.5), ("seed", -1)]:
+        with pytest.raises(ValueError, match=field):
+            PhyConfig(**{field: value})
+
+
+def test_phyconfig_takes_numpy_counts():
+    cfg = PhyConfig(trials=np.int64(1_000), min_errors=np.int32(5),
+                    max_bits=np.uint32(4_000), seed=np.uint64(3))
+    for name in ("trials", "min_errors", "max_bits", "seed"):
+        assert type(getattr(cfg, name)) is int
+    plain = PhyConfig(trials=1_000, min_errors=5, max_bits=4_000, seed=3)
+    assert ber_monte_carlo(cfg, 4.0) == ber_monte_carlo(plain, 4.0)
+
+
+@pytest.mark.parametrize("snr_db", [math.nan, math.inf, -math.inf])
+def test_ber_monte_carlo_rejects_non_finite_snr(snr_db):
+    # these used to fail in _snr_key with a ValueError or an OverflowError
+    # that did not name the input
+    with pytest.raises(ValueError, match="snr_db"):
+        ber_monte_carlo(PhyConfig(trials=100, max_bits=1_000), snr_db)
 
 
 # (modulation, code, channel snr_db) -> (errors, bits_simulated) with the
