@@ -20,17 +20,24 @@ def count(name: str, value, low: int = 1) -> int:
 
 
 def positive(name: str, value):
-    """``value``, which must be finite and above 0."""
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be finite and strictly positive")
-    return value
+    """``value``, which must be a finite real number above 0."""
+    try:
+        if math.isfinite(value) and value > 0:
+            return value
+    except TypeError:
+        raise ValueError(f"{name} must be a real number, not {value!r}") from None
+    raise ValueError(f"{name} must be finite and strictly positive")
 
 
 def finite(name: str, value):
-    """``value``, real or complex, which must be finite; None passes."""
-    if value is not None and not cmath.isfinite(value):
-        raise ValueError(f"{name} must be finite")
-    return value
+    """``value``, a real or complex number, which must be finite; None
+    passes."""
+    try:
+        if value is None or cmath.isfinite(value):
+            return value
+    except TypeError:
+        raise ValueError(f"{name} must be a number, not {value!r}") from None
+    raise ValueError(f"{name} must be finite")
 
 
 def fields(obj, check, *names: str, **limits) -> None:

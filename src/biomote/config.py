@@ -208,7 +208,8 @@ def load_config(path: str | Path) -> RunParameters:
     """Parse a config file into :class:`RunParameters`."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        # utf-8-sig drops the byte-order mark some editors write first
+        text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     params = default_parameters()

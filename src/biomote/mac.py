@@ -37,12 +37,14 @@ reproduced from the raw PCG64 words of its stream (:mod:`biomote._draws`
 says why that is exact and what guards it): Lemire's method on 32-bit
 words, with numpy's rare rejections replayed word by word.  CDMA draws its
 codes and packet bits the same way (:func:`~biomote._draws.random_bits`).
-The first words of each (seed, n, trial) stream, about the n that
-its first frame reads, are memoised per process within 4 MiB
-(:data:`_WORD_MEMO`), so a scan that revisits a deployment at another read
-time seeds no stream again.  A trial that reads past its memoised words,
-in later frames or through rejected words, has its stream seeded again and
-advanced past them.
+Each trial reads a prefix of its (seed, n, trial) stream, from the first
+word: at first the n words its first frame reads, with room for rejected
+words and six to spare.  The prefixes are memoised per process within
+4 MiB in blocks of trials (:data:`_WORD_MEMO`), so a scan that revisits a
+deployment at another read time seeds no stream again.  When a trial of a
+block needs words past its prefix, in later frames or through rejected
+words, the block's streams are all drawn again at least four times as wide
+and the wider block replaces the narrower one in the memo.
 """
 
 from __future__ import annotations
@@ -166,39 +168,37 @@ def _trial_rng(seed: int, n: int, t: int) -> np.random.Generator:
     return np.random.Generator(_draws.stream(seed, n, t))
 
 
-def _raw_for(picks: int, frame: int) -> int:
-    """64-bit outputs to draw for ``picks`` draws in [0, frame): a word a
-    pick, the words numpy rejects among them on average and a quarter more,
-    and two words to spare."""
+def _words_for(picks: int, frame: int) -> int:
+    """Words to hold for ``picks`` draws in [0, frame): a word a pick, the
+    words numpy rejects among them on average and a quarter more, and six
+    words to spare."""
     rejected = picks * ((1 << 32) % frame) // ((1 << 32) - (1 << 32) % frame)
-    return (picks + rejected + rejected // 4 + 3) // 2
+    return picks + rejected + rejected // 4 + 6
 
 
 #: bytes of words :data:`_WORD_MEMO` holds at most
 _WORD_MEMO_BYTES = 4 << 20
 
-#: the first words of each (seed, n, trial) stream, about the n its first
-#: frame reads, memoised per process in blocks of trials keyed by (seed, n,
-#: first trial, stop), least recently used first (for one thread at a
-#: time).  A ``max_fully_read`` scan or a ``scenario2_sweep`` reuses every
-#: key at each read time.
+#: a prefix of each (seed, n, trial) stream, from its first word, memoised
+#: per process in blocks of trials keyed by (seed, n, first trial, stop),
+#: least recently used first (for one thread at a time).  A
+#: ``max_fully_read`` scan or a ``scenario2_sweep`` reuses every key at
+#: each read time.
 _WORD_MEMO: OrderedDict[tuple, np.ndarray] = OrderedDict()
 
 
-def _first_words(seed: int, n: int, first: int, stop: int, raw: int) -> np.ndarray:
-    """The first words of trials ``first`` to ``stop - 1`` of (seed, n), one
-    row each: ``2 * raw`` of them, or as many as :data:`_WORD_MEMO` already
-    holds for these trials, which may have been sized for another frame."""
+def _first_words(seed: int, n: int, first: int, stop: int, words: int) -> np.ndarray:
+    """At least the first ``words`` words of trials ``first`` to ``stop - 1``
+    of (seed, n), one row each; a narrower block :data:`_WORD_MEMO` holds is
+    drawn again and replaced there."""
     key = (seed, n, first, stop)
-    table = _WORD_MEMO.get(key)
-    if table is not None:
-        _WORD_MEMO.move_to_end(key)
-        return table
-    table = np.stack([_draws.raw_words(_draws.stream(seed, n, t), raw)
-                      for t in range(first, stop)])
-    table.flags.writeable = False       # shared by every later caller
+    table = _WORD_MEMO.pop(key, None)
+    if table is None or table.shape[1] < words:
+        table = np.stack([_draws.raw_words(_draws.stream(seed, n, t), -(-words // 2))
+                          for t in range(first, stop)])
+        table.flags.writeable = False       # shared by every later caller
     _WORD_MEMO[key] = table
-    held = sum(words.nbytes for words in _WORD_MEMO.values())
+    held = sum(t.nbytes for t in _WORD_MEMO.values())
     while held > _WORD_MEMO_BYTES:
         held -= _WORD_MEMO.popitem(last=False)[1].nbytes
     return table
@@ -212,60 +212,33 @@ _BLOCK_WORDS = 1 << 16
 class _TrialStreams:
     """The word streams of a block of trials, each read from its own offset.
 
-    Row i holds words ``pos[i]:end[i]`` of its trial's stream that are not
-    yet consumed.  A row that runs past its memoised words drops what it
-    consumed, and its stream is seeded again and advanced past the words
-    drawn so far.
+    Row i holds a prefix of the stream of trial ``first + trials[i]``, from
+    its first word, and reads it from word ``pos[i]``.  When a row needs
+    words past its prefix, every prefix of the block is widened through
+    :func:`_first_words`; each starts at word 0, so every offset stays
+    valid.
     """
 
     def __init__(self, seed: int, n: int, first: int, stop: int, frame: int):
-        self.seed, self.n = seed, n
-        self.trials = np.arange(first, stop)
-        self.words = _first_words(seed, n, first, stop, _raw_for(n, frame))
+        self.block = (seed, n, first, stop)
+        self.trials = np.arange(stop - first)
+        self.words = _first_words(*self.block, _words_for(n, frame))
         self.pos = np.zeros(stop - first, dtype=np.int64)
-        self.end = np.full(stop - first, self.words.shape[1], dtype=np.int64)
-        self.drawn = self.end.copy()    # words drawn from each stream so far
 
     def keep(self, rows: np.ndarray) -> None:
         """Keep only the rows where ``rows`` is true."""
-        self.trials, self.words = self.trials[rows], self.words[rows]
-        self.pos, self.end, self.drawn = self.pos[rows], self.end[rows], self.drawn[rows]
+        self.trials, self.pos = self.trials[rows], self.pos[rows]
+        self.words = self.words[rows]
 
     def _window(self, width: int) -> np.ndarray:
-        """Each row's next ``width`` words; past a row's end, any words."""
+        """Each row's next ``width`` words; past a row's prefix, any words."""
         if (self.pos == self.pos[0]).all():
             return self.words[:, self.pos[0]:self.pos[0] + width]
         cols = self.pos[:, None] + np.arange(width)
         return np.take_along_axis(
             self.words, np.minimum(cols, self.words.shape[1] - 1), axis=1)
 
-    def _ensure(self, need: np.ndarray, frame: int, ahead: int) -> None:
-        """Give every row at least ``need`` unconsumed words.  A row that
-        runs short seeds its stream again, advances it past the words drawn
-        so far and draws what it lacks with room for the words numpy rejects
-        (:func:`_raw_for`), and ``ahead`` words for later frames."""
-        short = np.flatnonzero(self.pos + need > self.end).tolist()
-        if not short:
-            return
-        held = self.end - self.pos
-        extra = {}
-        for i in short:
-            bit_gen = _draws.stream(self.seed, self.n, int(self.trials[i]))
-            bit_gen.advance(int(self.drawn[i]) // 2)
-            raw = _raw_for(int(need[i] - held[i]), frame) + ahead // 2
-            extra[i] = _draws.raw_words(bit_gen, raw)
-        end = held.copy()
-        for i, words in extra.items():
-            end[i] += words.size
-            self.drawn[i] += words.size
-        # drop the consumed words, moving each row to column 0
-        words = np.empty((len(end), end.max()), dtype=np.uint32)
-        words[:, :held.max()] = self._window(int(held.max()))
-        for i, drawn in extra.items():
-            words[i, held[i]:end[i]] = drawn
-        self.words, self.pos, self.end = words, np.zeros_like(self.pos), end
-
-    def picks(self, counts: np.ndarray, frame: int, ahead: int) -> np.ndarray:
+    def picks(self, counts: np.ndarray, frame: int) -> np.ndarray:
         """Row i's next ``counts[i]`` draws of ``integers(0, frame)``, padded
         with ``frame`` to a (rows, width) uint32 array in no particular order.
 
@@ -283,7 +256,12 @@ class _TrialStreams:
         parts = []
         need = counts
         while need.any():
-            self._ensure(need, frame, ahead)
+            if (self.pos + need > self.words.shape[1]).any():
+                # widen every prefix at least fourfold, so a block that reads
+                # on through many frames is drawn again only a few times
+                wide = max(int(self.pos.max()) + _words_for(int(need.max()), frame),
+                           4 * self.words.shape[1])
+                self.words = _first_words(*self.block, wide)[self.trials]
             width = int(need.max())
             words = self._window(width)
             # the products u * frame as (low, high) halves
@@ -311,20 +289,17 @@ def _aloha_trials(sc: MacScenario, first: int, stop: int) -> tuple[int, int]:
     """(motes read, slots used) summed over trials ``first`` to ``stop - 1``,
     all run together: every unread mote of every trial picks its slot of a
     frame in one array, and the trials move through their frames in step.
-    Each trial starts on its memoised first words (:func:`_first_words`); a
-    trial that reads past them has its stream seeded again and advanced."""
+    Each trial reads a memoised prefix of its stream (:func:`_first_words`),
+    which is widened for the block when a trial reads past it."""
     frame, budget = sc.effective_frame_slots, sc.slots_available
     if sc.n_motes == 0 or budget < 1:
         return 0, 0
     streams = _TrialStreams(sc.seed, sc.n_motes, first, stop, frame)
-    # how many later frames' words a row that runs short draws at once
-    per_draw = max(1, _BLOCK_WORDS // ((stop - first) * sc.n_motes))
     remaining = np.full(stop - first, sc.n_motes)
     reads = slots = used = 0
     while remaining.size and used < budget:
         span = min(frame, budget - used)
-        later = min(-(-(budget - used) // frame) - 1, per_draw)
-        read = _singletons(streams.picks(remaining, frame, sc.n_motes * later), span)
+        read = _singletons(streams.picks(remaining, frame), span)
         reads += int(read.sum())
         slots += span * remaining.size
         used += span

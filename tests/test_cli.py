@@ -108,6 +108,21 @@ def test_unreadable_config_exits_2(tmp_path, capsys, kind):
     assert not out.exists()
 
 
+def test_config_with_byte_order_mark(tmp_path):
+    # a UTF-8 byte-order mark, as some editors write, used to make the first
+    # key unknown and the run exit 2
+    text = b"separation_m = 0.05\n"
+    csvs = []
+    for name, data in (("plain", text), ("bom", b"\xef\xbb\xbf" + text),
+                       ("default", b"")):
+        cfg, out = tmp_path / f"{name}.cfg", tmp_path / f"{name}.csv"
+        cfg.write_bytes(data)
+        assert main(["table1", "--config", str(cfg), "--out", str(out)]) == 0
+        csvs.append(out.read_bytes())
+    assert load_config(tmp_path / "bom.cfg").separation_m == 0.05
+    assert csvs[1] == csvs[0] != csvs[2]
+
+
 def test_list_and_range_syntax(tmp_path):
     p = tmp_path / "c.cfg"
     p.write_text("mac_n_motes = 10:40:10\nlink_distances_m = 0.05, 0.06\n")

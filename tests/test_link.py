@@ -379,20 +379,22 @@ def test_coil_invariants():
 BAD_VALUES = [math.nan, math.inf, -math.inf]
 
 
-@pytest.mark.parametrize("value", BAD_VALUES)
+@pytest.mark.parametrize("value", BAD_VALUES + ["0.05"])
 @pytest.mark.parametrize("field", ["turns", "loop_radius", "wire_diameter",
                                    "coil_height", "resistivity",
                                    "core_rel_permeability"])
 def test_coil_rejects_non_finite(field, value):
+    # a str used to raise a TypeError that named no field
     with pytest.raises(ValueError, match=field):
         replace(REFERENCE_READER, **{field: value})
 
 
-@pytest.mark.parametrize("value", BAD_VALUES)
+@pytest.mark.parametrize("value", BAD_VALUES + ["50"])
 @pytest.mark.parametrize("field", ["separation", "drive_voltage", "resonance_freq",
                                    "medium_rel_permeability", "load_impedance"])
 def test_link_config_rejects_non_finite(field, value):
-    # each of these, nan or infinite, used to give a budget with snr_db = nan
+    # each of these, nan or infinite, used to give a budget with snr_db = nan;
+    # a str used to raise a TypeError that named no field
     with pytest.raises(ValueError, match=field):
         replace(reference_link_config(), **{field: value})
 

@@ -378,18 +378,38 @@ def test_mean_successes_is_mean_over_fresh_streams(monkeypatch):
 
     mac._WORD_MEMO.clear()
     assert set(run(48)) == set(keys)
+    # the longer window reads past the prefixes memoised for the shorter one
+    # only by widening whole blocks, which seeds each of their trials once
     warm = run(96)
+    widened = {key[:2] for key in warm}
+    assert widened
+    assert warm == Counter(key for key in keys if key[:2] in widened)
+    # the widened prefixes hold what either window reads: neither seeds a
+    # stream again
+    assert run(96) == Counter()
+    assert run(48) == Counter()
+
+
+def test_default_grids_seedings(monkeypatch):
+    """The default ``mac-scenario2`` grid seeds each of its 20 x 100 trial
+    streams once.  The default ``mac-compare`` grid seeds its 2,000 Walsh
+    CDMA streams and its 2,000 ALOHA streams once each, and at most 1,900
+    again, for the blocks that its ten-frame windows widen."""
+    seeded = _count_seedings(monkeypatch)
     mac._WORD_MEMO.clear()
-    # without the memo the second window seeds every key once more: with it,
-    # it seeds none of them from its start, only streams read past their
-    # memoised words
-    assert run(96) == warm + keys
+    scenario2_sweep(range(10, 201, 10), [200e3], [2.0, 4.0, 6.0, 8.0, 10.0], 64)
+    assert len(seeded) == 2000
+    seeded.clear()
+    mac._WORD_MEMO.clear()
+    compare_schemes(range(10, 201, 10), [128, 1280])
+    assert len(seeded) <= 5900
 
 
 def test_seed_memo_eviction_keeps_streams(monkeypatch):
     trials = 50
     # blocks of 2 trials at n = 30 and of 16 at n = 3; one frame of 64 slots
-    # rejects no word, so every stream is seeded only for its first words
+    # rejects no word, so no block is widened and every stream is seeded
+    # only when its block is drawn
     monkeypatch.setattr(mac, "_BLOCK_WORDS", 64)
     points = [_scenario(n, None, 64, trials=trials, seed=11) for n in (3, 30)]
     expect = [_fresh_stream_mean(sc) for sc in points]
@@ -418,9 +438,9 @@ def test_seed_memo_eviction_keeps_streams(monkeypatch):
 
 def test_memo_reuse_across_frames():
     """A (seed, n, trials) key memoised at one frame is read at another,
-    with the words it holds sized for the first: every run equals the
-    reference, in either order.  Frames of 16 never reject a word, and
-    frames of 2**31 + 1 reject about half of them."""
+    from the prefixes drawn for the first or widened for the second: every
+    run equals the reference, in either order.  Frames of 16 never reject a
+    word, and frames of 2**31 + 1 reject about half of them."""
     points = [_scenario(40, frame, min(4 * frame, MAX_ALOHA_SLOTS), trials=9,
                         seed=61)
               for frame in (16, 3, 100, 2**31 + 1)]
