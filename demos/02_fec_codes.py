@@ -11,6 +11,7 @@ form bit for bit.
 import numpy as np
 
 from biomote import fec
+from biomote.phy import CodeScheme
 
 rng = np.random.default_rng(7)
 
@@ -34,12 +35,12 @@ decoded2, corrected2, _ = fec.hamming_decode(two)
 print(f"two flips exceed the single-error budget: decoder reports "
       f"corrected={corrected2} and returns a wrong block "
       f"(recovered={np.array_equal(decoded2, msg)}) — rate 11/15 = "
-      f"{fec.hamming_code_rate():.3f}")
+      f"{CodeScheme.HAMMING_15_11.rate:.3f}")
 
 print("\n=== Reed-Solomon(31,26) over GF(32) ===")
 msg_syms = rng.integers(0, 32, size=26)
 cw = fec.rs_encode(msg_syms)
-print(f"26 message symbols -> 31-symbol codeword, rate {fec.rs_code_rate():.4f}")
+print(f"26 message symbols -> 31-symbol codeword, rate {CodeScheme.RS_31_26.rate:.4f}")
 print(f"LFSR encoder agrees: {np.array_equal(cw, fec.rs_encode_lfsr(msg_syms))}")
 print(f"generator polynomial coefficients: {list(map(int, fec.rs_generator_poly()))}")
 

@@ -5,9 +5,13 @@ reproducible: identical (config, seed) means byte-identical output, and
 seeds for inner Monte Carlo points derive deterministically from the
 master seed, so results are also invariant to any trial chunking.
 
-Every subcommand but ``table1`` is one call into the layer that owns its
-points, which checks the whole grid before the first point runs and
-returns the rows in :data:`CSV_SCHEMAS` column order.
+Each subcommand is one entry of :data:`SUBCOMMANDS`: its CSV header and
+its study.  Every study but ``table1`` is one call into the layer that
+owns its points, which checks the whole grid before the first point runs
+and returns the rows in header column order.  A study reads a
+:class:`~biomote.config.RunParameters`: the ``--config`` file, the packaged
+``table3.cfg`` by default, which sets no key, so every key it omits keeps
+its dataclass default, and then each ``--set``.
 
 Exit codes: 0 success, 2 configuration problem, 3 runtime failure.  An
 ``--out`` whose directory does not exist, or that is itself a directory,
@@ -38,6 +42,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 # Set before numpy loads: a second OpenBLAS thread costs a core and saves no
@@ -46,7 +51,7 @@ if not any(var in os.environ for var in
            ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-from biomote import mac
+from biomote import link, mac
 from biomote.config import (
     ConfigError,
     RunParameters,
@@ -54,7 +59,7 @@ from biomote.config import (
     load_config,
     packaged_config_path,
 )
-from biomote.link import SingularityError, backscatter_sweep, link_budget
+from biomote.link import SingularityError, link_budget
 from biomote.phy import CodeScheme, Modulation, PhyConfig, ber_vs_distance
 
 DEFAULT_SEED = 0xB10B10
@@ -66,16 +71,6 @@ TABLE1_ROWS = [
     (13.56e6, (1.0, 10.0), 6),
     (100e6, (1.0,), 7),
 ]
-
-CSV_SCHEMAS = {
-    "link-sweep": "distance_m,p_re_dbm,snr_db",
-    "table1": "fc_mhz,mu,r_r_ohm,r_b_ohm,p_tx_dbm,pl_db,a_s_db,p_re_dbm",
-    "ber-sweep": "distance_m,scheme,code,ber,bits",
-    "mac-scenario1": "rate_bps,read_time_s,packet_bytes,max_motes",
-    "mac-scenario2": "n_motes,rate_bps,read_time_s,mean_successes",
-    "mac-cdma": "n_motes,code_len,family,mean_successes",
-    "mac-compare": "n_motes,duration_slots,scheme,mean_successes",
-}
 
 
 def _fmt(value) -> str:
@@ -93,18 +88,15 @@ def _write_csv(path: Path, header: str, rows) -> None:
 # subcommand bodies
 # ---------------------------------------------------------------------------
 
-def run_link_sweep(params: RunParameters, seed: int):
-    return backscatter_sweep(params.link_config(), params.noise(),
-                             params.link_distances_m)
-
-
 def run_table1(params: RunParameters, seed: int):
     rows = []
     for fc, mus, divider in TABLE1_ROWS:
         for mu in mus:
-            cfg = params.link_config(mu=mu, resonance_freq_hz=fc,
-                                     subcarrier_divider=divider)
-            b = link_budget(cfg, params.noise())
+            # mu fills both coil cores and the medium (ferrite-loaded design)
+            point = replace(params, resonance_freq_hz=fc, subcarrier_divider=divider,
+                            reader_core_rel_permeability=mu,
+                            mote_core_rel_permeability=mu, medium_rel_permeability=mu)
+            b = link_budget(point.link_config(), params.noise())
             rows.append((fc / 1e6, mu, b.reader_resistance, b.mote_resistance,
                          b.p_tx_dbm, b.path_loss_db,
                          b.sideband_attenuation_db, b.p_re_dbm))
@@ -123,7 +115,7 @@ def run_ber_sweep(params: RunParameters, seed: int):
     # imported here: at module level its ~6 ms would delay every subcommand
     from concurrent.futures import ThreadPoolExecutor
 
-    link, noise = params.link_config(), params.noise()
+    link_cfg, noise = params.link_config(), params.noise()
     schemes = [
         (Modulation.ASK, CodeScheme.NONE),
         (Modulation.BPSK, CodeScheme.NONE),
@@ -140,45 +132,36 @@ def run_ber_sweep(params: RunParameters, seed: int):
             cfg = PhyConfig(modulation=mod, code=code, trials=params.ber_trials,
                             min_errors=params.ber_min_errors,
                             max_bits=params.ber_max_bits, seed=seed + k)
-            curves.append(ber_vs_distance(link, noise, cfg, params.ber_distances_m,
+            curves.append(ber_vs_distance(link_cfg, noise, cfg, params.ber_distances_m,
                                           mapper=pool.map))
         return [row for rows in curves for row in rows]
     finally:
         pool.shutdown(cancel_futures=True)       # a failed point stops the rest
 
 
-def run_mac_scenario1(params: RunParameters, seed: int):
-    return mac.scenario1_sweep(params.mac_rate_bps, params.mac_read_times_s,
-                               params.mac_packet_bytes, trials=params.mac_trials,
-                               seed=seed)
-
-
-def run_mac_scenario2(params: RunParameters, seed: int):
-    return mac.scenario2_sweep(params.mac_n_motes, [params.mac_rate_bps],
-                               params.mac_read_times_s, params.mac_packet_bytes,
-                               trials=params.mac_trials, seed=seed)
-
-
-def run_mac_cdma(params: RunParameters, seed: int):
-    return mac.cdma_sweep(params.mac_n_motes, params.mac_code_lens,
-                          params.mac_packet_bytes, trials=params.mac_trials,
-                          seed=seed)
-
-
-def run_mac_compare(params: RunParameters, seed: int):
-    return mac.compare_schemes(params.mac_n_motes, params.mac_durations_slots,
-                               trials=params.mac_trials, seed=seed)
-
-
-RUNNERS = {
-    "link-sweep": run_link_sweep,
-    "table1": run_table1,
-    "ber-sweep": run_ber_sweep,
-    "mac-scenario1": run_mac_scenario1,
-    "mac-scenario2": run_mac_scenario2,
-    "mac-cdma": run_mac_cdma,
-    "mac-compare": run_mac_compare,
+#: subcommand -> (CSV header, study(params, seed) -> rows).  The lambdas look
+#: up ``link.<name>`` and ``mac.<name>`` when they run, so rebinding a module
+#: attribute (as a tracer or a test double does) reaches the study.
+SUBCOMMANDS = {
+    "link-sweep": ("distance_m,p_re_dbm,snr_db", lambda p, seed:
+                   link.backscatter_sweep(p.link_config(), p.noise(), p.link_distances_m)),
+    "table1": ("fc_mhz,mu,r_r_ohm,r_b_ohm,p_tx_dbm,pl_db,a_s_db,p_re_dbm", run_table1),
+    "ber-sweep": ("distance_m,scheme,code,ber,bits", run_ber_sweep),
+    "mac-scenario1": ("rate_bps,read_time_s,packet_bytes,max_motes", lambda p, seed:
+                      mac.scenario1_sweep(p.mac_rate_bps, p.mac_read_times_s,
+                                          p.mac_packet_bytes, trials=p.mac_trials, seed=seed)),
+    "mac-scenario2": ("n_motes,rate_bps,read_time_s,mean_successes", lambda p, seed:
+                      mac.scenario2_sweep(p.mac_n_motes, [p.mac_rate_bps], p.mac_read_times_s,
+                                          p.mac_packet_bytes, trials=p.mac_trials, seed=seed)),
+    "mac-cdma": ("n_motes,code_len,family,mean_successes", lambda p, seed:
+                 mac.cdma_sweep(p.mac_n_motes, p.mac_code_lens, p.mac_packet_bytes,
+                                trials=p.mac_trials, seed=seed)),
+    "mac-compare": ("n_motes,duration_slots,scheme,mean_successes", lambda p, seed:
+                    mac.compare_schemes(p.mac_n_motes, p.mac_durations_slots,
+                                        trials=p.mac_trials, seed=seed)),
 }
+
+CSV_SCHEMAS = {name: header for name, (header, _) in SUBCOMMANDS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"write CSV with columns: {schema}",
                            description=f"CSV schema: {schema}")
         p.add_argument("--config", type=Path, default=None,
-                       help="config file (default: packaged table3.cfg)")
+                       help="config file; a key it omits keeps its default "
+                            "(default: the packaged table3.cfg, which sets none)")
         p.add_argument("--out", type=Path, default=Path(f"{name}.csv"),
                        help="output CSV path")
         p.add_argument("--seed", type=int, default=None,
@@ -208,9 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
 def resolve_seed(flag_value: int | None) -> int:
     seed = flag_value
     if seed is None:
-        env = os.environ.get(SEED_ENV_VAR)
-        if env is None:
-            return DEFAULT_SEED
+        env = os.environ.get(SEED_ENV_VAR, hex(DEFAULT_SEED))
         try:
             seed = int(env, 0)
         except ValueError as exc:
@@ -221,10 +203,7 @@ def resolve_seed(flag_value: int | None) -> int:
 
 
 def load_parameters(args) -> RunParameters:
-    if args.config is not None:
-        params = load_config(args.config)
-    else:
-        params = load_config(packaged_config_path())
+    params = load_config(args.config or packaged_config_path())
     for item in args.set:
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
@@ -236,19 +215,14 @@ def load_parameters(args) -> RunParameters:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        params = load_parameters(args)
-        seed = resolve_seed(args.seed)
-    except ConfigError as exc:
-        print(f"biomote {args.subcommand}: config error: {exc}", file=sys.stderr)
-        return 2
-    try:
+        params, seed = load_parameters(args), resolve_seed(args.seed)
         if not args.out.parent.is_dir():     # fail before the study, not after
             raise NotADirectoryError(f"{args.out.parent} is not an existing directory")
         if args.out.is_dir():
             raise IsADirectoryError(f"{args.out} is a directory")
-        rows = RUNNERS[args.subcommand](params, seed)
-        _write_csv(args.out, CSV_SCHEMAS[args.subcommand], rows)
-    except (ConfigError, ValueError) as exc:
+        header, study = SUBCOMMANDS[args.subcommand]
+        _write_csv(args.out, header, study(params, seed))
+    except ValueError as exc:                # ConfigError is one
         print(f"biomote {args.subcommand}: config error: {exc}", file=sys.stderr)
         return 2
     except (SingularityError, ArithmeticError, OSError) as exc:

@@ -2,10 +2,11 @@
 units encoded in key names.
 
 Unknown keys, malformed lines and out-of-range values raise
-:class:`ConfigError` carrying the offending line number.  An empty file
-yields the shipped defaults (the reference geometry at the physical-layer
-simulation point: 13.56 MHz, permeability 1, 6 cm separation, -105 dBm
-noise).
+:class:`ConfigError` carrying the offending line number.  The defaults
+live only in :class:`RunParameters` (the reference geometry at the
+physical-layer simulation point: 13.56 MHz, permeability 1, 6 cm
+separation, -105 dBm noise); a file sets the keys it names and an empty
+one, like the packaged ``table3.cfg``, yields the defaults.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from biomote.link import (
     REFERENCE_DRIVE_VOLTAGE,
 )
 
-__all__ = ["ConfigError", "RunParameters", "load_config", "default_parameters",
-           "packaged_config_path"]
+__all__ = ["ConfigError", "RunParameters", "load_config", "packaged_config_path"]
 
 
 class ConfigError(ValueError):
@@ -101,7 +101,8 @@ _PARSERS = {
 
 @dataclass
 class RunParameters:
-    """Parsed configuration; field names match config keys."""
+    """Parsed configuration; field names match config keys, and the field
+    defaults are the only statement of the shipped defaults."""
 
     resonance_freq_hz: float = 13.56e6
     subcarrier_divider: int = 6
@@ -140,37 +141,26 @@ class RunParameters:
     mac_durations_slots: list[int] = field(default_factory=lambda: [128, 1280])
 
     # ------------------------------------------------------------------
-    def reader_coil(self, mu: float | None = None) -> Coil:
-        return Coil(turns=self.reader_turns, loop_radius=self.reader_radius_m,
-                    wire_diameter=self.reader_wire_diameter_m,
-                    coil_height=self.reader_height_m,
-                    resistivity=self.reader_resistivity_ohm_m,
-                    core_rel_permeability=mu if mu is not None
-                    else self.reader_core_rel_permeability)
-
-    def mote_coil(self, mu: float | None = None) -> Coil:
-        return Coil(turns=self.mote_turns, loop_radius=self.mote_radius_m,
-                    wire_diameter=self.mote_wire_diameter_m,
-                    coil_height=self.mote_height_m,
-                    resistivity=self.mote_resistivity_ohm_m,
-                    core_rel_permeability=mu if mu is not None
-                    else self.mote_core_rel_permeability, is_mote=True)
-
-    def link_config(self, mu: float | None = None,
-                    resonance_freq_hz: float | None = None,
-                    subcarrier_divider: int | None = None) -> LinkConfig:
-        """Build the coupled-coil configuration; ``mu`` overrides core and
-        medium permeability together (ferrite-loaded design point)."""
+    def link_config(self) -> LinkConfig:
+        """The coupled-coil configuration these parameters describe."""
         return LinkConfig(
-            reader=self.reader_coil(mu),
-            mote=self.mote_coil(mu),
+            reader=Coil(turns=self.reader_turns, loop_radius=self.reader_radius_m,
+                        wire_diameter=self.reader_wire_diameter_m,
+                        coil_height=self.reader_height_m,
+                        resistivity=self.reader_resistivity_ohm_m,
+                        core_rel_permeability=self.reader_core_rel_permeability),
+            mote=Coil(turns=self.mote_turns, loop_radius=self.mote_radius_m,
+                      wire_diameter=self.mote_wire_diameter_m,
+                      coil_height=self.mote_height_m,
+                      resistivity=self.mote_resistivity_ohm_m,
+                      core_rel_permeability=self.mote_core_rel_permeability,
+                      is_mote=True),
             separation=self.separation_m,
             drive_voltage=self.drive_voltage_v,
-            resonance_freq=resonance_freq_hz or self.resonance_freq_hz,
-            subcarrier_divider=subcarrier_divider or self.subcarrier_divider,
+            resonance_freq=self.resonance_freq_hz,
+            subcarrier_divider=self.subcarrier_divider,
             load_impedance=self.load_ohm,
-            medium_rel_permeability=mu if mu is not None
-            else self.medium_rel_permeability,
+            medium_rel_permeability=self.medium_rel_permeability,
         )
 
     def noise(self) -> NoiseModel:
@@ -178,10 +168,6 @@ class RunParameters:
 
 
 _FIELDS = {spec.name: spec for spec in fields(RunParameters)}
-
-
-def default_parameters() -> RunParameters:
-    return RunParameters()
 
 
 def apply_setting(params: RunParameters, key: str, value: str,
@@ -212,7 +198,7 @@ def load_config(path: str | Path) -> RunParameters:
         text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    params = default_parameters()
+    params = RunParameters()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         text = raw.split("#", 1)[0].strip()
         if not text:

@@ -45,7 +45,6 @@ import numpy as np
 __all__ = [
     "GF32_PRIMITIVE_POLY",
     "HAMMING_N", "HAMMING_K", "RS_N", "RS_K",
-    "hamming_code_rate", "rs_code_rate",
     "gf_mul", "gf_inv", "gf_pow",
     "hamming_encode", "hamming_encode_lfsr", "hamming_decode",
     "rs_encode", "rs_encode_lfsr", "rs_decode", "rs_generator_poly",
@@ -57,14 +56,6 @@ RS_N, RS_K = 31, 26
 
 #: primitive polynomial of GF(2^5): x^5 + x^2 + 1
 GF32_PRIMITIVE_POLY = 0b100101
-
-
-def hamming_code_rate() -> float:
-    return HAMMING_K / HAMMING_N
-
-
-def rs_code_rate() -> float:
-    return RS_K / RS_N
 
 
 # ---------------------------------------------------------------------------

@@ -168,6 +168,9 @@ class LinkConfig:
     medium_rel_permeability: float = 1.0
 
     def __post_init__(self):
+        for name in ("reader", "mote"):
+            if not isinstance(getattr(self, name), Coil):
+                raise ValueError(f"{name} must be a Coil, not {getattr(self, name)!r}")
         fields(self, positive, "separation", "drive_voltage", "resonance_freq",
                "medium_rel_permeability")
         fields(self, finite, "load_impedance")

@@ -60,7 +60,7 @@ from biomote import _draws
 from biomote._checks import count, fields, positive
 
 __all__ = [
-    "MacScenario", "DeploymentGeometry", "ZoneShape",
+    "MacScenario", "DeploymentGeometry",
     "binary_tree_iterations", "aloha_simulate", "aloha_mean_successes",
     "scenario1_sweep", "scenario2_sweep", "max_fully_read",
     "global_recommendation", "walsh_codes", "cdma_simulate", "cdma_sweep",
@@ -123,23 +123,19 @@ class MacScenario:
         return self.slots_available if self.frame_slots is None else self.frame_slots
 
 
-class ZoneShape:
-    HEMISPHERE = "hemisphere"
-    SPHERE = "sphere"
-
-
-#: a zone's volume over its radius cubed, per shape
-_ZONE_VOLUME_PER_R3 = {ZoneShape.HEMISPHERE: 2.0 / 3.0 * math.pi,
-                       ZoneShape.SPHERE: 4.0 / 3.0 * math.pi}
+#: a zone's volume over its radius cubed, per ``zone_shape``
+_ZONE_VOLUME_PER_R3 = {"hemisphere": 2.0 / 3.0 * math.pi,
+                       "sphere": 4.0 / 3.0 * math.pi}
 
 
 @dataclass(frozen=True)
 class DeploymentGeometry:
-    """Body volume and the reader's interrogation zone."""
+    """Body volume and the reader's interrogation zone, whose ``zone_shape``
+    is ``"hemisphere"`` or ``"sphere"``."""
 
     body_volume_cm3: float = 6.643e5
     zone_radius_cm: float = 5.0
-    zone_shape: str = ZoneShape.HEMISPHERE
+    zone_shape: str = "hemisphere"
 
     def __post_init__(self):
         fields(self, positive, "body_volume_cm3", "zone_radius_cm")

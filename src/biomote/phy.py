@@ -99,9 +99,11 @@ class PhyConfig:
     """Monte Carlo stopping policy: run at least ``trials`` information bits
     and at least ``min_errors`` bit errors, capped at ``max_bits``.
 
-    ``trials``, ``min_errors``, ``max_bits`` and ``seed`` are counts, held
-    as Python ints: ``trials`` at least 1, ``max_bits`` at least
-    ``trials``, and ``min_errors`` and ``seed`` at least 0.
+    ``modulation`` and ``code`` are held as their enums, so their values
+    (``"bpsk"``, ``"rs31_26"``) are accepted too.  ``trials``,
+    ``min_errors``, ``max_bits`` and ``seed`` are counts, held as Python
+    ints: ``trials`` at least 1, ``max_bits`` at least ``trials``, and
+    ``min_errors`` and ``seed`` at least 0.
 
     Bits are simulated in whole codewords of k information bits, so a run
     that reaches the cap ends between ``max_bits`` and ``max_bits + k - 1``
@@ -117,6 +119,13 @@ class PhyConfig:
     seed: int = 0xB10B10
 
     def __post_init__(self):
+        for name, enum in (("modulation", Modulation), ("code", CodeScheme)):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, enum(value))
+            except ValueError:
+                raise ValueError(f"{name} must be one of "
+                                 f"{[m.value for m in enum]}, not {value!r}") from None
         fields(self, count, "trials")
         fields(self, count, "min_errors", "seed", low=0)
         fields(self, count, "max_bits", low=self.trials)

@@ -8,16 +8,16 @@ import sys
 import threading
 import time
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
-from biomote import cli, mac, phy
+from biomote import cli, link, mac, phy
 from biomote.cli import CSV_SCHEMAS, main, resolve_seed
 from biomote.config import (
     ConfigError,
     RunParameters,
     apply_setting,
-    default_parameters,
     load_config,
     packaged_config_path,
 )
@@ -48,10 +48,15 @@ def test_shipped_table3_values():
     assert params.subcarrier_divider == 6
 
 
+def test_packaged_config_sets_no_key():
+    # RunParameters is the one statement of the defaults
+    assert load_config(packaged_config_path()) == RunParameters()
+
+
 def test_empty_file_gives_defaults(tmp_path):
     p = tmp_path / "empty.cfg"
     p.write_text("")
-    assert load_config(p) == default_parameters()
+    assert load_config(p) == RunParameters()
 
 
 def test_comments_and_blank_lines(tmp_path):
@@ -159,7 +164,7 @@ def test_schema_headers_match_contract(tmp_path):
     assert out.read_text().splitlines()[0] == CSV_SCHEMAS["table1"]
     # every other subcommand's rows come whole from one layer sweep, whose
     # rows are as wide as the schema
-    params = default_parameters()
+    params = RunParameters()
     link, noise = params.link_config(), params.noise()
     cfg = PhyConfig(trials=1_000, min_errors=1, max_bits=2_000)
     sweeps = {
@@ -174,6 +179,23 @@ def test_schema_headers_match_contract(tmp_path):
     for subcommand, rows in sweeps.items():
         widths = {len(row) for row in rows}
         assert widths == {len(CSV_SCHEMAS[subcommand].split(","))}, subcommand
+
+
+@pytest.mark.parametrize("subcommand,module,name", [
+    ("link-sweep", link, "backscatter_sweep"),
+    ("mac-scenario1", mac, "scenario1_sweep"),
+    ("mac-scenario2", mac, "scenario2_sweep"),
+    ("mac-cdma", mac, "cdma_sweep"),
+    ("mac-compare", mac, "compare_schemes"),
+])
+def test_study_looks_up_its_layer_sweep_when_it_runs(tmp_path, monkeypatch,
+                                                     subcommand, module, name):
+    # a tracer rebinds the layers' module attributes after the CLI is imported
+    width = len(CSV_SCHEMAS[subcommand].split(","))
+    monkeypatch.setattr(module, name, lambda *args, **kwargs: [(7,) * width])
+    out = tmp_path / "x.csv"
+    assert main([subcommand, "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1:] == [",".join(["7"] * width)]
 
 
 def test_table1_brackets_reference_rows(tmp_path):
@@ -228,7 +250,7 @@ def test_negative_seed_flag_exits_2(tmp_path, capsys, monkeypatch, subcommand):
     def no_work(*args, **kwargs):
         raise AssertionError("the study ran before the seed was checked")
 
-    monkeypatch.setitem(cli.RUNNERS, subcommand, no_work)
+    monkeypatch.setitem(cli.SUBCOMMANDS, subcommand, (CSV_SCHEMAS[subcommand], no_work))
     out = tmp_path / "x.csv"
     assert main([subcommand, "--seed", "-1", "--out", str(out)]) == 2
     assert "config error: seed must be a non-negative integer" in capsys.readouterr().err
@@ -340,7 +362,7 @@ def test_oversized_cdma_draws_exit_2(tmp_path, setting):
 
 
 def test_cdma_draw_cap_boundary():
-    params = default_parameters()
+    params = RunParameters()
     for n in params.mac_n_motes:
         for code_len in params.mac_code_lens:
             mac._check_cdma(n, code_len, "random", params.mac_packet_bytes,
@@ -403,7 +425,7 @@ def test_missing_output_directory_exits_3_before_the_study(tmp_path, capsys,
     def no_work(*args, **kwargs):
         raise AssertionError("the study ran before the output was checked")
 
-    monkeypatch.setitem(cli.RUNNERS, "mac-cdma", no_work)
+    monkeypatch.setitem(cli.SUBCOMMANDS, "mac-cdma", (CSV_SCHEMAS["mac-cdma"], no_work))
     out = tmp_path / "missing" / "x.csv"
     assert main(["mac-cdma", "--out", str(out)]) == 3
     assert "runtime error" in capsys.readouterr().err
@@ -415,10 +437,23 @@ def test_missing_output_directory_exits_3_before_the_study(tmp_path, capsys,
     assert not any(out.iterdir())
 
 
-def test_cli_help_documents_schema():
-    r = run_cli(["table1", "--help"])
-    assert r.returncode == 0
-    assert CSV_SCHEMAS["table1"] in r.stdout
+@pytest.mark.parametrize("subcommand", CSV_SCHEMAS)
+def test_cli_help_documents_schema(capsys, subcommand):
+    with pytest.raises(SystemExit) as done:
+        main([subcommand, "--help"])
+    assert done.value.code == 0
+    assert CSV_SCHEMAS[subcommand] in capsys.readouterr().out
+
+
+def test_readme_command_table_matches_schemas():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = {}
+    for line in readme.splitlines():
+        cells = [cell.strip().strip("`") for cell in line.strip("|").split("|")]
+        if line.startswith("| `") and len(cells) == 2:
+            table[cells[0]] = cells[1]
+    assert table == CSV_SCHEMAS
+    assert list(table) == list(CSV_SCHEMAS)
 
 
 def test_range_points_are_exact_multiples():
@@ -455,7 +490,7 @@ def test_oversized_range_exits_2_before_work(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 def small_ber_params():
-    params = default_parameters()
+    params = RunParameters()
     for setting in ("ber_distances_m=0.05,0.065", "ber_trials=2000",
                     "ber_min_errors=20", "ber_max_bits=20000"):
         apply_setting(params, *setting.split("="))

@@ -95,7 +95,6 @@ def test_hamming_zero_message():
 
 def test_hamming_rate_exact():
     assert Fraction(11, 15) == Fraction(fec.HAMMING_K, fec.HAMMING_N)
-    assert fec.hamming_code_rate() == 11 / 15
 
 
 def test_hamming_wrong_length_rejected():
@@ -204,7 +203,6 @@ def test_rs_zero_message():
 
 def test_rs_rate_exact():
     assert Fraction(26, 31) == Fraction(fec.RS_K, fec.RS_N)
-    assert fec.rs_code_rate() == 26 / 31
 
 
 def test_rs_wrong_length_rejected():

@@ -399,6 +399,14 @@ def test_link_config_rejects_non_finite(field, value):
         replace(reference_link_config(), **{field: value})
 
 
+@pytest.mark.parametrize("field", ["reader", "mote"])
+@pytest.mark.parametrize("value", ["1", None, 0.05])
+def test_link_config_rejects_non_coil(field, value):
+    # reader="1" used to raise an AttributeError from the contact-gap check
+    with pytest.raises(ValueError, match=f"^{field} must be a Coil"):
+        replace(reference_link_config(), **{field: value})
+
+
 @pytest.mark.parametrize("load", [complex(math.nan, 0.0), complex(50.0, math.inf),
                                   complex(-math.inf, 1.0)])
 def test_link_config_rejects_non_finite_complex_load(load):

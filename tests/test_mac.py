@@ -18,7 +18,6 @@ from biomote.mac import (
     MAX_ALOHA_SLOTS,
     DeploymentGeometry,
     MacScenario,
-    ZoneShape,
     _cdma_trial,
     _gram_dtype,
     _trial_rng,
@@ -649,8 +648,8 @@ def test_global_recommendation_zero_and_linearity():
 
 
 def test_sphere_zone_half_of_hemisphere_zones():
-    hemi = DeploymentGeometry(zone_shape=ZoneShape.HEMISPHERE)
-    sphere = DeploymentGeometry(zone_shape=ZoneShape.SPHERE)
+    hemi = DeploymentGeometry(zone_shape="hemisphere")
+    sphere = DeploymentGeometry(zone_shape="sphere")
     assert sphere.zone_volume_cm3 == pytest.approx(2 * hemi.zone_volume_cm3)
 
 

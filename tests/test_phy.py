@@ -380,6 +380,30 @@ def test_phyconfig_validation():
             PhyConfig(**{field: value})
 
 
+def test_phyconfig_takes_enum_values():
+    # modulation="bpsk" used to simulate ASK (BER 0.10275 at 5 dB, against
+    # 0.037 for Modulation.BPSK), and code="1" failed later with a KeyError
+    cfg = PhyConfig(modulation="bpsk", code="rs31_26", trials=2_000,
+                    max_bits=2_000)
+    assert cfg.modulation is Modulation.BPSK and cfg.code is CodeScheme.RS_31_26
+    enums = PhyConfig(modulation=Modulation.BPSK, code=CodeScheme.RS_31_26,
+                      trials=2_000, max_bits=2_000)
+    assert ber_monte_carlo(cfg, 5.0) == ber_monte_carlo(enums, 5.0)
+    for field, value in [("modulation", "1"), ("modulation", "BPSK"),
+                         ("modulation", CodeScheme.NONE), ("code", "1"),
+                         ("code", None), ("code", Modulation.ASK)]:
+        with pytest.raises(ValueError, match=f"^{field} must be one of"):
+            PhyConfig(**{field: value})
+
+
+@pytest.mark.parametrize("code,rate", [(CodeScheme.NONE, 1.0),
+                                       (CodeScheme.HAMMING_15_11, 11 / 15),
+                                       (CodeScheme.RS_31_26, 26 / 31)])
+def test_code_scheme_rate(code, rate):
+    # the one statement of each code's rate: information over coded bits
+    assert code.rate == rate
+
+
 def test_phyconfig_takes_numpy_counts():
     cfg = PhyConfig(trials=np.int64(1_000), min_errors=np.int32(5),
                     max_bits=np.uint32(4_000), seed=np.uint64(3))
