@@ -27,16 +27,16 @@ trial stops at the first block after which no mote is still error-free.
 Walsh codes use the closed form of C C^T and need no matmul; with n <= L
 every mote has its own row, so all n are read and nothing is drawn.
 
-Every routine is deterministic in (seed, parameters): per-trial generator
-streams derive from a seed sequence keyed by (seed, point, trial), so
-results are independent of any chunking of trials across workers.
+Every routine is deterministic in (seed, parameters): each trial draws
+from its own stream keyed by (seed, n, trial), so results are
+independent of any chunking of trials across workers.  :mod:`biomote._draws`
+keys the streams and holds numpy's draw rules; this module holds only the
+frames and the despreading.
 
 ALOHA runs all trials of a point together as arrays.  A trial's slot picks
-are numpy's bounded-integer draws, ``Generator.integers(0, frame)``,
-reproduced from the raw PCG64 words of its stream (:mod:`biomote._draws`
-says why that is exact and what guards it): Lemire's method on 32-bit
-words, with numpy's rare rejections replayed word by word.  CDMA draws its
-codes and packet bits the same way (:func:`~biomote._draws.random_bits`).
+are numpy's ``Generator.integers(0, frame)`` draws, reproduced from the raw
+words of its stream (:func:`~biomote._draws.bounded`); CDMA draws its codes
+and packet bits the same way (:func:`~biomote._draws.random_bits`).
 Each trial reads a prefix of its (seed, n, trial) stream, from the first
 word: at first the n words its first frame reads, with room for rejected
 words and six to spare.  The prefixes are memoised per process within
@@ -160,15 +160,11 @@ def binary_tree_iterations(n: int) -> float:
 # slotted ALOHA
 # ---------------------------------------------------------------------------
 
-def _trial_rng(seed: int, n: int, t: int) -> np.random.Generator:
-    return np.random.Generator(_draws.stream(seed, n, t))
-
-
 def _words_for(picks: int, frame: int) -> int:
     """Words to hold for ``picks`` draws in [0, frame): a word a pick, the
     words numpy rejects among them on average and a quarter more, and six
     words to spare."""
-    rejected = picks * ((1 << 32) % frame) // ((1 << 32) - (1 << 32) % frame)
+    rejected = _draws.rejections(picks, frame)
     return picks + rejected + rejected // 4 + 6
 
 
@@ -236,16 +232,11 @@ class _TrialStreams:
 
     def picks(self, counts: np.ndarray, frame: int) -> np.ndarray:
         """Row i's next ``counts[i]`` draws of ``integers(0, frame)``, padded
-        with ``frame`` to a (rows, width) uint32 array in no particular order.
-
-        numpy draws them by Lemire's method on 32-bit words: a word u gives
-        ``(u * frame) >> 32`` unless ``(u * frame) mod 2**32`` is below
-        ``2**32 mod frame``, when numpy rejects it and takes the next word.
-        A frame of one slot draws no word.
+        with ``frame`` to a (rows, width) uint32 array in no particular order
+        (:func:`~biomote._draws.bounded`).  A frame of one slot draws no word.
         """
         if frame == 1:
             return (np.arange(int(counts.max())) >= counts[:, None]).astype(np.uint32)
-        threshold = (1 << 32) % frame
         # Each pass reads, per row, as many words as it still needs picks, so
         # a row consumes exactly the words numpy would: its picks and the
         # words rejected among them.
@@ -259,13 +250,10 @@ class _TrialStreams:
                            4 * self.words.shape[1])
                 self.words = _first_words(*self.block, wide)[self.trials]
             width = int(need.max())
-            words = self._window(width)
-            # the products u * frame as (low, high) halves
-            halves = np.multiply(words, frame, dtype="<u8").view("<u4")
-            accepted = halves[:, 0::2] >= threshold
+            values, accepted = _draws.bounded(self._window(width), frame)
             if need.min() < width:
                 accepted &= np.arange(width) < need[:, None]
-            parts.append(np.where(accepted, halves[:, 1::2], frame))
+            parts.append(np.where(accepted, values, frame))
             self.pos += need
             need = need - np.count_nonzero(accepted, axis=1)
         return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
@@ -311,12 +299,11 @@ def aloha_simulate(sc: MacScenario) -> tuple[int, int]:
     """Framed ALOHA over all ``sc.trials`` trials; returns (motes read,
     slots consumed), each summed over the trials.
 
-    Trial t picks from the stream of ``_trial_rng(sc.seed, sc.n_motes, t)``
+    Trial t picks from its stream, ``_draws.stream(sc.seed, sc.n_motes, t)``,
     exactly what ``integers(0, frame, size=unread)`` would draw there, one
-    call per frame, but from the stream's raw words (see the module
-    docstring for why that is exact and what guards it).  A trailing partial
-    frame is truncated: draws landing past the window are lost with the
-    window.  Trials run in blocks of about :data:`_BLOCK_WORDS` words, so
+    call per frame, but from the stream's raw words
+    (:func:`~biomote._draws.bounded`).  A trailing partial frame is
+    truncated: draws landing past the window are lost with the window.  Trials run in blocks of about :data:`_BLOCK_WORDS` words, so
     memory does not grow with ``sc.trials``; a block holds one trial at
     least, so one trial of a very large deployment may exceed it.
     """
@@ -438,7 +425,7 @@ def _gram_dtype(n: int, code_len: int) -> type:
 
 
 def _cdma_trial(n: int, code_len: int, family: str, packet_bits: int,
-                rng: np.random.Generator) -> int:
+                bit_gen: np.random.BitGenerator) -> int:
     # All motes transmit chip-synchronously and the reader correlates the
     # plain chip sum with each code, so the correlations are (C C^T) @ bits
     # for the n x L code matrix C and the n x packet_bits +-1 matrix bits.
@@ -449,7 +436,7 @@ def _cdma_trial(n: int, code_len: int, family: str, packet_bits: int,
         # mote j correlates to L times the summed bits of every mote sharing
         # its row (L > 0 leaves the sign, so the factor is dropped).  With
         # n <= L every row is its own, so all n are read; the trial's
-        # generator is discarded afterwards, so skipping its draws changes
+        # stream is discarded afterwards, so skipping its draws changes
         # no other trial.
         if n <= code_len:
             return n
@@ -458,16 +445,16 @@ def _cdma_trial(n: int, code_len: int, family: str, packet_bits: int,
         padded = np.zeros((groups * code_len, packet_bits),
                           dtype=np.min_scalar_type(-groups - 1))
         # +-1 in the padded dtype: uint8 bits * 2 - 1 would wrap 0 to 255
-        bits = _draws.random_bits(rng, (n, packet_bits))
+        bits = _draws.random_bits(bit_gen, (n, packet_bits))
         padded[:n] = bits.astype(padded.dtype) * 2 - 1
         stacked = padded.reshape(groups, code_len, packet_bits)
         decided = stacked.sum(axis=0, dtype=padded.dtype) >= 0
         read = np.all(decided == (stacked > 0), axis=2).reshape(-1)[:n]
         return int(np.count_nonzero(read))
     dtype = _gram_dtype(n, code_len)
-    chips = _draws.random_bits(rng, (n, code_len)).astype(dtype) * 2 - 1
+    chips = _draws.random_bits(bit_gen, (n, code_len)).astype(dtype) * 2 - 1
     # drawn after the codes: the draw order is part of the seeded output
-    draws = _draws.random_bits(rng, (n, packet_bits))
+    draws = _draws.random_bits(bit_gen, (n, packet_bits))
     gram = chips @ chips.T
     # Despread block by block over the motes still error-free; most trials
     # of a crowded channel lose every mote in the first block.
@@ -514,7 +501,7 @@ def cdma_simulate(n_motes: int, code_len: int, family: str = "random",
     total = 0
     for t in range(trials):
         total += _cdma_trial(n_motes, code_len, family, bits,
-                             _trial_rng(seed, n_motes, t))
+                             _draws.stream(seed, n_motes, t))
     return total / trials
 
 

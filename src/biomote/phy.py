@@ -21,9 +21,12 @@ not the per-information-bit energy, is what the link fixes.
 Tiles
 -----
 The Monte Carlo runs in chunks of at most :data:`_CHUNK_CAP` samples; the
-chunk schedule fixes the seeded stream.  A chunk's information bits are
-``integers(0, 2)`` draws rebuilt from the raw PCG64 words of the point's
-stream (:func:`biomote._draws.random_bits`), so no int64 array holds them.
+chunk schedule fixes the seeded stream.  :mod:`biomote._draws` keys each
+point's stream and derives each sweep point's seed; this module holds the
+channel, the codecs and the Monte Carlo loop.  A chunk's information bits are ``integers(0, 2)`` draws rebuilt
+from the raw words of the point's stream
+(:func:`biomote._draws.random_bits`), so no int64 array holds them; its
+noise is the stream's ``standard_normal``.
 Each chunk is modulated, noised and sliced in tiles of :data:`_TILE`
 samples, so a chunk's float64 tx and rx arrays never exist whole: each
 tile's are 256 KiB, a size the allocator hands back from the tiles freed
@@ -42,9 +45,8 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from biomote import fec
+from biomote import _draws, fec
 from biomote._checks import count, fields, finite
-from biomote._draws import random_bits
 from biomote.link import LinkConfig, NoiseModel, check_distances, link_budget
 
 __all__ = [
@@ -139,13 +141,13 @@ class BerEstimate:
     low_confidence: bool      # budget ran out before min_errors was reached
 
 
-def modulate(bits, scheme: Modulation) -> np.ndarray:
+def modulate(bits, scheme: Modulation | str) -> np.ndarray:
     """Map bits to symbol amplitudes (BPSK -1/+1, ASK 0/2)."""
     bits = np.asarray(bits)
     if bits.size == 0:
         raise ValueError("bit sequence must be non-empty")
     symbols = np.multiply(bits > 0, 2.0, dtype=float)    # ASK: 0 / 2
-    if scheme is Modulation.BPSK:
+    if Modulation(scheme) is Modulation.BPSK:
         symbols -= 1.0                                  # -1 / +1
     return symbols
 
@@ -181,28 +183,28 @@ def awgn(symbols, snr_db: float, rng: np.random.Generator,
     return noisy
 
 
-def demodulate(symbols, scheme: Modulation) -> np.ndarray:
+def demodulate(symbols, scheme: Modulation | str) -> np.ndarray:
     """Threshold receiver: BPSK slices at 0, ASK at the midpoint 1; ties
     decide 1."""
     symbols = np.asarray(symbols, dtype=float)
-    thresh = 0.0 if scheme is Modulation.BPSK else 1.0
+    thresh = 0.0 if Modulation(scheme) is Modulation.BPSK else 1.0
     return (symbols >= thresh).view(np.uint8)
 
 
-def ber_theory(scheme: Modulation, ebn0_db: float) -> float:
+def ber_theory(scheme: Modulation | str, ebn0_db: float) -> float:
     """Closed-form AWGN bit error rate at a given Eb/N0.
 
     BPSK: Q(sqrt(2 Eb/N0)); coherent on-off ASK at equal average power:
     Q(sqrt(Eb/N0)).
     """
     ebn0 = 10.0 ** (ebn0_db / 10.0)
-    arg = 2.0 * ebn0 if scheme is Modulation.BPSK else ebn0
+    arg = 2.0 * ebn0 if Modulation(scheme) is Modulation.BPSK else ebn0
     return 0.5 * math.erfc(math.sqrt(arg / 2.0))
 
 
-def ebn0_to_channel_snr(ebn0_db: float, code: CodeScheme = CodeScheme.NONE) -> float:
+def ebn0_to_channel_snr(ebn0_db: float, code: CodeScheme | str = CodeScheme.NONE) -> float:
     """Channel snr_db carrying the stated energy per information bit."""
-    return ebn0_db + 10.0 * math.log10(2.0 * code.rate)
+    return ebn0_db + 10.0 * math.log10(2.0 * CodeScheme(code).rate)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +237,7 @@ def _run_blocks(cfg: PhyConfig, snr_db: float, n_blocks: int,
                 rng: np.random.Generator) -> tuple[int, int]:
     """Simulate ``n_blocks`` codewords; returns (info bit errors, info bits)."""
     codec = _CODECS[cfg.code]
-    info = random_bits(rng, (n_blocks, codec.k))
+    info = _draws.random_bits(rng.bit_generator, (n_blocks, codec.k))
     coded = codec.encode(info).reshape(-1)
     energy = _chunk_energy(coded, cfg.modulation)
     hard = np.empty(coded.size, dtype=np.uint8)
@@ -260,8 +262,7 @@ def ber_monte_carlo(cfg: PhyConfig, snr_db: float) -> BerEstimate:
     go through the channel one tile at a time (see the module docstring).
     """
     finite("snr_db", snr_db)
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=(cfg.seed, _snr_key(snr_db))))
+    rng = np.random.Generator(_draws.stream(cfg.seed, _snr_key(snr_db)))
     codec = _CODECS[cfg.code]
     k = codec.k
     errors = bits = 0
@@ -309,14 +310,7 @@ def ber_vs_distance(link: LinkConfig, noise: NoiseModel, cfg: PhyConfig,
     distances = check_distances(distances)
     snrs = [link_budget(replace(link, separation=d), noise).snr_db
             + LINK_SNR_TO_CHANNEL_DB for d in distances]
-    cfgs = [replace(cfg, seed=_sub_seed(cfg.seed, i))
+    cfgs = [replace(cfg, seed=_draws.sub_seed(cfg.seed, i))
             for i in range(len(distances))]
     return ((d, cfg.modulation.value, cfg.code.value, est.ber, est.bits_simulated)
             for d, est in zip(distances, mapper(ber_monte_carlo, cfgs, snrs)))
-
-
-def _sub_seed(master: int, index: int) -> int:
-    """Deterministic per-point seed: results do not depend on how points are
-    split across workers."""
-    ss = np.random.SeedSequence(entropy=(master, index))
-    return int(ss.generate_state(1, np.uint64)[0])

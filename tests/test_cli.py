@@ -21,7 +21,7 @@ from biomote.config import (
     load_config,
     packaged_config_path,
 )
-from biomote.link import backscatter_sweep
+from biomote.link import backscatter_sweep, link_budget
 from biomote.phy import CodeScheme, Modulation, PhyConfig, ber_vs_distance
 
 
@@ -51,6 +51,23 @@ def test_shipped_table3_values():
 def test_packaged_config_sets_no_key():
     # RunParameters is the one statement of the defaults
     assert load_config(packaged_config_path()) == RunParameters()
+
+
+def test_reference_link_has_one_source(monkeypatch):
+    # link.reference_link_config and RunParameters.link_config both state
+    # the reference carrier, divider, separation and ferrite rule; the
+    # defaults and every table1 point, built by run_table1 itself, agree
+    assert RunParameters().link_config() == link.reference_link_config()
+    built = []
+
+    def recording(config, noise):
+        built.append(config)
+        return link_budget(config, noise)
+
+    monkeypatch.setattr(cli, "link_budget", recording)
+    cli.run_table1(RunParameters(), seed=0)
+    assert built == [link.reference_link_config(fc, divider, 0.06, mu)
+                     for fc, mus, divider in cli.TABLE1_ROWS for mu in mus]
 
 
 def test_empty_file_gives_defaults(tmp_path):

@@ -1,10 +1,95 @@
-"""Raw-word draws: ``random_bits`` against numpy's own ``integers(0, 2)``."""
+"""Seeded draws: golden words for each numpy algorithm the CSV bytes rest
+on, and ``random_bits`` against numpy's own ``integers(0, 2)``.
+
+The golden values were recorded with numpy 2.4.6.  A numpy release that
+changes one of these algorithms fails the test that names it here, before
+any CSV digest moves.
+"""
+
+import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from biomote._draws import random_bits
+from biomote import phy
+from biomote._draws import bounded, random_bits, raw_words, rejections, stream, sub_seed
+
+#: the first three 64-bit outputs of trial 0 of the default seed at n = 100
+_GOLDEN_RAW = [0xA05FD07AB6C2F9F1, 0x4CB5D67BF8213105, 0x56FDFD001F5AD540]
+
+
+def test_golden_stream_keying():
+    """SeedSequence keying of PCG64: a trial's stream, and its 32-bit words
+    low half first."""
+    assert stream(0xB10B10, 100, 0).random_raw(3).tolist() == _GOLDEN_RAW
+    assert raw_words(stream(0xB10B10, 100, 0), 2).tolist() == [
+        0xB6C2F9F1, 0xA05FD07A, 0xF8213105, 0x4CB5D67B]
+
+
+def test_golden_sub_seed():
+    """SeedSequence ``generate_state``: the seeds of a BER sweep's first two
+    points under the default master seed."""
+    assert sub_seed(0xB10B10, 0) == 4962678256578433740
+    assert sub_seed(0xB10B10, 1) == 1872311813571898462
+
+
+def test_golden_bits_carry_the_buffered_half_word():
+    """numpy's 32-bit bounded path: five bits take three words and leave
+    the third word's high half buffered; the next six bits start from it,
+    whose top bit is 0, and leave a half buffered again."""
+    bit_gen = stream(0xB10B10, 100, 0)
+    assert random_bits(bit_gen, 5).tolist() == [1, 1, 1, 0, 0]
+    state = bit_gen.state
+    assert (state["has_uint32"], state["uinteger"]) == (1, 0x56FDFD00)
+    assert random_bits(bit_gen, 6).tolist() == [0, 1, 0, 1, 1, 0]
+    assert bit_gen.state["has_uint32"] == 1
+
+
+#: the first eight ``integers(0, 2**31 + 1)`` of the same stream, which
+#: rejects eight of its first sixteen words
+_GOLDEN_WIDE = [1345316925, 643492669, 1241807281, 1807685513,
+                717865566, 1474000487, 71031882, 1710228266]
+
+
+def test_golden_bounded_rejects_words():
+    """Lemire's method: on a frame of 2**31 + 1, which rejects about half
+    of all words, the accepted words of the first sixteen are the eight
+    draws ``integers`` makes."""
+    frame = 2**31 + 1
+    values, accepted = bounded(raw_words(stream(0xB10B10, 100, 0), 8), frame)
+    assert accepted.tolist() == [False, True, False, True, False, False, False, False,
+                                 True, False, False, True, True, True, True, True]
+    assert values[accepted].tolist() == _GOLDEN_WIDE
+    rng = np.random.Generator(stream(0xB10B10, 100, 0))
+    assert rng.integers(0, frame, size=8).tolist() == _GOLDEN_WIDE
+
+
+@pytest.mark.parametrize("frame", [2, 3, 100, 3125, 2**31 + 1, 2**32 - 1])
+def test_bounded_matches_integers(frame):
+    """Lemire's method: ``bounded``'s accepted values are ``integers(0,
+    frame)``'s draws, in order, and the words rejected among them are
+    within 5 sigma of ``rejections``, their mean (none for a power of
+    two)."""
+    values, accepted = bounded(raw_words(stream(7, frame, 0), 2000), frame)
+    rng = np.random.Generator(stream(7, frame, 0))
+    picks = int(np.count_nonzero(accepted))
+    assert values[accepted].tolist() == rng.integers(0, frame, size=picks).tolist()
+    # the rejected words before each pick are geometric with ratio p
+    p = (1 << 32) % frame / (1 << 32)
+    sigma = math.sqrt(picks * p) / (1 - p)
+    assert abs(rejections(picks, frame) - (4000 - picks)) <= 5 * sigma + 1
+    assert rejections(picks, 2) == rejections(picks, 2**16) == 0
+
+
+def test_golden_phy_noise():
+    """The ziggurat normal: the first noise values of the PHY stream of
+    ``PhyConfig()``'s seed at 5 dB, as ``ber_monte_carlo`` keys it."""
+    rng = np.random.Generator(stream(0xB10B10, phy._snr_key(5.0)))
+    assert rng.standard_normal(4).tolist() == [
+        1.0887445423034066, 0.20967712523238527, 0.5696016771592118,
+        -0.5141931727165652]
 
 #: shapes by size: empty, odd and even, one- and two-dimensional
 _SHAPES = st.one_of(st.integers(0, 300),
@@ -43,7 +128,7 @@ def test_random_bits_match_integers(seed, calls):
     raw, ref = (np.random.Generator(np.random.PCG64(seed)) for _ in range(2))
     for call in calls:
         if call[0] == "bits":
-            got = random_bits(raw, call[1])
+            got = random_bits(raw.bit_generator, call[1])
             expect = ref.integers(0, 2, size=call[1]).astype(np.uint8)
             assert got.dtype == expect.dtype and got.shape == expect.shape
             np.testing.assert_array_equal(got, expect)

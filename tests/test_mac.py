@@ -20,7 +20,6 @@ from biomote.mac import (
     MacScenario,
     _cdma_trial,
     _gram_dtype,
-    _trial_rng,
     aloha_mean_successes,
     aloha_simulate,
     binary_tree_iterations,
@@ -37,6 +36,12 @@ from biomote.mac import (
 
 def _rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def _trial_generator(seed, n, t):
+    """Trial t's stream of point (seed, n) as a ``Generator``, for the
+    references that draw through numpy's own methods."""
+    return np.random.Generator(_draws.stream(seed, n, t))
 
 
 def single_frame_mean(n, s):
@@ -258,7 +263,7 @@ def _aloha_simulate_unique(sc, rng):
 def _reference(sc):
     """(motes read, slots used) summed over ``sc``'s trials, each run by the
     reference on its own fresh stream."""
-    runs = [_aloha_simulate_unique(sc, _trial_rng(sc.seed, sc.n_motes, t))
+    runs = [_aloha_simulate_unique(sc, _trial_generator(sc.seed, sc.n_motes, t))
             for t in range(sc.trials)]
     return sum(r for r, _ in runs), sum(u for _, u in runs)
 
@@ -327,8 +332,8 @@ def _layouts(draw):
 @example(layout=(40, 2**31 + 1, 2**30), seed=7, block_words=mac._BLOCK_WORDS)
 @example(layout=(40, 2**31 + 1, MAX_ALOHA_SLOTS), seed=8, block_words=40)
 def test_batched_aloha_matches_per_trial_reference(layout, seed, block_words):
-    """The batched trials equal the per-trial reference on ``_trial_rng``
-    streams, trial by trial and as sums over trials, whatever the block
+    """The batched trials equal the per-trial reference on each trial's
+    own stream, trial by trial and as sums over trials, whatever the block
     size (``block_words`` of 1 runs every trial alone)."""
     n, frame_slots, budget = layout
     with mock.patch.object(mac, "_BLOCK_WORDS", block_words):
@@ -709,7 +714,7 @@ def test_walsh_family_matches_shared_row_law(code_len):
     trials, seed = 2_000, 83
     for n in (code_len + 1, 2 * code_len, 2 * code_len + 3, 3 * code_len,
               4 * code_len + 1):
-        counts = [_cdma_trial(n, code_len, "walsh", 8, _trial_rng(seed, n, t))
+        counts = [_cdma_trial(n, code_len, "walsh", 8, _draws.stream(seed, n, t))
                   for t in range(trials)]
         mean = sum(counts) / trials
         assert mean == cdma_simulate(n, code_len, "walsh", 1, trials, seed)
@@ -856,9 +861,9 @@ def test_despread_matches_int32_reference():
                   2 * code_len + 3, 4 * code_len + 1):
             for t in range(4):
                 expect, zeros, first = _despread_int32(
-                    n, code_len, family, packet_bits, _trial_rng(77, n, t))
+                    n, code_len, family, packet_bits, _trial_generator(77, n, t))
                 got = _cdma_trial(n, code_len, family, packet_bits,
-                                  _trial_rng(77, n, t))
+                                  _draws.stream(77, n, t))
                 assert got == expect, (family, code_len, packet_bits, n, t)
                 if family == "random":
                     ties += zeros
@@ -873,11 +878,10 @@ def test_despread_matches_int32_reference():
 
 
 class _ConstantDraws:
-    """A generator stub, and its own bit generator, whose every drawn bit is
-    ``value``: its raw 64-bit words are all zeros or all ones."""
+    """A bit generator stub whose every drawn bit is ``value``: its raw
+    64-bit words are all zeros or all ones."""
 
     def __init__(self, value):
-        self.bit_generator = self
         self.state = {"has_uint32": 0, "uinteger": 0}
         self.word = (2**64 - 1) * value
 
@@ -899,8 +903,8 @@ def test_walsh_wide_row_sums_match_int32_reference(n, code_len):
     # rows shared by more than 127 motes sum in int16 or int32, where a
     # uint8 bits * 2 - 1 would turn every 0 bit into +255 and read every mote
     for t in range(3):
-        expect = _despread_int32(n, code_len, "walsh", 8, _trial_rng(5, n, t))[0]
-        assert _cdma_trial(n, code_len, "walsh", 8, _trial_rng(5, n, t)) == expect
+        expect = _despread_int32(n, code_len, "walsh", 8, _trial_generator(5, n, t))[0]
+        assert _cdma_trial(n, code_len, "walsh", 8, _draws.stream(5, n, t)) == expect
 
 
 def test_gram_dtype_at_float32_bound():

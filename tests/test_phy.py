@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from biomote import phy
+from biomote import _draws, phy
 from biomote.link import NoiseModel, reference_link_config
 from biomote.phy import (
     BerEstimate,
@@ -279,11 +279,12 @@ def test_ber_vs_distance_points_worker_independent():
     noise = NoiseModel.from_total_dbm(-105.0)
     cfg = PhyConfig(trials=30_000, min_errors=30, max_bits=200_000, seed=77)
     full = list(ber_vs_distance(link, noise, cfg, [0.055, 0.06, 0.065]))
-    from biomote.phy import _sub_seed, ber_monte_carlo as mc
+    from biomote._draws import sub_seed
+    from biomote.phy import ber_monte_carlo as mc
     from biomote.link import link_budget
     from dataclasses import replace
     b = link_budget(replace(link, separation=0.06), noise)
-    alone = mc(replace(cfg, seed=_sub_seed(77, 1)),
+    alone = mc(replace(cfg, seed=sub_seed(77, 1)),
                b.snr_db + 10 * math.log10(2))
     assert (alone.ber, alone.bits_simulated) == full[1][3:]
 
@@ -327,7 +328,7 @@ def test_ber_vs_distance_maps_every_point_before_a_row_is_read():
     rows = ber_vs_distance(link, noise, cfg, distances, mapper=recording)
     assert len(calls) == 1
     cfgs, snrs = calls[0]
-    assert [c.seed for c in cfgs] == [phy._sub_seed(79, i) for i in range(3)]
+    assert [c.seed for c in cfgs] == [_draws.sub_seed(79, i) for i in range(3)]
     assert snrs == [phy.link_budget(replace(link, separation=d), noise).snr_db
                     + phy.LINK_SNR_TO_CHANNEL_DB for d in distances]
     assert [row[0] for row in rows] == distances
@@ -394,6 +395,42 @@ def test_phyconfig_takes_enum_values():
                          ("code", None), ("code", Modulation.ASK)]:
         with pytest.raises(ValueError, match=f"^{field} must be one of"):
             PhyConfig(**{field: value})
+
+
+@pytest.mark.parametrize("as_value", [False, True], ids=["enum", "str"])
+@pytest.mark.parametrize("scheme", list(Modulation))
+def test_modulation_functions_take_enum_values(scheme, as_value):
+    # ber_theory("bpsk", 5.0) used to give ASK's 0.03768, and
+    # demodulate([0.5, -0.5], "bpsk") to slice at ASK's midpoint
+    bpsk = scheme is Modulation.BPSK
+    given = scheme.value if as_value else scheme
+    assert modulate([0, 1, 1], given).tolist() == ([-1.0, 1.0, 1.0] if bpsk
+                                                   else [0.0, 2.0, 2.0])
+    assert demodulate([0.5, -0.5, 1.0], given).tolist() == ([1, 0, 1] if bpsk
+                                                             else [0, 0, 1])
+    ebn0 = 10.0 ** 0.5
+    assert ber_theory(given, 5.0) == 0.5 * math.erfc(math.sqrt(ebn0 if bpsk
+                                                               else ebn0 / 2))
+
+
+@pytest.mark.parametrize("as_value", [False, True], ids=["enum", "str"])
+@pytest.mark.parametrize("code", list(CodeScheme))
+def test_channel_snr_takes_code_values(code, as_value):
+    # ebn0_to_channel_snr(5.0, "hamming15_11") used to raise AttributeError
+    given = code.value if as_value else code
+    assert ebn0_to_channel_snr(5.0, given) == 5.0 + 10.0 * math.log10(2.0 * code.rate)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: modulate([0, 1], "qam"),
+    lambda: demodulate([0.5, -0.5], "BPSK"),
+    lambda: ber_theory(CodeScheme.NONE, 5.0),
+    lambda: ebn0_to_channel_snr(5.0, "hamming7_4"),
+], ids=["modulate", "demodulate", "ber_theory", "ebn0_to_channel_snr"])
+def test_scheme_functions_reject_unknown_schemes(call):
+    # modulate([0, 1], "qam") used to map as ASK, to [0, 2]
+    with pytest.raises(ValueError, match="is not a valid"):
+        call()
 
 
 @pytest.mark.parametrize("code,rate", [(CodeScheme.NONE, 1.0),
