@@ -17,8 +17,10 @@ algorithms that NEP 19 does not promise across releases:
 
 Bits (:func:`random_bits`, numpy's ``integers(0, 2)``) and ALOHA's slot
 picks (:func:`bounded`, ``integers(0, frame)``) are reproduced here from
-raw words, so no int64 array holds them.  Only the PHY noise still comes
-from a ``Generator`` method.  ``tests/test_draws.py`` pins each algorithm
+raw words, so no int64 array holds them.  :func:`random_bits` reads its
+words in pieces of at most :data:`_PIECE` (512 KiB), so a draw holds its
+uint8 result and one piece.  Only the PHY noise still comes from a
+``Generator`` method.  ``tests/test_draws.py`` pins each algorithm
 to literal golden values recorded with numpy 2.4.6 and to numpy's own
 methods, and CI pins the CSV digests.
 """
@@ -26,6 +28,10 @@ methods, and CI pins the CSV digests.
 from __future__ import annotations
 
 import numpy as np
+
+
+#: most 64-bit raw words :func:`random_bits` holds at once: 512 KiB
+_PIECE = 1 << 16
 
 
 def stream(*key: int) -> np.random.PCG64:
@@ -53,7 +59,9 @@ def random_bits(bit_gen: np.random.PCG64, shape) -> np.ndarray:
     Lemire's method never rejects a word for two values, so a bit is the
     top bit of one half word.  A half word the stream holds buffered is the
     first bit; an odd count of the words after it leaves the last word's
-    high half buffered.
+    high half buffered.  The words are read in pieces of at most
+    :data:`_PIECE` raw words, each written straight into the result, so
+    the draw holds its result and at most 512 KiB of words.
     """
     bits = np.empty(shape, dtype=np.uint8)
     if bits.size == 0:
@@ -63,14 +71,21 @@ def random_bits(bit_gen: np.random.PCG64, shape) -> np.ndarray:
     held = state["has_uint32"]
     if held:
         flat[0] = state["uinteger"] >> 31
-    words = raw_words(bit_gen, (bits.size - held + 1) // 2)
-    np.greater_equal(words[:bits.size - held], 1 << 31, out=flat[held:].view(np.bool_))
-    spare = words.size - (bits.size - held)
+    # every piece but the last uses all its halves, so only the last can
+    # leave one spare
+    spare = 0
+    for start in range(held, bits.size, 2 * _PIECE):
+        words = raw_words(bit_gen, min(_PIECE, (bits.size - start + 1) // 2))
+        stop = min(start + words.size, bits.size)
+        np.greater_equal(words[:stop - start], 1 << 31,
+                         out=flat[start:stop].view(np.bool_))
+        spare, last = words.size - (stop - start), int(words[-1])
+        del words                        # freed before the next piece
     if held or spare:
         state = bit_gen.state
         state["has_uint32"] = spare
         if spare:
-            state["uinteger"] = int(words[-1])
+            state["uinteger"] = last
         bit_gen.state = state
     return bits
 

@@ -36,6 +36,16 @@ another codeword, and are then miscorrected to it.
 
 Every encoder, decoder and packing function rejects bits outside {0, 1}
 and symbols outside [0, 31] with ``ValueError``.
+
+Dtypes
+------
+GF(32) symbols keep the integer dtype they arrive in: ``bits_to_symbols``
+returns its bits' dtype, ``rs_encode`` and ``rs_decode`` their input's,
+so the uint8 bits of the PHY travel as uint8 symbols and int64 callers
+get int64.  Input of any other dtype converts to int64.  Bits are uint8.
+The product and inverse tables are uint8, so ``gf_mul`` and ``gf_inv``
+return uint8 arrays (scalars stay Python ints).  The shift-register
+reference ``rs_encode_lfsr`` and ``rs_generator_poly`` return int64.
 """
 
 from __future__ import annotations
@@ -79,15 +89,17 @@ def _build_tables() -> tuple[np.ndarray, np.ndarray]:
 _EXP, _LOG = _build_tables()
 
 #: full 32x32 product table; row and column 0 stay zero
-_MUL = np.zeros((32, 32), dtype=np.int64)
+_MUL = np.zeros((32, 32), dtype=np.uint8)
 _MUL[1:, 1:] = _EXP[_LOG[1:, None] + _LOG[None, 1:]]
 #: inverse table, zero-safe for the decoder: entry 0 maps to 0
-_INV = np.zeros(32, dtype=np.int64)
+_INV = np.zeros(32, dtype=np.uint8)
 _INV[1:] = _EXP[31 - _LOG[1:]]
 
 
 def gf_mul(a, b):
-    """Field product; accepts scalars or broadcastable integer arrays."""
+    """Field product; accepts scalars or broadcastable integer arrays.
+
+    Arrays give a uint8 array, scalars a Python int."""
     out = _MUL[a, b]
     return int(out) if out.ndim == 0 else out
 
@@ -105,6 +117,12 @@ def gf_pow(a: int, n: int) -> int:
     if a == 0:
         return 0 if n else 1
     return int(_EXP[(_LOG[a] * n) % 31])
+
+
+def _as_symbols(values) -> np.ndarray:
+    """``values`` as an array: an integer dtype stays, any other is int64."""
+    values = np.asarray(values)
+    return values if values.dtype.kind in "iu" else values.astype(np.int64)
 
 
 def _check_alphabet(values: np.ndarray, top: int, what: str) -> None:
@@ -266,7 +284,10 @@ _RS_SYNDROME_WORDS = _packed_multiples(
 
 
 def _xor_lookup(table: np.ndarray, symbols: np.ndarray) -> np.ndarray:
-    """XOR over positions i of table[i, symbols[:, i]], as (m,) packed words."""
+    """XOR over positions i of table[i, symbols[:, i]], as (m,) packed words.
+
+    The offsets are intp, the index dtype ``np.take`` converts any other
+    index to, so uint8 symbols widen once, into the index itself."""
     flat_index = symbols + 32 * np.arange(table.shape[0])
     return np.bitwise_xor.reduce(np.take(table, flat_index), axis=1)
 
@@ -280,15 +301,16 @@ def rs_encode(msg) -> np.ndarray:
     """Encode 26 GF(32) symbols into a systematic 31-symbol codeword.
 
     Codeword coefficients: parity in 0..4, message in 5..30.  Every
-    codeword evaluates to zero at a^1..a^5.
+    codeword evaluates to zero at a^1..a^5.  The codeword has the message's
+    integer dtype (int64 for any other input).
     """
-    msg = np.asarray(msg, dtype=np.int64)
+    msg = _as_symbols(msg)
     single = msg.ndim == 1
     msg = np.atleast_2d(msg)
     if msg.shape[-1] != RS_K:
         raise ValueError(f"message must have length {RS_K}, got {msg.shape[-1]}")
     _check_alphabet(msg, 31, "symbols")
-    out = np.empty((msg.shape[0], RS_N), dtype=np.int64)
+    out = np.empty((msg.shape[0], RS_N), dtype=msg.dtype)
     out[:, :_RS_SHIFT] = _unpack_fields(_xor_lookup(_RS_PARITY_WORDS, msg))
     out[:, _RS_SHIFT:] = msg
     return out[0] if single else out
@@ -323,8 +345,8 @@ def _rs_syndromes(word: np.ndarray) -> np.ndarray:
 #: a^-p for each position p; row v of the two Chien tables holds v a^-p and
 #: v a^-2p, the terms of sigma(a^-p)
 _RS_INV_POWERS = _EXP[(31 - np.arange(RS_N)) % 31]
-_CHIEN_1 = _MUL[:, _RS_INV_POWERS].astype(np.uint8)
-_CHIEN_2 = _MUL[:, _MUL[_RS_INV_POWERS, _RS_INV_POWERS]].astype(np.uint8)
+_CHIEN_1 = _MUL[:, _RS_INV_POWERS]
+_CHIEN_2 = _MUL[:, _MUL[_RS_INV_POWERS, _RS_INV_POWERS]]
 
 
 def rs_decode(word):
@@ -339,9 +361,10 @@ def rs_decode(word):
     and its message symbols are returned as received.
 
     Returns ``(msg, corrected, failure)``; ``corrected`` counts the symbols
-    changed, 0 for a flagged word.
+    changed, 0 for a flagged word.  ``msg`` has the word's integer dtype
+    (int64 for any other input), ``corrected`` is int64.
     """
-    word = np.asarray(word, dtype=np.int64)
+    word = _as_symbols(word)
     single = word.ndim == 1
     word = np.atleast_2d(word)
     if word.shape[-1] != RS_N:
@@ -389,13 +412,16 @@ _SYMBOL_BITS = np.array([[(v >> j) & 1 for j in range(4, -1, -1)] for v in range
 
 
 def symbols_to_bits(symbols) -> np.ndarray:
-    symbols = np.asarray(symbols, dtype=np.int64)
+    """(..., s) symbols -> (..., 5 s) uint8 bits, most-significant first."""
+    symbols = _as_symbols(symbols)
     _check_alphabet(symbols, 31, "symbols")
     bits = np.take(_SYMBOL_BITS, symbols, axis=0)
     return bits.reshape(symbols.shape[:-1] + (symbols.shape[-1] * 5,))
 
 
 def bits_to_symbols(bits) -> np.ndarray:
+    """(..., 5 s) bits -> (..., s) symbols in the bits' integer dtype (int64
+    for bool bits)."""
     bits = np.asarray(bits)
     if bits.shape[-1] % 5:
         raise ValueError("bit count must be a multiple of 5")
@@ -404,4 +430,4 @@ def bits_to_symbols(bits) -> np.ndarray:
     symbols = grouped[..., 0] << 4
     for i in range(1, 5):
         symbols |= grouped[..., i] << (4 - i)
-    return symbols.astype(np.int64, copy=False)
+    return symbols

@@ -406,9 +406,9 @@ MAX_CDMA_MOTES = math.isqrt(64 * 2**20 // 8)
 
 #: most bytes one CDMA trial may draw, counted at 8 bytes for each of its
 #: n x L code chips and n x bits packet bits (checked with
-#: :data:`MAX_CDMA_MOTES`).  A trial holds less: a bit is half a raw 64-bit
-#: word (4 bytes) while it is drawn and a uint8 after, and a chip a float32
-#: or float64 +-1
+#: :data:`MAX_CDMA_MOTES`).  A trial holds less: a bit is a uint8, drawn
+#: through raw words in pieces of at most 512 KiB, and a chip a float32 or
+#: float64 +-1
 MAX_CDMA_DRAW_BYTES = 64 * 2**20
 
 #: bit columns despread per block; a random-code trial stops after the
@@ -484,8 +484,8 @@ def _check_cdma(n_motes: int, code_len: int, family: str, packet_bytes: int,
         raise ValueError(f"mac_n_motes above {MAX_CDMA_MOTES} "
                          f"is too large for a CDMA run")
     # the cap counts 8 bytes for each code chip and packet bit of a trial,
-    # which bounds what one holds: a float64 chip, or a bit's 4 bytes of raw
-    # word and its uint8
+    # which bounds what one holds: a float64 chip, or a uint8 bit, whose raw
+    # words are drawn in pieces of at most 512 KiB
     if 8 * n_motes * (code_len + 8 * packet_bytes) > MAX_CDMA_DRAW_BYTES:
         raise ValueError(f"mac_n_motes, mac_code_lens and mac_packet_bytes draw more "
                          f"than {MAX_CDMA_DRAW_BYTES} bytes in one CDMA trial")

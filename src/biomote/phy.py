@@ -23,10 +23,12 @@ Tiles
 The Monte Carlo runs in chunks of at most :data:`_CHUNK_CAP` samples; the
 chunk schedule fixes the seeded stream.  :mod:`biomote._draws` keys each
 point's stream and derives each sweep point's seed; this module holds the
-channel, the codecs and the Monte Carlo loop.  A chunk's information bits are ``integers(0, 2)`` draws rebuilt
-from the raw words of the point's stream
-(:func:`biomote._draws.random_bits`), so no int64 array holds them; its
-noise is the stream's ``standard_normal``.
+channel, the codecs and the Monte Carlo loop.  A chunk's information bits
+are ``integers(0, 2)`` draws rebuilt from the raw words of the point's
+stream (:func:`biomote._draws.random_bits`), read in pieces of at most
+512 KiB, so no int64 array holds them and no word array the chunk's size
+exists; its noise is the stream's ``standard_normal``.  The RS codec
+carries the chunk's uint8 bits as uint8 symbols (see :mod:`biomote.fec`).
 Each chunk is modulated, noised and sliced in tiles of :data:`_TILE`
 samples, so a chunk's float64 tx and rx arrays never exist whole: each
 tile's are 256 KiB, a size the allocator hands back from the tiles freed

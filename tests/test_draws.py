@@ -7,6 +7,7 @@ any CSV digest moves.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -121,10 +122,17 @@ def _state(rng):
 @example(seed=3, calls=[("bits", 7), ("bits", (3, 5)), ("bits", 2), (2, 1)])
 @example(seed=4, calls=[(3, 1), ("bits", 4), ("normal", 1), ("bits", 3), (2**32, 1)])
 @example(seed=5, calls=[("bits", (31, 3)), ("bits", (31, 64))])
+# draws of three pieces and more: odd from an empty buffer, then odd from
+# a buffered half, then even from an empty buffer
+@example(seed=6, calls=[("bits", 2**18 + 3), ("bits", 2**18 + 3), ("bits", 2**18 + 2),
+                        ("bits", 1)])
+# even from a buffered half, then one piece exactly from a buffered half
+@example(seed=7, calls=[("bits", 1), ("bits", 2**18 + 4), ("bits", 2**17 + 1), (3, 1)])
 def test_random_bits_match_integers(seed, calls):
     """Each call of ``random_bits`` equals ``integers(0, 2)`` cast to uint8,
     and leaves the stream where that call would, whatever draws come
-    before and after it on the same generator."""
+    before and after it on the same generator; draws of more than one
+    piece of raw words too."""
     raw, ref = (np.random.Generator(np.random.PCG64(seed)) for _ in range(2))
     for call in calls:
         if call[0] == "bits":
@@ -139,3 +147,18 @@ def test_random_bits_match_integers(seed, calls):
             np.testing.assert_array_equal(raw.integers(0, call[0], size=call[1]),
                                           ref.integers(0, call[0], size=call[1]))
         assert _state(raw) == _state(ref), calls
+
+
+def test_random_bits_hold_one_piece_of_words():
+    """Drawing 2**22 bits peaks at the uint8 result plus one 512-KiB piece
+    of raw words (numpy reports its buffers to ``tracemalloc``), not at the
+    16 MiB of words the whole draw takes."""
+    bit_gen = np.random.PCG64(11)
+    tracemalloc.start()
+    try:
+        bits = random_bits(bit_gen, 1 << 22)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bits.nbytes == 1 << 22
+    assert peak <= bits.nbytes + (512 << 10) + (64 << 10)

@@ -253,17 +253,19 @@ def test_rs_clean_decode():
 
 
 def test_rs_single_error_full_enumeration():
-    """All 31 positions x 31 magnitudes on the zero codeword."""
+    """All 31 positions x 31 magnitudes on the zero codeword, as int64 and
+    as uint8 words."""
     words = np.zeros((31 * 31, 31), dtype=np.int64)
     k = 0
     for pos in range(31):
         for val in range(1, 32):
             words[k, pos] = val
             k += 1
-    out, corrected, failure = rs_decode(words)
-    assert not out.any()
-    assert (corrected == 1).all()
-    assert not failure.any()
+    for batch in (words, words.astype(np.uint8)):
+        out, corrected, failure = rs_decode(batch)
+        assert out.dtype == batch.dtype and not out.any()
+        assert (corrected == 1).all()
+        assert not failure.any()
 
 
 def test_rs_double_errors_randomized():
@@ -448,11 +450,13 @@ def test_rs_decode_matches_bounded_distance_oracle():
     accepted = 0
     for words in batches:
         expected = bounded_distance_oracle(words)
-        got = rs_decode(words)
-        for x, y in zip(got, expected):
-            assert np.array_equal(x, y)
-        assert got[0].dtype == np.int64 and got[1].dtype == np.int64
-        assert got[2].dtype == bool
+        # the message keeps the word's dtype; the counts are int64
+        for dtype in (np.int64, np.uint8):
+            got = rs_decode(words.astype(dtype))
+            for x, y in zip(got, expected):
+                assert np.array_equal(x, y)
+            assert got[0].dtype == dtype and got[1].dtype == np.int64
+            assert got[2].dtype == bool
         accepted += int(np.count_nonzero(got[1]))
     assert accepted > 0
 
@@ -498,6 +502,9 @@ def test_rs_encode_matches_division_and_lfsr():
     words = rs_encode(units)
     assert words.dtype == np.int64
     assert np.array_equal(words, ref_rs_encode(units))
+    # a uint8 message gives the same codeword in uint8
+    words_u8 = rs_encode(units.astype(np.uint8))
+    assert words_u8.dtype == np.uint8 and np.array_equal(words_u8, words)
     for msg, word in zip(units, words):
         assert np.array_equal(rs_encode_lfsr(msg), word)
     msgs = RNG.integers(0, 32, size=(10_000, 26))
@@ -517,14 +524,19 @@ def test_rs_syndromes_match_horner(n_errors):
         words[rows, pos[:, k]] ^= RNG.integers(1, 32, size=trials)
     syn = fec._rs_syndromes(words)
     assert np.array_equal(syn, ref_rs_syndromes(words))
+    assert np.array_equal(fec._rs_syndromes(words.astype(np.uint8)), syn)
     assert (syn.any(axis=1) == (n_errors > 0)).all()
 
 
 def test_symbol_packing_matches_arithmetic_form():
+    """Bits are uint8 from symbols of either dtype; symbols take the bits'
+    dtype."""
     syms = RNG.integers(0, 32, size=(50, 31))
     bits = symbols_to_bits(syms)
     ref = ((syms[..., None] >> np.arange(4, -1, -1)) & 1).reshape(50, 155)
     assert bits.dtype == np.uint8 and np.array_equal(bits, ref)
-    back = bits_to_symbols(bits)
-    assert back.dtype == np.int64 and np.array_equal(back, syms)
-    assert np.array_equal(bits_to_symbols(bits.astype(np.int64)), syms)
+    bits_u8 = symbols_to_bits(syms.astype(np.uint8))
+    assert bits_u8.dtype == np.uint8 and np.array_equal(bits_u8, ref)
+    for dtype in (np.uint8, np.int64):
+        back = bits_to_symbols(bits.astype(dtype))
+        assert back.dtype == dtype and np.array_equal(back, syms)
