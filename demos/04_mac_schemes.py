@@ -53,7 +53,7 @@ print("Longer codes push the peak out: each family rises, tops out, then "
 
 print("\n=== ALOHA vs CDMA at matched airtime ===")
 for duration in (128, 1280):
-    rows = compare_schemes([10, 20, 40, 80, 120], duration, trials=100, seed=SEED)
+    rows = compare_schemes([10, 20, 40, 80, 120], [duration], trials=100, seed=SEED)
     by = {(n, scheme): m for n, _, scheme, m in rows}
     print(f"duration = {duration:5d} slots "
           f"({duration * 0.0256:.4f} s at 20 kbps / 64 B):")

@@ -5,10 +5,15 @@ reproducible: identical (config, seed) means byte-identical output, and
 seeds for inner Monte Carlo points derive deterministically from the
 master seed, so results are also invariant to any trial chunking.
 
-Each subcommand is one entry of :data:`SUBCOMMANDS`: its CSV header and
-its study.  Every study but ``table1`` is one call into the layer that
+Each subcommand is one entry of :data:`SUBCOMMANDS`: its row type, whose
+field names are its CSV columns, and its study.  Every study but
+``ber-sweep``, which owns its thread pool, is one call into the layer that
 owns its points, which checks the whole grid before the first point runs
-and returns the rows in header column order.  A study reads a
+and returns rows of that type: :class:`~biomote.link.SweepRow`,
+:class:`~biomote.link.Table1Row`, :class:`~biomote.mac.Scenario1Row`,
+:class:`~biomote.mac.Scenario2Row`, :class:`~biomote.mac.CdmaRow` and
+:class:`~biomote.mac.CompareRow`; ``ber-sweep`` writes
+:class:`~biomote.phy.BerRow`.  A study reads a
 :class:`~biomote.config.RunParameters`: the ``--config`` file, the packaged
 ``table3.cfg`` by default, which sets no key, so every key it omits keeps
 its dataclass default, and then each ``--set``.
@@ -42,7 +47,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 # Set before numpy loads: a second OpenBLAS thread costs a core and saves no
@@ -59,18 +63,11 @@ from biomote.config import (
     load_config,
     packaged_config_path,
 )
-from biomote.link import SingularityError, link_budget
-from biomote.phy import CodeScheme, Modulation, PhyConfig, ber_vs_distance
+from biomote.link import SingularityError
+from biomote.phy import BerRow, CodeScheme, Modulation, PhyConfig, ber_vs_distance
 
 DEFAULT_SEED = 0xB10B10
 SEED_ENV_VAR = "BIOLINK_SEED"
-
-#: carrier rows of the reference operating table: (f_c Hz, mu values, divider)
-TABLE1_ROWS = [
-    (1e6, (1.0, 10.0, 50.0), 4),
-    (13.56e6, (1.0, 10.0), 6),
-    (100e6, (1.0,), 7),
-]
 
 
 def _fmt(value) -> str:
@@ -79,29 +76,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
-    lines = [header] + [",".join(_fmt(v) for v in row) for row in rows]
+def _write_csv(path: Path, row_type, rows) -> None:
+    lines = [",".join(row_type._fields)] + [",".join(_fmt(v) for v in row) for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
 # subcommand bodies
 # ---------------------------------------------------------------------------
-
-def run_table1(params: RunParameters, seed: int):
-    rows = []
-    for fc, mus, divider in TABLE1_ROWS:
-        for mu in mus:
-            # mu fills both coil cores and the medium (ferrite-loaded design)
-            point = replace(params, resonance_freq_hz=fc, subcarrier_divider=divider,
-                            reader_core_rel_permeability=mu,
-                            mote_core_rel_permeability=mu, medium_rel_permeability=mu)
-            b = link_budget(point.link_config(), params.noise())
-            rows.append((fc / 1e6, mu, b.reader_resistance, b.mote_resistance,
-                         b.p_tx_dbm, b.path_loss_db,
-                         b.sideband_attenuation_db, b.p_re_dbm))
-    return rows
-
 
 def _usable_cores() -> int:
     """Number of cores this process may run on."""
@@ -139,29 +121,30 @@ def run_ber_sweep(params: RunParameters, seed: int):
         pool.shutdown(cancel_futures=True)       # a failed point stops the rest
 
 
-#: subcommand -> (CSV header, study(params, seed) -> rows).  The lambdas look
-#: up ``link.<name>`` and ``mac.<name>`` when they run, so rebinding a module
-#: attribute (as a tracer or a test double does) reaches the study.
+#: subcommand -> (row type, study(params, seed) -> rows of it).  The lambdas
+#: look up ``link.<name>`` and ``mac.<name>`` when they run, so rebinding a
+#: module attribute (as a tracer or a test double does) reaches the study.
 SUBCOMMANDS = {
-    "link-sweep": ("distance_m,p_re_dbm,snr_db", lambda p, seed:
+    "link-sweep": (link.SweepRow, lambda p, seed:
                    link.backscatter_sweep(p.link_config(), p.noise(), p.link_distances_m)),
-    "table1": ("fc_mhz,mu,r_r_ohm,r_b_ohm,p_tx_dbm,pl_db,a_s_db,p_re_dbm", run_table1),
-    "ber-sweep": ("distance_m,scheme,code,ber,bits", run_ber_sweep),
-    "mac-scenario1": ("rate_bps,read_time_s,packet_bytes,max_motes", lambda p, seed:
+    "table1": (link.Table1Row, lambda p, seed: link.table1_sweep(p.link_config(), p.noise())),
+    "ber-sweep": (BerRow, run_ber_sweep),
+    "mac-scenario1": (mac.Scenario1Row, lambda p, seed:
                       mac.scenario1_sweep(p.mac_rate_bps, p.mac_read_times_s,
                                           p.mac_packet_bytes, trials=p.mac_trials, seed=seed)),
-    "mac-scenario2": ("n_motes,rate_bps,read_time_s,mean_successes", lambda p, seed:
-                      mac.scenario2_sweep(p.mac_n_motes, [p.mac_rate_bps], p.mac_read_times_s,
+    "mac-scenario2": (mac.Scenario2Row, lambda p, seed:
+                      mac.scenario2_sweep(p.mac_n_motes, p.mac_rate_bps, p.mac_read_times_s,
                                           p.mac_packet_bytes, trials=p.mac_trials, seed=seed)),
-    "mac-cdma": ("n_motes,code_len,family,mean_successes", lambda p, seed:
+    "mac-cdma": (mac.CdmaRow, lambda p, seed:
                  mac.cdma_sweep(p.mac_n_motes, p.mac_code_lens, p.mac_packet_bytes,
                                 trials=p.mac_trials, seed=seed)),
-    "mac-compare": ("n_motes,duration_slots,scheme,mean_successes", lambda p, seed:
+    "mac-compare": (mac.CompareRow, lambda p, seed:
                     mac.compare_schemes(p.mac_n_motes, p.mac_durations_slots,
                                         trials=p.mac_trials, seed=seed)),
 }
 
-CSV_SCHEMAS = {name: header for name, (header, _) in SUBCOMMANDS.items()}
+#: subcommand -> CSV header, its row type's field names
+CSV_SCHEMAS = {name: ",".join(row_type._fields) for name, (row_type, _) in SUBCOMMANDS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +203,8 @@ def main(argv=None) -> int:
             raise NotADirectoryError(f"{args.out.parent} is not an existing directory")
         if args.out.is_dir():
             raise IsADirectoryError(f"{args.out} is a directory")
-        header, study = SUBCOMMANDS[args.subcommand]
-        _write_csv(args.out, header, study(params, seed))
+        row_type, study = SUBCOMMANDS[args.subcommand]
+        _write_csv(args.out, row_type, study(params, seed))
     except ValueError as exc:                # ConfigError is one
         print(f"biomote {args.subcommand}: config error: {exc}", file=sys.stderr)
         return 2

@@ -210,6 +210,6 @@ def load_config(path: str | Path) -> RunParameters:
     return params
 
 
-def packaged_config_path(name: str = "table3.cfg") -> Path:
-    """Path of a config shipped inside the package."""
-    return Path(__file__).parent / "configs" / name
+def packaged_config_path() -> Path:
+    """Path of the config shipped inside the package, ``table3.cfg``."""
+    return Path(__file__).parent / "configs" / "table3.cfg"

@@ -43,9 +43,9 @@ GF(32) symbols keep the integer dtype they arrive in: ``bits_to_symbols``
 returns its bits' dtype, ``rs_encode`` and ``rs_decode`` their input's,
 so the uint8 bits of the PHY travel as uint8 symbols and int64 callers
 get int64.  Input of any other dtype converts to int64.  Bits are uint8.
-The product and inverse tables are uint8, so ``gf_mul`` and ``gf_inv``
-return uint8 arrays (scalars stay Python ints).  The shift-register
-reference ``rs_encode_lfsr`` and ``rs_generator_poly`` return int64.
+The product and inverse tables are uint8, so ``gf_mul`` returns uint8
+arrays (scalars stay Python ints).  The shift-register reference
+``rs_encode_lfsr`` and ``rs_generator_poly`` return int64.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ import numpy as np
 __all__ = [
     "GF32_PRIMITIVE_POLY",
     "HAMMING_N", "HAMMING_K", "RS_N", "RS_K",
-    "gf_mul", "gf_inv", "gf_pow",
+    "gf_mul", "gf_pow",
     "hamming_encode", "hamming_encode_lfsr", "hamming_decode",
     "rs_encode", "rs_encode_lfsr", "rs_decode", "rs_generator_poly",
     "symbols_to_bits", "bits_to_symbols",
@@ -101,15 +101,6 @@ def gf_mul(a, b):
 
     Arrays give a uint8 array, scalars a Python int."""
     out = _MUL[a, b]
-    return int(out) if out.ndim == 0 else out
-
-
-def gf_inv(a):
-    """Multiplicative inverse of nonzero field elements."""
-    a = np.asarray(a, dtype=np.int64)
-    if np.any(a == 0):
-        raise ZeroDivisionError("zero has no inverse in GF(32)")
-    out = _INV[a]
     return int(out) if out.ndim == 0 else out
 
 

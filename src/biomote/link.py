@@ -26,6 +26,7 @@ All computation is SI; dB/dBm appear only in the reported budget.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 from biomote._checks import count, fields, finite, positive
@@ -35,7 +36,8 @@ __all__ = [
     "Coil", "LinkConfig", "LinkBudget", "NoiseModel", "SingularityError",
     "skin_depth", "ac_resistance", "self_inductance", "mutual_inductance",
     "resonance_capacitance", "reflected_impedance", "link_budget",
-    "check_distances", "backscatter_sweep",
+    "check_distances", "SweepRow", "backscatter_sweep",
+    "TABLE1_CARRIERS", "Table1Row", "table1_sweep",
     "REFERENCE_READER", "REFERENCE_MOTE", "reference_link_config",
 ]
 
@@ -316,17 +318,48 @@ def check_distances(distances) -> list[float]:
     return distances
 
 
+#: one row of :func:`backscatter_sweep`; the field names are its CSV columns
+SweepRow = namedtuple("SweepRow", "distance_m p_re_dbm snr_db")
+
+
 def backscatter_sweep(config: LinkConfig, noise: NoiseModel,
-                      distances) -> list[tuple[float, float, float]]:
-    """Budget per separation: list of (distance m, P_re dBm, SNR dB).
+                      distances) -> list[SweepRow]:
+    """Budget per separation, one :class:`SweepRow` each.
 
     ``distances`` must be a non-empty ascending sequence.
     """
     out = []
     for d in check_distances(distances):
         b = link_budget(replace(config, separation=d), noise)
-        out.append((d, b.p_re_dbm, b.snr_db))
+        out.append(SweepRow(d, b.p_re_dbm, b.snr_db))
     return out
+
+
+#: carriers of the reference operating table: (f_c Hz, mu values, divider)
+TABLE1_CARRIERS = [
+    (1e6, (1.0, 10.0, 50.0), 4),
+    (13.56e6, (1.0, 10.0), 6),
+    (100e6, (1.0,), 7),
+]
+
+#: one row of :func:`table1_sweep`; the field names are its CSV columns
+Table1Row = namedtuple("Table1Row",
+                       "fc_mhz mu r_r_ohm r_b_ohm p_tx_dbm pl_db a_s_db p_re_dbm")
+
+
+def table1_sweep(config: LinkConfig, noise: NoiseModel) -> list[Table1Row]:
+    """The operating table: the budget of ``config`` at each carrier and
+    divider of :data:`TABLE1_CARRIERS`, ferrite-loaded with each of its mu
+    values, one :class:`Table1Row` each."""
+    rows = []
+    for fc, mus, divider in TABLE1_CARRIERS:
+        carrier = replace(config, resonance_freq=fc, subcarrier_divider=divider)
+        for mu in mus:
+            b = link_budget(_ferrite(carrier, mu), noise)
+            rows.append(Table1Row(fc / 1e6, mu, b.reader_resistance, b.mote_resistance,
+                                  b.p_tx_dbm, b.path_loss_db,
+                                  b.sideband_attenuation_db, b.p_re_dbm))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -362,24 +395,25 @@ REFERENCE_MOTE = Coil(
 REFERENCE_DRIVE_VOLTAGE = 3.8       # handset-class reader drive
 
 
+def _ferrite(config: LinkConfig, mu: float) -> LinkConfig:
+    """``config`` as a ferrite-loaded design of relative permeability
+    ``mu``: the same material fills both coil cores and the medium seen by
+    the coupling, so it multiplies M, L_r and L_b together."""
+    return replace(config, reader=replace(config.reader, core_rel_permeability=mu),
+                   mote=replace(config.mote, core_rel_permeability=mu),
+                   medium_rel_permeability=mu)
+
+
 def reference_link_config(resonance_freq: float = 13.56e6,
                           subcarrier_divider: int = 6,
                           separation: float = 0.06,
                           mu: float = 1.0) -> LinkConfig:
-    """Reference pair at the given carrier.
-
-    ``mu`` models a ferrite-loaded design: it scales the medium seen by the
-    coupling *and* both coil cores (the same material fills them), so it
-    multiplies M, L_r and L_b together.
-    """
-    reader = replace(REFERENCE_READER, core_rel_permeability=mu)
-    mote = replace(REFERENCE_MOTE, core_rel_permeability=mu)
-    return LinkConfig(
-        reader=reader,
-        mote=mote,
+    """Reference pair at the given carrier, ferrite-loaded with ``mu``."""
+    return _ferrite(LinkConfig(
+        reader=REFERENCE_READER,
+        mote=REFERENCE_MOTE,
         separation=separation,
         drive_voltage=REFERENCE_DRIVE_VOLTAGE,
         resonance_freq=resonance_freq,
         subcarrier_divider=subcarrier_divider,
-        medium_rel_permeability=mu,
-    )
+    ), mu)

@@ -50,7 +50,7 @@ and the wider block replaces the narrower one in the memo.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -62,11 +62,11 @@ from biomote._checks import count, fields, positive
 __all__ = [
     "MacScenario", "DeploymentGeometry",
     "binary_tree_iterations", "aloha_simulate", "aloha_mean_successes",
-    "scenario1_sweep", "scenario2_sweep", "max_fully_read",
-    "global_recommendation", "walsh_codes", "cdma_simulate", "cdma_sweep",
-    "compare_schemes", "FULL_READ_SHORTFALL", "MAX_ALOHA_SLOTS", "MAX_CDMA_MOTES",
-    "MAX_CDMA_DRAW_BYTES", "COMPARE_RATE_BPS", "COMPARE_PACKET_BYTES",
-    "COMPARE_CODE_LEN",
+    "Scenario1Row", "scenario1_sweep", "Scenario2Row", "scenario2_sweep",
+    "max_fully_read", "global_recommendation", "cdma_simulate", "CdmaRow",
+    "cdma_sweep", "CompareRow", "compare_schemes", "FULL_READ_SHORTFALL",
+    "MAX_ALOHA_SLOTS", "MAX_CDMA_MOTES", "MAX_CDMA_DRAW_BYTES",
+    "COMPARE_RATE_BPS", "COMPARE_PACKET_BYTES", "COMPARE_CODE_LEN",
 ]
 
 #: mean unread motes tolerated by the "fully read" criterion (one collision
@@ -123,28 +123,19 @@ class MacScenario:
         return self.slots_available if self.frame_slots is None else self.frame_slots
 
 
-#: a zone's volume over its radius cubed, per ``zone_shape``
-_ZONE_VOLUME_PER_R3 = {"hemisphere": 2.0 / 3.0 * math.pi,
-                       "sphere": 4.0 / 3.0 * math.pi}
-
-
 @dataclass(frozen=True)
 class DeploymentGeometry:
-    """Body volume and the reader's interrogation zone, whose ``zone_shape``
-    is ``"hemisphere"`` or ``"sphere"``."""
+    """Body volume and the reader's interrogation zone, a hemisphere."""
 
     body_volume_cm3: float = 6.643e5
     zone_radius_cm: float = 5.0
-    zone_shape: str = "hemisphere"
 
     def __post_init__(self):
         fields(self, positive, "body_volume_cm3", "zone_radius_cm")
-        if self.zone_shape not in _ZONE_VOLUME_PER_R3:
-            raise ValueError(f"unknown zone_shape {self.zone_shape!r}")
 
     @property
     def zone_volume_cm3(self) -> float:
-        return _ZONE_VOLUME_PER_R3[self.zone_shape] * self.zone_radius_cm ** 3
+        return 2.0 / 3.0 * math.pi * self.zone_radius_cm ** 3
 
     @property
     def zones(self) -> float:
@@ -303,9 +294,11 @@ def aloha_simulate(sc: MacScenario) -> tuple[int, int]:
     exactly what ``integers(0, frame, size=unread)`` would draw there, one
     call per frame, but from the stream's raw words
     (:func:`~biomote._draws.bounded`).  A trailing partial frame is
-    truncated: draws landing past the window are lost with the window.  Trials run in blocks of about :data:`_BLOCK_WORDS` words, so
-    memory does not grow with ``sc.trials``; a block holds one trial at
-    least, so one trial of a very large deployment may exceed it.
+    truncated: draws landing past the window are lost with the window.
+
+    Trials run in blocks of about :data:`_BLOCK_WORDS` words, so memory
+    does not grow with ``sc.trials``; a block holds one trial at least, so
+    one trial of a very large deployment may exceed it.
     """
     rows = max(1, _BLOCK_WORDS // (sc.n_motes + 1))
     reads = slots = 0
@@ -346,32 +339,38 @@ def _axes(*axes) -> list[list]:
     return axes
 
 
-def scenario1_sweep(rate: float, read_times, packet_bytes: int,
-                    trials: int = 100, seed: int = 0xB10B10) -> list[tuple]:
-    """Deployment-sizing question: the largest fully read deployment for
-    each read window (:func:`max_fully_read`).
+#: one row of :func:`scenario1_sweep`; the field names are its CSV columns
+Scenario1Row = namedtuple("Scenario1Row", "rate_bps read_time_s packet_bytes max_motes")
 
-    Returns ``(rate_bps, read_time_s, packet_bytes, max_motes)`` rows.
-    """
+
+def scenario1_sweep(rate: float, read_times, packet_bytes: int,
+                    trials: int = 100, seed: int = 0xB10B10) -> list[Scenario1Row]:
+    """Deployment-sizing question: the largest fully read deployment for
+    each read window (:func:`max_fully_read`), one :class:`Scenario1Row`
+    each."""
     [read_times] = _axes(read_times)
     for rt in read_times:       # every window, before the first scan
         MacScenario(0, rate, packet_bytes, rt, trials=trials, seed=seed)
-    return [(rate, rt, packet_bytes, max_fully_read(rate, rt, packet_bytes, trials, seed))
+    return [Scenario1Row(rate, rt, packet_bytes,
+                         max_fully_read(rate, rt, packet_bytes, trials, seed))
             for rt in read_times]
 
 
-def scenario2_sweep(n_motes_list, rates, read_times, packet_bytes: int,
-                    trials: int = 100, seed: int = 0xB10B10) -> list[tuple]:
-    """Local-deployment question: mean successful motes at fixed sizes.
+#: one row of :func:`scenario2_sweep`; the field names are its CSV columns
+Scenario2Row = namedtuple("Scenario2Row", "n_motes rate_bps read_time_s mean_successes")
 
-    Returns ``(n_motes, rate_bps, read_time_s, mean_successes)`` rows.
+
+def scenario2_sweep(n_motes_list, rate: float, read_times, packet_bytes: int,
+                    trials: int = 100, seed: int = 0xB10B10) -> list[Scenario2Row]:
+    """Local-deployment question: mean successful motes at fixed sizes, one
+    :class:`Scenario2Row` for each deployment, for each read window in turn.
     """
-    n_motes_list, rates, read_times = _axes(n_motes_list, rates, read_times)
+    n_motes_list, read_times = _axes(n_motes_list, read_times)
     # every point is checked before the first one runs
     points = [MacScenario(n_motes=n, rate=rate, packet_bytes=packet_bytes,
                           read_time=rt, trials=trials, seed=seed)
-              for rate in rates for rt in read_times for n in n_motes_list]
-    return [(sc.n_motes, sc.rate, sc.read_time, aloha_mean_successes(sc))
+              for rt in read_times for n in n_motes_list]
+    return [Scenario2Row(sc.n_motes, sc.rate, sc.read_time, aloha_mean_successes(sc))
             for sc in points]
 
 
@@ -389,15 +388,6 @@ def _check_walsh_length(name: str, length: int) -> None:
     two, 0 included."""
     if count(name, length, low=0).bit_count() != 1:
         raise ValueError("Walsh code length must be a power of two")
-
-
-def walsh_codes(length: int) -> np.ndarray:
-    """Sylvester-Hadamard rows: ``length`` mutually orthogonal +-1 chips."""
-    _check_walsh_length("length", length)
-    h = np.array([[1]], dtype=np.int8)
-    while h.shape[0] < length:
-        h = np.block([[h, h], [h, -h]])
-    return h
 
 
 #: most motes a CDMA run may hold: their float64 Gram matrix, n x n, stays
@@ -505,12 +495,16 @@ def cdma_simulate(n_motes: int, code_len: int, family: str = "random",
     return total / trials
 
 
+#: one row of :func:`cdma_sweep`; the field names are its CSV columns
+CdmaRow = namedtuple("CdmaRow", "n_motes code_len family mean_successes")
+
+
 def cdma_sweep(n_motes, code_lens, packet_bytes: int, trials: int = 100,
-               seed: int = 0xB10B10) -> list[tuple]:
+               seed: int = 0xB10B10) -> list[CdmaRow]:
     """Random-code CDMA over every (code length, deployment) pair.
 
-    Returns ``(n_motes, code_len, "random", mean_successes)`` rows, every n
-    for each code length in turn.  The whole grid is checked before the
+    Returns one :class:`CdmaRow` of family ``"random"`` for every n, for
+    each code length in turn.  The whole grid is checked before the
     first point runs: the caps grow with n and L, so every n is checked at
     the largest L and every L at the largest n.
     """
@@ -519,7 +513,7 @@ def cdma_sweep(n_motes, code_lens, packet_bytes: int, trials: int = 100,
         _check_cdma(n, max(code_lens), "random", packet_bytes, trials)
     for c in code_lens:
         _check_cdma(max(n_motes), c, "random", packet_bytes, trials)
-    return [(n, c, "random", cdma_simulate(n, c, "random", packet_bytes, trials, seed))
+    return [CdmaRow(n, c, "random", cdma_simulate(n, c, "random", packet_bytes, trials, seed))
             for c in code_lens for n in n_motes]
 
 
@@ -534,20 +528,23 @@ COMPARE_PACKET_BYTES = 64
 COMPARE_CODE_LEN = 128
 
 
+#: one row of :func:`compare_schemes`; the field names are its CSV columns
+CompareRow = namedtuple("CompareRow", "n_motes duration_slots scheme mean_successes")
+
+
 def compare_schemes(n_motes_list, duration_slots, trials: int = 100,
-                    seed: int = 0xB10B10) -> list[tuple]:
+                    seed: int = 0xB10B10) -> list[CompareRow]:
     """ALOHA (frames of :data:`COMPARE_CODE_LEN` slots over the window)
     against CDMA with Walsh codes of that length, whose one spread packet
     fills the same airtime as a frame.
 
-    ``duration_slots`` is one window length in slots or an iterable of
-    them; neither it nor ``n_motes_list`` may be empty.  Returns
-    ``(n_motes, duration_slots, scheme, mean_successes)`` rows, ALOHA then
-    CDMA for each n, for each duration in turn.  CDMA rows depend only on
-    (n, seed), never on the duration, so each n is simulated once.
+    ``duration_slots`` is an iterable of window lengths in slots; neither
+    it nor ``n_motes_list`` may be empty.  Returns one :class:`CompareRow`
+    a point, ALOHA then CDMA for each n, for each duration in turn.  CDMA
+    rows depend only on (n, seed), never on the duration, so each n is
+    simulated once.
     """
-    n_motes_list, durations = _axes(n_motes_list, duration_slots
-                                    if np.iterable(duration_slots) else [duration_slots])
+    n_motes_list, durations = _axes(n_motes_list, duration_slots)
     durations = [count("duration_slots", d) for d in durations]
     # every deployment and window is checked before the first point runs
     for n in n_motes_list:
@@ -562,5 +559,5 @@ def compare_schemes(n_motes_list, duration_slots, trials: int = 100,
                              trials, seed)
             for n in dict.fromkeys(n_motes_list)}
     return [row for n, d, sc in aloha
-            for row in ((n, d, "aloha", aloha_mean_successes(sc)),
-                        (n, d, "cdma", cdma[n]))]
+            for row in (CompareRow(n, d, "aloha", aloha_mean_successes(sc)),
+                        CompareRow(n, d, "cdma", cdma[n]))]

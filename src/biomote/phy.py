@@ -41,6 +41,7 @@ never change a result.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Iterator, NamedTuple
@@ -54,7 +55,7 @@ from biomote.link import LinkConfig, NoiseModel, check_distances, link_budget
 __all__ = [
     "Modulation", "CodeScheme", "PhyConfig", "BerEstimate",
     "modulate", "awgn", "demodulate", "ber_theory",
-    "ebn0_to_channel_snr", "ber_monte_carlo", "ber_vs_distance",
+    "ebn0_to_channel_snr", "ber_monte_carlo", "BerRow", "ber_vs_distance",
 ]
 
 
@@ -289,16 +290,18 @@ def _snr_key(snr_db: float) -> int:
 
 LINK_SNR_TO_CHANNEL_DB = 10.0 * math.log10(2.0)
 
+#: one row of :func:`ber_vs_distance`; the field names are its CSV columns
+BerRow = namedtuple("BerRow", "distance_m scheme code ber bits")
+
 
 def ber_vs_distance(link: LinkConfig, noise: NoiseModel, cfg: PhyConfig,
-                    distances, mapper: Callable = map
-                    ) -> Iterator[tuple[float, str, str, float, int]]:
+                    distances, mapper: Callable = map) -> Iterator[BerRow]:
     """BER curve over reader-mote separations.
 
     Per distance the budget fixes the symbol SNR; every scheme sees the
     same channel (same radiated power).  Returns an iterator of
-    ``(distance, modulation, code, ber, bits)`` rows in distance order,
-    the scheme named by ``cfg.modulation.value`` and ``cfg.code.value``.
+    :class:`BerRow` in distance order, the scheme named by
+    ``cfg.modulation.value`` and the code by ``cfg.code.value``.
 
     ``mapper`` runs the Monte Carlo points: a callable with the signature
     of the builtin ``map`` (the default, which runs each point as its row
@@ -314,5 +317,5 @@ def ber_vs_distance(link: LinkConfig, noise: NoiseModel, cfg: PhyConfig,
             + LINK_SNR_TO_CHANNEL_DB for d in distances]
     cfgs = [replace(cfg, seed=_draws.sub_seed(cfg.seed, i))
             for i in range(len(distances))]
-    return ((d, cfg.modulation.value, cfg.code.value, est.ber, est.bits_simulated)
+    return (BerRow(d, cfg.modulation.value, cfg.code.value, est.ber, est.bits_simulated)
             for d, est in zip(distances, mapper(ber_monte_carlo, cfgs, snrs)))

@@ -271,8 +271,8 @@ def test_criterion_10_scheme_comparison():
     slot = Fraction(64 * 8, 20_000)
     ok = slot * 128 == Fraction(32768, 10000)
     ns = [10, 20, 30, 40, 50, 80, 120]
-    short = compare_schemes(ns, 128, trials=100, seed=SEED)
-    long = compare_schemes(ns, 1280, trials=100, seed=SEED)
+    short = compare_schemes(ns, [128], trials=100, seed=SEED)
+    long = compare_schemes(ns, [1280], trials=100, seed=SEED)
     s_by = {(n, scheme): m for n, _, scheme, m in short}
     l_by = {(n, scheme): m for n, _, scheme, m in long}
     for n in ns:

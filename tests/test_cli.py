@@ -21,7 +21,7 @@ from biomote.config import (
     load_config,
     packaged_config_path,
 )
-from biomote.link import backscatter_sweep, link_budget
+from biomote.link import link_budget
 from biomote.phy import CodeScheme, Modulation, PhyConfig, ber_vs_distance
 
 
@@ -53,10 +53,10 @@ def test_packaged_config_sets_no_key():
     assert load_config(packaged_config_path()) == RunParameters()
 
 
-def test_reference_link_has_one_source(monkeypatch):
+def test_reference_link_has_one_source(tmp_path, monkeypatch):
     # link.reference_link_config and RunParameters.link_config both state
     # the reference carrier, divider, separation and ferrite rule; the
-    # defaults and every table1 point, built by run_table1 itself, agree
+    # defaults and every table1 point, built by the CLI's link sweep, agree
     assert RunParameters().link_config() == link.reference_link_config()
     built = []
 
@@ -64,10 +64,10 @@ def test_reference_link_has_one_source(monkeypatch):
         built.append(config)
         return link_budget(config, noise)
 
-    monkeypatch.setattr(cli, "link_budget", recording)
-    cli.run_table1(RunParameters(), seed=0)
+    monkeypatch.setattr(link, "link_budget", recording)
+    assert main(["table1", "--out", str(tmp_path / "t.csv")]) == 0
     assert built == [link.reference_link_config(fc, divider, 0.06, mu)
-                     for fc, mus, divider in cli.TABLE1_ROWS for mu in mus]
+                     for fc, mus, divider in link.TABLE1_CARRIERS for mu in mus]
 
 
 def test_empty_file_gives_defaults(tmp_path):
@@ -179,27 +179,23 @@ def test_schema_headers_match_contract(tmp_path):
     out = tmp_path / "t.csv"
     assert main(["table1", "--out", str(out)]) == 0
     assert out.read_text().splitlines()[0] == CSV_SCHEMAS["table1"]
-    # every other subcommand's rows come whole from one layer sweep, whose
-    # rows are as wide as the schema
-    params = RunParameters()
-    link, noise = params.link_config(), params.noise()
-    cfg = PhyConfig(trials=1_000, min_errors=1, max_bits=2_000)
-    sweeps = {
-        "link-sweep": backscatter_sweep(link, noise, [0.05, 0.06]),
-        "ber-sweep": ber_vs_distance(link, noise, cfg, [0.05, 0.06]),
-        "mac-scenario1": mac.scenario1_sweep(200e3, [0.1, 0.2], 64, trials=2),
-        "mac-scenario2": mac.scenario2_sweep([2, 4], [200e3], [0.1], 64, trials=2),
-        "mac-cdma": mac.cdma_sweep([2, 4], [16], 8, trials=2),
-        "mac-compare": mac.compare_schemes([2, 4], [128], trials=2),
-    }
-    assert sweeps.keys() == CSV_SCHEMAS.keys() - {"table1"}
-    for subcommand, rows in sweeps.items():
-        widths = {len(row) for row in rows}
-        assert widths == {len(CSV_SCHEMAS[subcommand].split(","))}, subcommand
+    # every study returns rows of its row type, whose field names are the
+    # CSV header; small grids keep each study fast
+    params = RunParameters(link_distances_m=[0.05, 0.06], ber_distances_m=[0.05, 0.06],
+                           ber_trials=1_000, ber_min_errors=1, ber_max_bits=2_000,
+                           mac_read_times_s=[0.1, 0.2], mac_n_motes=[2, 4],
+                           mac_trials=2, mac_code_lens=[16], mac_packet_bytes=8,
+                           mac_durations_slots=[128])
+    for subcommand, (row_type, study) in cli.SUBCOMMANDS.items():
+        rows = list(study(params, 5))
+        assert rows, subcommand
+        assert all(type(row) is row_type for row in rows), subcommand
+        assert ",".join(row_type._fields) == CSV_SCHEMAS[subcommand]
 
 
 @pytest.mark.parametrize("subcommand,module,name", [
     ("link-sweep", link, "backscatter_sweep"),
+    ("table1", link, "table1_sweep"),
     ("mac-scenario1", mac, "scenario1_sweep"),
     ("mac-scenario2", mac, "scenario2_sweep"),
     ("mac-cdma", mac, "cdma_sweep"),
@@ -267,7 +263,7 @@ def test_negative_seed_flag_exits_2(tmp_path, capsys, monkeypatch, subcommand):
     def no_work(*args, **kwargs):
         raise AssertionError("the study ran before the seed was checked")
 
-    monkeypatch.setitem(cli.SUBCOMMANDS, subcommand, (CSV_SCHEMAS[subcommand], no_work))
+    monkeypatch.setitem(cli.SUBCOMMANDS, subcommand, (cli.SUBCOMMANDS[subcommand][0], no_work))
     out = tmp_path / "x.csv"
     assert main([subcommand, "--seed", "-1", "--out", str(out)]) == 2
     assert "config error: seed must be a non-negative integer" in capsys.readouterr().err
@@ -442,7 +438,7 @@ def test_missing_output_directory_exits_3_before_the_study(tmp_path, capsys,
     def no_work(*args, **kwargs):
         raise AssertionError("the study ran before the output was checked")
 
-    monkeypatch.setitem(cli.SUBCOMMANDS, "mac-cdma", (CSV_SCHEMAS["mac-cdma"], no_work))
+    monkeypatch.setitem(cli.SUBCOMMANDS, "mac-cdma", (mac.CdmaRow, no_work))
     out = tmp_path / "missing" / "x.csv"
     assert main(["mac-cdma", "--out", str(out)]) == 3
     assert "runtime error" in capsys.readouterr().err

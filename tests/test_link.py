@@ -9,6 +9,7 @@ from scipy.special import ellipe, ellipk
 
 from biomote.link import (
     MU0,
+    TABLE1_CARRIERS,
     Coil,
     LinkConfig,
     NoiseModel,
@@ -23,6 +24,7 @@ from biomote.link import (
     resonance_capacitance,
     self_inductance,
     skin_depth,
+    table1_sweep,
     REFERENCE_MOTE,
     REFERENCE_READER,
 )
@@ -348,6 +350,21 @@ def test_sweep_rejects_empty_and_unsorted():
         backscatter_sweep(cfg, NOISE, [])
     with pytest.raises(ValueError):
         backscatter_sweep(cfg, NOISE, [0.06, 0.05])
+
+
+def test_table1_sweep_keeps_the_configs_other_fields():
+    # each point takes the carrier, divider and ferrite mu of its table
+    # entry; separation, drive and load stay those of the config given
+    drive_and_load = dict(drive_voltage=2.0, load_impedance=10.0)
+    rows = table1_sweep(replace(reference_link_config(separation=0.05), **drive_and_load),
+                        NOISE)
+    points = [(fc, mu, replace(reference_link_config(fc, divider, 0.05, mu), **drive_and_load))
+              for fc, mus, divider in TABLE1_CARRIERS for mu in mus]
+    assert len(rows) == len(points) == 6
+    for row, (fc, mu, cfg) in zip(rows, points):
+        b = link_budget(cfg, NOISE)
+        assert row == (fc / 1e6, mu, b.reader_resistance, b.mote_resistance, b.p_tx_dbm,
+                       b.path_loss_db, b.sideband_attenuation_db, b.p_re_dbm)
 
 
 @pytest.mark.parametrize("distances,message", [

@@ -30,7 +30,6 @@ from biomote.mac import (
     max_fully_read,
     scenario1_sweep,
     scenario2_sweep,
-    walsh_codes,
 )
 
 
@@ -47,6 +46,15 @@ def _trial_generator(seed, n, t):
 def single_frame_mean(n, s):
     """Analytic expected singleton count: n (1 - 1/S)^(n-1)."""
     return n * (1 - 1 / s) ** (n - 1)
+
+
+def walsh_codes(length):
+    """Sylvester-Hadamard rows: ``length`` mutually orthogonal +-1 chips,
+    the reference for the closed-form Walsh path of ``mac._cdma_trial``."""
+    h = np.array([[1]], dtype=np.int8)
+    while h.shape[0] < length:
+        h = np.block([[h, h], [h, -h]])
+    return h
 
 
 def enumerate_mean(n, s):
@@ -401,7 +409,7 @@ def test_default_grids_seedings(monkeypatch):
     again, for the blocks that its ten-frame windows widen."""
     seeded = _count_seedings(monkeypatch)
     mac._WORD_MEMO.clear()
-    scenario2_sweep(range(10, 201, 10), [200e3], [2.0, 4.0, 6.0, 8.0, 10.0], 64)
+    scenario2_sweep(range(10, 201, 10), 200e3, [2.0, 4.0, 6.0, 8.0, 10.0], 64)
     assert len(seeded) == 2000
     seeded.clear()
     mac._WORD_MEMO.clear()
@@ -471,10 +479,10 @@ def test_aloha_sweeps_pinned():
     for read_time, n in PINNED_MAX_FULLY_READ.items():
         assert max_fully_read(200e3, read_time, 64) == n
     assert max_fully_read(100e3, 5.0, 64, trials=40, seed=3) == 40
-    rows = scenario2_sweep([10, 100, 200], [200e3], [2.0, 10.0], 64)
+    rows = scenario2_sweep([10, 100, 200], 200e3, [2.0, 10.0], 64)
     assert {(n, rt): m for n, _, rt, m in rows} == PINNED_SCENARIO2
     for duration in (300, 640):
-        for n, d, scheme, m in compare_schemes([50, 200], duration, trials=20,
+        for n, d, scheme, m in compare_schemes([50, 200], [duration], trials=20,
                                                seed=41):
             assert d == duration
             if scheme == "aloha":
@@ -596,7 +604,7 @@ def test_scenario1_sweep_checks_every_window_first(monkeypatch, read_times):
 
 
 def test_scenario2_rows_bounded():
-    rows = scenario2_sweep([0, 20, 40], [200e3], [2.0], 64, trials=30, seed=9)
+    rows = scenario2_sweep([0, 20, 40], 200e3, [2.0], 64, trials=30, seed=9)
     for n, rate, read_time, mean in rows:
         sc = MacScenario(n_motes=max(n, 1), rate=rate, packet_bytes=64,
                          read_time=read_time)
@@ -605,15 +613,16 @@ def test_scenario2_rows_bounded():
 
 
 def test_scenario2_sweep_takes_iterators():
-    lists = ([10, 20], [200e3], [2.0, 4.0])
-    rows = scenario2_sweep(*lists, 64, trials=20, seed=9)
-    assert [row[:3] for row in rows] == [(n, 200e3, rt) for rt in lists[2]
-                                         for n in lists[0]]
-    assert scenario2_sweep(*map(iter, lists), 64, trials=20, seed=9) == rows
-    assert scenario2_sweep(*((x for x in xs) for xs in lists), 64, trials=20,
+    ns, read_times = [10, 20], [2.0, 4.0]
+    rows = scenario2_sweep(ns, 200e3, read_times, 64, trials=20, seed=9)
+    assert [row[:3] for row in rows] == [(n, 200e3, rt) for rt in read_times
+                                         for n in ns]
+    assert scenario2_sweep(iter(ns), 200e3, iter(read_times), 64, trials=20,
                            seed=9) == rows
+    assert scenario2_sweep((n for n in ns), 200e3, (rt for rt in read_times), 64,
+                           trials=20, seed=9) == rows
     with pytest.raises(ValueError, match="non-empty"):
-        scenario2_sweep(iter([]), [200e3], [2.0], 64)
+        scenario2_sweep(iter([]), 200e3, [2.0], 64)
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +640,6 @@ def test_global_recommendation_anchor():
     ("zone_radius_cm", 0.0),        # used to divide by zero in .zones
     ("body_volume_cm3", math.nan),
     ("body_volume_cm3", -1.0),
-    ("zone_shape", "cube"),
 ])
 def test_geometry_rejects_bad_fields(field, value):
     with pytest.raises(ValueError, match=field):
@@ -652,12 +660,6 @@ def test_global_recommendation_zero_and_linearity():
         2 * global_recommendation(50, geom), abs=1)
 
 
-def test_sphere_zone_half_of_hemisphere_zones():
-    hemi = DeploymentGeometry(zone_shape="hemisphere")
-    sphere = DeploymentGeometry(zone_shape="sphere")
-    assert sphere.zone_volume_cm3 == pytest.approx(2 * hemi.zone_volume_cm3)
-
-
 # ---------------------------------------------------------------------------
 # CDMA
 # ---------------------------------------------------------------------------
@@ -670,11 +672,9 @@ def test_walsh_rows_orthogonal():
 
 
 def test_walsh_length_validation():
-    with pytest.raises(ValueError):
-        walsh_codes(24)
     for length in (16.0, math.nan, -16):
-        with pytest.raises(ValueError, match="length"):
-            walsh_codes(length)
+        with pytest.raises(ValueError, match="code_len"):
+            cdma_simulate(4, length, "walsh")
     for length in (24, 0):
         with pytest.raises(ValueError, match="power of two"):
             cdma_simulate(4, length, "walsh")
@@ -799,9 +799,9 @@ def test_cdma_sweep_checks_every_point_first(monkeypatch, n_motes, code_lens):
         cdma_sweep(n_motes, code_lens, 8, trials=3, seed=5)
 
 
-@pytest.mark.parametrize("durations", [2.5, [128, 2.5], [math.nan], [0]])
+@pytest.mark.parametrize("durations", [[2.5], [128, 2.5], [math.nan], [0]])
 def test_compare_schemes_rejects_bad_durations(monkeypatch, durations):
-    # compare_schemes([10], 2.5) used to run a 2-slot window and print 2.5
+    # compare_schemes([10], [2.5]) used to run a 2-slot window and print 2.5
     monkeypatch.setattr(mac, "_cdma_trial", _no_cdma_trial)
     monkeypatch.setattr(mac, "aloha_simulate", _no_cdma_trial)
     with pytest.raises(ValueError, match="duration_slots"):
@@ -921,7 +921,7 @@ def test_compare_schemes_takes_a_list_of_durations():
     ns, durations = [20, 60, 20], [128, 1280]
     rows = compare_schemes(ns, durations, trials=5, seed=55)
     assert rows == [row for d in durations
-                    for row in compare_schemes(ns, d, trials=5, seed=55)]
+                    for row in compare_schemes(ns, [d], trials=5, seed=55)]
     assert [row[:3] for row in rows] == [(n, d, scheme) for d in durations
                                          for n in ns
                                          for scheme in ("aloha", "cdma")]
@@ -931,7 +931,7 @@ def test_compare_schemes_takes_a_list_of_durations():
                            trials=5, seed=55) == rows
 
 
-@pytest.mark.parametrize("ns, durations", [([], 128), ([], [128]), ([20], []),
+@pytest.mark.parametrize("ns, durations", [([], np.array([128])), ([], [128]), ([20], []),
                                            ([20], iter([]))])
 def test_compare_schemes_rejects_empty_lists(ns, durations):
     with pytest.raises(ValueError, match="non-empty"):
@@ -943,14 +943,14 @@ def test_compare_schemes_rejects_empty_lists(ns, durations):
 # ---------------------------------------------------------------------------
 
 def test_compare_short_duration_cdma_wins_past_20():
-    rows = compare_schemes([10, 30, 50, 80, 120], 128, trials=40, seed=41)
+    rows = compare_schemes([10, 30, 50, 80, 120], [128], trials=40, seed=41)
     by = {(n, scheme): m for n, _, scheme, m in rows}
     for n in (30, 50, 80, 120):
         assert by[(n, "cdma")] > by[(n, "aloha")]
 
 
 def test_compare_long_duration_aloha_holds_to_50():
-    rows = compare_schemes([10, 30, 50], 1280, trials=40, seed=41)
+    rows = compare_schemes([10, 30, 50], [1280], trials=40, seed=41)
     by = {(n, scheme): m for n, _, scheme, m in rows}
     for n in (10, 30, 50):
         se3 = 3 * math.sqrt(n / 40)
@@ -958,8 +958,8 @@ def test_compare_long_duration_aloha_holds_to_50():
 
 
 def test_compare_cdma_duration_invariant():
-    short = compare_schemes([20, 60], 128, trials=20, seed=55)
-    long = compare_schemes([20, 60], 1280, trials=20, seed=55)
+    short = compare_schemes([20, 60], [128], trials=20, seed=55)
+    long = compare_schemes([20, 60], [1280], trials=20, seed=55)
     cd_s = [m for _, _, scheme, m in short if scheme == "cdma"]
     cd_l = [m for _, _, scheme, m in long if scheme == "cdma"]
     assert cd_s == cd_l
