@@ -30,6 +30,9 @@ from __future__ import annotations
 import numpy as np
 
 
+#: the master seed of every seeded routine and of the CLI when none is given
+DEFAULT_SEED = 0xB10B10
+
 #: most 64-bit raw words :func:`random_bits` holds at once: 512 KiB
 _PIECE = 1 << 16
 
@@ -94,7 +97,10 @@ def bounded(words: np.ndarray, frame: int) -> tuple[np.ndarray, np.ndarray]:
     """Lemire's method on each uint32 word for ``integers(0, frame)``:
     (values, accepted), each the shape of ``words``.  An accepted word is
     one draw of ``values``; numpy rejects the others and takes the next
-    word.  A frame of one slot draws no word at all."""
+    word.  Whether a word is accepted depends only on the word and the
+    frame, so calls of ``integers(0, frame)`` one after another draw the
+    accepted values of the stream's words in order, however many each
+    call takes.  A frame of one slot draws no word at all."""
     # the products u * frame as (low, high) halves
     halves = np.multiply(words, frame, dtype="<u8").view("<u4")
     return halves[..., 1::2], halves[..., 0::2] >= (1 << 32) % frame

@@ -56,6 +56,7 @@ if not any(var in os.environ for var in
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from biomote import link, mac
+from biomote._draws import DEFAULT_SEED
 from biomote.config import (
     ConfigError,
     RunParameters,
@@ -66,7 +67,6 @@ from biomote.config import (
 from biomote.link import SingularityError
 from biomote.phy import BerRow, CodeScheme, Modulation, PhyConfig, ber_vs_distance
 
-DEFAULT_SEED = 0xB10B10
 SEED_ENV_VAR = "BIOLINK_SEED"
 
 

@@ -3,10 +3,10 @@ units encoded in key names.
 
 Unknown keys, malformed lines and out-of-range values raise
 :class:`ConfigError` carrying the offending line number.  The defaults
-live only in :class:`RunParameters` (the reference geometry at the
-physical-layer simulation point: 13.56 MHz, permeability 1, 6 cm
-separation, -105 dBm noise); a file sets the keys it names and an empty
-one, like the packaged ``table3.cfg``, yields the defaults.
+live only in :class:`RunParameters`: the reference link of
+:func:`biomote.link.reference_link_config` (13.56 MHz, permeability 1,
+6 cm separation) and -105 dBm noise.  A file sets the keys it names, and
+an empty one, like the packaged ``table3.cfg``, yields the defaults.
 """
 
 from __future__ import annotations
@@ -15,14 +15,7 @@ import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from biomote.link import (
-    Coil,
-    LinkConfig,
-    NoiseModel,
-    REFERENCE_MOTE,
-    REFERENCE_READER,
-    REFERENCE_DRIVE_VOLTAGE,
-)
+from biomote.link import Coil, LinkConfig, NoiseModel, reference_link_config
 
 __all__ = ["ConfigError", "RunParameters", "load_config", "packaged_config_path"]
 
@@ -99,32 +92,38 @@ _PARSERS = {
 }
 
 
+#: the reference link, whose carrier, geometry and drive are the defaults of
+#: :class:`RunParameters`
+_REFERENCE = reference_link_config()
+
+
 @dataclass
 class RunParameters:
     """Parsed configuration; field names match config keys, and the field
-    defaults are the only statement of the shipped defaults."""
+    defaults are the only statement of the shipped defaults, the link's
+    taken from :func:`~biomote.link.reference_link_config`."""
 
-    resonance_freq_hz: float = 13.56e6
-    subcarrier_divider: int = 6
-    separation_m: float = 0.06
-    drive_voltage_v: float = REFERENCE_DRIVE_VOLTAGE
+    resonance_freq_hz: float = _REFERENCE.resonance_freq
+    subcarrier_divider: int = _REFERENCE.subcarrier_divider
+    separation_m: float = _REFERENCE.separation
+    drive_voltage_v: float = _REFERENCE.drive_voltage
     noise_dbm: float = field(default=-105.0, metadata={"any_sign": True})
-    medium_rel_permeability: float = 1.0
+    medium_rel_permeability: float = _REFERENCE.medium_rel_permeability
     load_ohm: float | None = None            # None: matched to the mote coil
 
-    reader_radius_m: float = REFERENCE_READER.loop_radius
-    reader_turns: int = REFERENCE_READER.turns
-    reader_wire_diameter_m: float = REFERENCE_READER.wire_diameter
-    reader_height_m: float = REFERENCE_READER.coil_height
-    reader_resistivity_ohm_m: float = REFERENCE_READER.resistivity
-    reader_core_rel_permeability: float = 1.0
+    reader_radius_m: float = _REFERENCE.reader.loop_radius
+    reader_turns: int = _REFERENCE.reader.turns
+    reader_wire_diameter_m: float = _REFERENCE.reader.wire_diameter
+    reader_height_m: float = _REFERENCE.reader.coil_height
+    reader_resistivity_ohm_m: float = _REFERENCE.reader.resistivity
+    reader_core_rel_permeability: float = _REFERENCE.reader.core_rel_permeability
 
-    mote_radius_m: float = REFERENCE_MOTE.loop_radius
-    mote_turns: int = REFERENCE_MOTE.turns
-    mote_wire_diameter_m: float = REFERENCE_MOTE.wire_diameter
-    mote_height_m: float = REFERENCE_MOTE.coil_height
-    mote_resistivity_ohm_m: float = REFERENCE_MOTE.resistivity
-    mote_core_rel_permeability: float = 1.0
+    mote_radius_m: float = _REFERENCE.mote.loop_radius
+    mote_turns: int = _REFERENCE.mote.turns
+    mote_wire_diameter_m: float = _REFERENCE.mote.wire_diameter
+    mote_height_m: float = _REFERENCE.mote.coil_height
+    mote_resistivity_ohm_m: float = _REFERENCE.mote.resistivity
+    mote_core_rel_permeability: float = _REFERENCE.mote.core_rel_permeability
 
     link_distances_m: list[float] = field(default_factory=lambda: [round(0.01 + 0.005 * k, 4) for k in range(19)])
     ber_distances_m: list[float] = field(default_factory=lambda: [0.045, 0.05, 0.055, 0.06, 0.065, 0.07])

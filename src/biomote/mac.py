@@ -37,14 +37,19 @@ ALOHA runs all trials of a point together as arrays.  A trial's slot picks
 are numpy's ``Generator.integers(0, frame)`` draws, reproduced from the raw
 words of its stream (:func:`~biomote._draws.bounded`); CDMA draws its codes
 and packet bits the same way (:func:`~biomote._draws.random_bits`).
-Each trial reads a prefix of its (seed, n, trial) stream, from the first
-word: at first the n words its first frame reads, with room for rejected
-words and six to spare.  The prefixes are memoised per process within
-4 MiB in blocks of trials (:data:`_WORD_MEMO`), so a scan that revisits a
-deployment at another read time seeds no stream again.  When a trial of a
-block needs words past its prefix, in later frames or through rejected
-words, the block's streams are all drawn again at least four times as wide
-and the wider block replaces the narrower one in the memo.
+The frame size of a point never changes, and numpy accepts or rejects a
+word for ``integers(0, frame)`` whatever call it falls in, so a trial's
+picks are one ordered sequence: the accepted draws of its (seed, n,
+trial) stream from the first word.  Its first frame takes the first n of
+them, each later frame the next ones, one for each mote still unread.  A
+trial holds a prefix of its stream: at first the words its first frame
+reads, with room for rejected words and six to spare.  The prefixes are
+memoised per process within 4 MiB in blocks of trials
+(:data:`_WORD_MEMO`), so a scan that revisits a deployment at another
+read time seeds no stream again.  When a trial still unread needs more
+picks than its prefix holds, the block's streams are all drawn again at
+least four times as wide, and the wider block replaces the narrower one
+in the memo.
 """
 
 from __future__ import annotations
@@ -93,7 +98,7 @@ class MacScenario:
     read_time: float            # [s]
     frame_slots: int | None = None   # None: one frame spanning the window
     trials: int = 100
-    seed: int = 0xB10B10
+    seed: int = _draws.DEFAULT_SEED
 
     def __post_init__(self):
         fields(self, count, "n_motes", "seed", low=0)
@@ -164,7 +169,8 @@ _WORD_MEMO_BYTES = 4 << 20
 
 #: a prefix of each (seed, n, trial) stream, from its first word, memoised
 #: per process in blocks of trials keyed by (seed, n, first trial, stop),
-#: least recently used first (for one thread at a time).  A
+#: least recently used first (for one thread at a time).  A prefix holds
+#: raw words, not picks, so one serves every frame size: a
 #: ``max_fully_read`` scan or a ``scenario2_sweep`` reuses every key at
 #: each read time.
 _WORD_MEMO: OrderedDict[tuple, np.ndarray] = OrderedDict()
@@ -192,62 +198,17 @@ def _first_words(seed: int, n: int, first: int, stop: int, words: int) -> np.nda
 _BLOCK_WORDS = 1 << 16
 
 
-class _TrialStreams:
-    """The word streams of a block of trials, each read from its own offset.
-
-    Row i holds a prefix of the stream of trial ``first + trials[i]``, from
-    its first word, and reads it from word ``pos[i]``.  When a row needs
-    words past its prefix, every prefix of the block is widened through
-    :func:`_first_words`; each starts at word 0, so every offset stays
-    valid.
-    """
-
-    def __init__(self, seed: int, n: int, first: int, stop: int, frame: int):
-        self.block = (seed, n, first, stop)
-        self.trials = np.arange(stop - first)
-        self.words = _first_words(*self.block, _words_for(n, frame))
-        self.pos = np.zeros(stop - first, dtype=np.int64)
-
-    def keep(self, rows: np.ndarray) -> None:
-        """Keep only the rows where ``rows`` is true."""
-        self.trials, self.pos = self.trials[rows], self.pos[rows]
-        self.words = self.words[rows]
-
-    def _window(self, width: int) -> np.ndarray:
-        """Each row's next ``width`` words; past a row's prefix, any words."""
-        if (self.pos == self.pos[0]).all():
-            return self.words[:, self.pos[0]:self.pos[0] + width]
-        cols = self.pos[:, None] + np.arange(width)
-        return np.take_along_axis(
-            self.words, np.minimum(cols, self.words.shape[1] - 1), axis=1)
-
-    def picks(self, counts: np.ndarray, frame: int) -> np.ndarray:
-        """Row i's next ``counts[i]`` draws of ``integers(0, frame)``, padded
-        with ``frame`` to a (rows, width) uint32 array in no particular order
-        (:func:`~biomote._draws.bounded`).  A frame of one slot draws no word.
-        """
-        if frame == 1:
-            return (np.arange(int(counts.max())) >= counts[:, None]).astype(np.uint32)
-        # Each pass reads, per row, as many words as it still needs picks, so
-        # a row consumes exactly the words numpy would: its picks and the
-        # words rejected among them.
-        parts = []
-        need = counts
-        while need.any():
-            if (self.pos + need > self.words.shape[1]).any():
-                # widen every prefix at least fourfold, so a block that reads
-                # on through many frames is drawn again only a few times
-                wide = max(int(self.pos.max()) + _words_for(int(need.max()), frame),
-                           4 * self.words.shape[1])
-                self.words = _first_words(*self.block, wide)[self.trials]
-            width = int(need.max())
-            values, accepted = _draws.bounded(self._window(width), frame)
-            if need.min() < width:
-                accepted &= np.arange(width) < need[:, None]
-            parts.append(np.where(accepted, values, frame))
-            self.pos += need
-            need = need - np.count_nonzero(accepted, axis=1)
-        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+def _pick_runs(block: tuple, words: int, frame: int, trials: np.ndarray) -> tuple:
+    """The ``integers(0, frame)`` draws in rows ``trials`` of ``block``'s
+    prefixes of at least ``words`` words (:func:`_first_words`,
+    :func:`~biomote._draws.bounded`), as (draws, start, held, width): each
+    row's draws follow those of the row before, row i's begin at
+    ``start[i]`` and number ``held[i]``, and each prefix is ``width`` words
+    long."""
+    prefix = _first_words(*block, words)
+    values, accepted = _draws.bounded(prefix[trials], frame)
+    held = np.count_nonzero(accepted, axis=1)
+    return values[accepted], np.cumsum(held) - held, held, prefix.shape[1]
 
 
 def _singletons(picks: np.ndarray, span: int) -> np.ndarray:
@@ -264,25 +225,44 @@ def _aloha_trials(sc: MacScenario, first: int, stop: int) -> tuple[int, int]:
     """(motes read, slots used) summed over trials ``first`` to ``stop - 1``,
     all run together: every unread mote of every trial picks its slot of a
     frame in one array, and the trials move through their frames in step.
-    Each trial reads a memoised prefix of its stream (:func:`_first_words`),
-    which is widened for the block when a trial reads past it."""
+
+    A trial's picks are one ordered sequence, the draws its memoised stream
+    prefix holds (:func:`_pick_runs`), and each frame takes the next ones,
+    one for each unread mote.  When a trial still unread needs more picks
+    than its prefix holds, every prefix of the block is widened."""
     frame, budget = sc.effective_frame_slots, sc.slots_available
     if sc.n_motes == 0 or budget < 1:
         return 0, 0
-    streams = _TrialStreams(sc.seed, sc.n_motes, first, stop, frame)
-    remaining = np.full(stop - first, sc.n_motes)
-    reads = slots = used = 0
+    block = (sc.seed, sc.n_motes, first, stop)
+    trials = np.arange(stop - first)
+    remaining = np.full(trials.size, sc.n_motes)
+    # a frame of one slot draws no word: every pick is this one 0
+    draws = np.zeros(1, dtype=np.uint32)
+    start, held, taken = np.zeros((3, trials.size), dtype=np.int64)
+    words = reads = slots = used = 0
     while remaining.size and used < budget:
+        while frame > 1 and (taken + remaining > held).any():
+            # widen every prefix at least fourfold, so a block that reads
+            # on through many frames is drawn again only a few times
+            words = max(_words_for(int((taken + remaining).max()), frame), 4 * words)
+            draws, start, held, words = _pick_runs(block, words, frame, trials)
+        # row i takes its next remaining[i] picks, padded with the frame;
+        # clipping keeps the padding's indices in range, and turns every
+        # index into 0 for a frame of one slot
+        cols = np.arange(int(remaining.max()))
+        picks = draws.take((start + taken)[:, None] + cols, mode="clip")
+        picks[cols >= remaining[:, None]] = frame
         span = min(frame, budget - used)
-        read = _singletons(streams.picks(remaining, frame), span)
+        read = _singletons(picks, span)
         reads += int(read.sum())
-        slots += span * remaining.size
+        slots += span * trials.size
         used += span
+        taken += remaining
         remaining -= read
         unread = remaining > 0
         if not unread.all():
-            streams.keep(unread)
-            remaining = remaining[unread]
+            trials, start, held, taken, remaining = (
+                row[unread] for row in (trials, start, held, taken, remaining))
     return reads, slots
 
 
@@ -292,9 +272,10 @@ def aloha_simulate(sc: MacScenario) -> tuple[int, int]:
 
     Trial t picks from its stream, ``_draws.stream(sc.seed, sc.n_motes, t)``,
     exactly what ``integers(0, frame, size=unread)`` would draw there, one
-    call per frame, but from the stream's raw words
-    (:func:`~biomote._draws.bounded`).  A trailing partial frame is
-    truncated: draws landing past the window are lost with the window.
+    call per frame: the frames read one sequence of draws in turn, taken
+    from the stream's raw words (:func:`~biomote._draws.bounded`).  A
+    trailing partial frame is truncated: draws landing past the window are
+    lost with the window.
 
     Trials run in blocks of about :data:`_BLOCK_WORDS` words, so memory
     does not grow with ``sc.trials``; a block holds one trial at least, so
@@ -315,7 +296,7 @@ def aloha_mean_successes(sc: MacScenario) -> float:
 
 
 def max_fully_read(rate: float, read_time: float, packet_bytes: int,
-                   trials: int = 100, seed: int = 0xB10B10) -> int:
+                   trials: int = 100, seed: int = _draws.DEFAULT_SEED) -> int:
     """Largest deployment, scanned in steps of 10 motes in one frame
     spanning the window, whose mean read count stays within
     :data:`FULL_READ_SHORTFALL` of everyone."""
@@ -344,7 +325,7 @@ Scenario1Row = namedtuple("Scenario1Row", "rate_bps read_time_s packet_bytes max
 
 
 def scenario1_sweep(rate: float, read_times, packet_bytes: int,
-                    trials: int = 100, seed: int = 0xB10B10) -> list[Scenario1Row]:
+                    trials: int = 100, seed: int = _draws.DEFAULT_SEED) -> list[Scenario1Row]:
     """Deployment-sizing question: the largest fully read deployment for
     each read window (:func:`max_fully_read`), one :class:`Scenario1Row`
     each."""
@@ -361,7 +342,7 @@ Scenario2Row = namedtuple("Scenario2Row", "n_motes rate_bps read_time_s mean_suc
 
 
 def scenario2_sweep(n_motes_list, rate: float, read_times, packet_bytes: int,
-                    trials: int = 100, seed: int = 0xB10B10) -> list[Scenario2Row]:
+                    trials: int = 100, seed: int = _draws.DEFAULT_SEED) -> list[Scenario2Row]:
     """Local-deployment question: mean successful motes at fixed sizes, one
     :class:`Scenario2Row` for each deployment, for each read window in turn.
     """
@@ -483,7 +464,7 @@ def _check_cdma(n_motes: int, code_len: int, family: str, packet_bytes: int,
 
 def cdma_simulate(n_motes: int, code_len: int, family: str = "random",
                   packet_bytes: int = 8, trials: int = 100,
-                  seed: int = 0xB10B10) -> float:
+                  seed: int = _draws.DEFAULT_SEED) -> float:
     """Mean motes whose whole packet survives the multi-access interference."""
     _check_cdma(n_motes, code_len, family, packet_bytes, trials)
     count("seed", seed, low=0)
@@ -500,7 +481,7 @@ CdmaRow = namedtuple("CdmaRow", "n_motes code_len family mean_successes")
 
 
 def cdma_sweep(n_motes, code_lens, packet_bytes: int, trials: int = 100,
-               seed: int = 0xB10B10) -> list[CdmaRow]:
+               seed: int = _draws.DEFAULT_SEED) -> list[CdmaRow]:
     """Random-code CDMA over every (code length, deployment) pair.
 
     Returns one :class:`CdmaRow` of family ``"random"`` for every n, for
@@ -533,7 +514,7 @@ CompareRow = namedtuple("CompareRow", "n_motes duration_slots scheme mean_succes
 
 
 def compare_schemes(n_motes_list, duration_slots, trials: int = 100,
-                    seed: int = 0xB10B10) -> list[CompareRow]:
+                    seed: int = _draws.DEFAULT_SEED) -> list[CompareRow]:
     """ALOHA (frames of :data:`COMPARE_CODE_LEN` slots over the window)
     against CDMA with Walsh codes of that length, whose one spread packet
     fills the same airtime as a frame.

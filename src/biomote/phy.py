@@ -121,7 +121,7 @@ class PhyConfig:
     trials: int = 100_000
     min_errors: int = 100
     max_bits: int = 10_000_000
-    seed: int = 0xB10B10
+    seed: int = _draws.DEFAULT_SEED
 
     def __post_init__(self):
         for name, enum in (("modulation", Modulation), ("code", CodeScheme)):

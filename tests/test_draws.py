@@ -6,6 +6,8 @@ changes one of these algorithms fails the test that names it here, before
 any CSV digest moves.
 """
 
+import dataclasses
+import inspect
 import math
 import tracemalloc
 
@@ -14,8 +16,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from biomote import phy
-from biomote._draws import bounded, random_bits, raw_words, rejections, stream, sub_seed
+from biomote import cli, mac, phy
+from biomote._draws import (
+    DEFAULT_SEED,
+    bounded,
+    random_bits,
+    raw_words,
+    rejections,
+    stream,
+    sub_seed,
+)
 
 #: the first three 64-bit outputs of trial 0 of the default seed at n = 100
 _GOLDEN_RAW = [0xA05FD07AB6C2F9F1, 0x4CB5D67BF8213105, 0x56FDFD001F5AD540]
@@ -82,6 +92,53 @@ def test_bounded_matches_integers(frame):
     sigma = math.sqrt(picks * p) / (1 - p)
     assert abs(rejections(picks, frame) - (4000 - picks)) <= 5 * sigma + 1
     assert rejections(picks, 2) == rejections(picks, 2**16) == 0
+
+
+@pytest.mark.parametrize("frame", [2, 3, 100, 2**31 + 1])
+@pytest.mark.parametrize("sizes", [(0, 5), (1, 1), (3, 8), (7, 13), (250, 251)])
+def test_bounded_draws_do_not_depend_on_their_grouping(frame, sizes):
+    """Two ``integers(0, frame)`` calls in a row on one stream draw the
+    first a + b accepted values of ``bounded`` over its words, whatever
+    a and b: the calls take their words one after the other, a half word
+    the first leaves buffered included, so a trial's picks for one frame
+    after another are runs of one sequence."""
+    a, b = sizes
+    values, accepted = bounded(raw_words(stream(5, frame, a), 4 * (a + b) + 16), frame)
+    rng = np.random.Generator(stream(5, frame, a))
+    grouped = rng.integers(0, frame, size=a).tolist() + rng.integers(0, frame, size=b).tolist()
+    assert values[accepted][:a + b].tolist() == grouped
+
+
+def _seed_defaults():
+    """{name: default} of every dataclass field and function parameter
+    called ``seed`` that has a default, in ``phy`` and ``mac``."""
+    defaults = {}
+    for module in (phy, mac):
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if dataclasses.is_dataclass(obj):
+                defaults.update((name, f.default) for f in dataclasses.fields(obj)
+                                if f.name == "seed")
+            elif inspect.isfunction(obj):
+                seed = inspect.signature(obj).parameters.get("seed")
+                if seed is not None and seed.default is not seed.empty:
+                    defaults[name] = seed.default
+    return defaults
+
+
+def test_default_seed_is_stated_once(monkeypatch):
+    """Every seed default of the library and the CLI's fallback is
+    ``DEFAULT_SEED``.  Identity, not equality: a default written as its
+    own literal is another int object."""
+    defaults = _seed_defaults()
+    assert set(defaults) == {"PhyConfig", "MacScenario", "max_fully_read",
+                             "scenario1_sweep", "scenario2_sweep", "cdma_simulate",
+                             "cdma_sweep", "compare_schemes"}
+    assert all(default is DEFAULT_SEED for default in defaults.values()), defaults
+    assert cli.DEFAULT_SEED is DEFAULT_SEED
+    monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+    assert cli.resolve_seed(None) == DEFAULT_SEED
 
 
 def test_golden_phy_noise():
