@@ -30,8 +30,8 @@ every mote has its own row, so all n are read and nothing is drawn.
 Every routine is deterministic in (seed, parameters): each trial draws
 from its own stream keyed by (seed, n, trial), so results are
 independent of any chunking of trials across workers.  :mod:`biomote._draws`
-keys the streams and holds numpy's draw rules; this module holds only the
-frames and the despreading.
+keys the streams, a point's trials in batches, and holds numpy's draw
+rules; this module holds only the frames and the despreading.
 
 ALOHA runs all trials of a point together as arrays.  A trial's slot picks
 are numpy's ``Generator.integers(0, frame)`` draws, reproduced from the raw
@@ -43,10 +43,13 @@ picks are one ordered sequence: the accepted draws of its (seed, n,
 trial) stream from the first word.  Its first frame takes the first n of
 them, each later frame the next ones, one for each mote still unread.  A
 trial holds a prefix of its stream: at first the words its first frame
-reads, with room for rejected words and six to spare.  The prefixes are
-memoised per process within 4 MiB in blocks of trials
+reads, with room for rejected words and six to spare.  A block's
+prefixes come from :func:`~biomote._draws.first_words`, which computes
+those of at most 128 raw words without ``numpy.random``, every prefix of
+the default ``mac-scenario1`` and ``mac-scenario2`` grids among them.
+The prefixes are memoised per process within 4 MiB in blocks of trials
 (:data:`_WORD_MEMO`), so a scan that revisits a deployment at another
-read time seeds no stream again.  When a trial still unread needs more
+read time keys no stream again.  When a trial still unread needs more
 picks than its prefix holds, the block's streams are all drawn again at
 least four times as wide, and the wider block replaces the narrower one
 in the memo.
@@ -183,8 +186,7 @@ def _first_words(seed: int, n: int, first: int, stop: int, words: int) -> np.nda
     key = (seed, n, first, stop)
     table = _WORD_MEMO.pop(key, None)
     if table is None or table.shape[1] < words:
-        table = np.stack([_draws.raw_words(_draws.stream(seed, n, t), -(-words // 2))
-                          for t in range(first, stop)])
+        table = _draws.first_words((seed, n), first, stop, -(-words // 2))
         table.flags.writeable = False       # shared by every later caller
     _WORD_MEMO[key] = table
     held = sum(t.nbytes for t in _WORD_MEMO.values())
@@ -206,7 +208,10 @@ def _pick_runs(block: tuple, words: int, frame: int, trials: np.ndarray) -> tupl
     ``start[i]`` and number ``held[i]``, and each prefix is ``width`` words
     long."""
     prefix = _first_words(*block, words)
-    values, accepted = _draws.bounded(prefix[trials], frame)
+    # bounded never writes its words, so a block whose rows are all still
+    # unread is read in place
+    rows = prefix if trials.size == len(prefix) else prefix[trials]
+    values, accepted = _draws.bounded(rows, frame)
     held = np.count_nonzero(accepted, axis=1)
     return values[accepted], np.cumsum(held) - held, held, prefix.shape[1]
 
@@ -469,10 +474,8 @@ def cdma_simulate(n_motes: int, code_len: int, family: str = "random",
     _check_cdma(n_motes, code_len, family, packet_bytes, trials)
     count("seed", seed, low=0)
     bits = packet_bytes * 8
-    total = 0
-    for t in range(trials):
-        total += _cdma_trial(n_motes, code_len, family, bits,
-                             _draws.stream(seed, n_motes, t))
+    total = sum(_cdma_trial(n_motes, code_len, family, bits, bit_gen)
+                for bit_gen in _draws.streams((seed, n_motes), trials))
     return total / trials
 
 

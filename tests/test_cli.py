@@ -396,6 +396,24 @@ def test_cdma_cap_leaves_aloha_alone(tmp_path):
     assert len(out.read_text().splitlines()) == 2
 
 
+@pytest.mark.parametrize("subcommand", ["mac-scenario1", "mac-scenario2"])
+def test_default_aloha_runs_leave_numpy_random_unloaded(subcommand, tmp_path):
+    """Every prefix a default ALOHA study reads is narrow, so ``_draws``
+    keys and computes it without ``numpy.random``, whose import costs
+    about 6 MB of RSS.  The same child then loads it by keying one stream,
+    so the check can see the module when it is there."""
+    code = ("import sys\n"
+            "from biomote import _draws\n"
+            "from biomote.cli import main\n"
+            f"assert main([{subcommand!r}, '--out', {str(tmp_path / 'x.csv')!r}]) == 0\n"
+            "print('numpy.random' in sys.modules)\n"
+            "_draws.stream(1, 2)\n"
+            "print('numpy.random' in sys.modules)\n")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       check=True)
+    assert r.stdout.split() == ["False", "True"]
+
+
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 

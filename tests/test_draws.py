@@ -16,14 +16,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from biomote import cli, mac, phy
+from biomote import _draws, cli, mac, phy
 from biomote._draws import (
+    _NARROW,
     DEFAULT_SEED,
     bounded,
+    first_words,
     random_bits,
     raw_words,
     rejections,
+    seed_words,
     stream,
+    streams,
     sub_seed,
 )
 
@@ -44,6 +48,80 @@ def test_golden_sub_seed():
     points under the default master seed."""
     assert sub_seed(0xB10B10, 0) == 4962678256578433740
     assert sub_seed(0xB10B10, 1) == 1872311813571898462
+
+
+def _numpy_stream(*key):
+    """numpy's own keying of stream ``key``, the reference for ``_draws``'."""
+    return np.random.PCG64(np.random.SeedSequence(key))
+
+
+#: seeds whose entropy is one word at both ends of its range, two words,
+#: and three
+_GRID_SEEDS = [0, 2**32 - 1, 2**32, 2**64 + 5]
+#: batches of trials from the first, and one that straddles t = 2**32,
+#: where a trial's entropy grows from one word to two
+_GRID_BATCHES = [(0, 3), (2**32 - 2, 2**32 + 2)]
+#: raw words: one, the widest prefix computed without numpy.random, one
+#: more, and four times as many
+_GRID_RAWS = [1, _NARROW, _NARROW + 1, 4 * _NARROW]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.sampled_from(_GRID_SEEDS) | st.integers(0, 2**96),
+       n=st.sampled_from([0, 100]) | st.integers(0, 2**40),
+       batch=st.sampled_from(_GRID_BATCHES)
+       | st.tuples(st.integers(0, 2**33), st.integers(1, 4)).map(lambda b: (b[0], sum(b))),
+       raw=st.sampled_from(_GRID_RAWS) | st.integers(1, 4 * _NARROW))
+@example(seed=0, n=0, batch=_GRID_BATCHES[0], raw=1)
+@example(seed=2**32 - 1, n=0, batch=_GRID_BATCHES[1], raw=_NARROW)
+@example(seed=2**32, n=100, batch=_GRID_BATCHES[1], raw=_NARROW + 1)
+@example(seed=2**64 + 5, n=0, batch=_GRID_BATCHES[1], raw=4 * _NARROW)
+@example(seed=2**64 + 5, n=100, batch=_GRID_BATCHES[0], raw=_NARROW)
+def test_batch_keying_and_prefixes_match_numpy(seed, n, batch, raw):
+    """SeedSequence keying and PCG64 seeding, reproduced for a batch of
+    trials: the seed words and the prefixes, narrow (computed without
+    ``numpy.random``) and wide, equal numpy's, row for row; and one stream
+    keyed alone (``stream``, ``sub_seed``) equals numpy's too."""
+    first, stop = batch
+    keys = [(seed, n, t) for t in range(first, stop)]
+    np.testing.assert_array_equal(
+        seed_words((seed, n), first, stop),
+        [np.random.SeedSequence(key).generate_state(4, np.uint64) for key in keys])
+    np.testing.assert_array_equal(
+        first_words((seed, n), first, stop, raw),
+        [raw_words(_numpy_stream(*key), raw) for key in keys])
+    assert stream(seed, n, first).state == _numpy_stream(seed, n, first).state
+    assert sub_seed(seed, n) == np.random.SeedSequence((seed, n)).generate_state(1, np.uint64)[0]
+
+
+def test_streams_key_each_trial_across_batches(monkeypatch):
+    """``streams`` hands out ``stream(*key, t)`` for every trial in order,
+    across batches of keys too."""
+    monkeypatch.setattr(_draws, "_KEYS", 2)
+    got = [bit_gen.state for bit_gen in streams((5, 3), 5)]
+    assert got == [_numpy_stream(5, 3, t).state for t in range(5)]
+
+
+def test_keys_must_be_non_negative():
+    with pytest.raises(ValueError, match="non-negative"):
+        stream(1, -2)
+    with pytest.raises(ValueError, match="non-negative"):
+        seed_words((-1,), 0, 2)
+
+
+def test_narrow_prefixes_are_computed_in_pieces():
+    """Narrow prefixes of 4,096 trials peak at their table plus sixteen
+    uint64 grids of one piece of the jump, and 64 KiB for the keys (numpy
+    reports its buffers to ``tracemalloc``), not at grids of the whole
+    batch, about 9 MiB more."""
+    tracemalloc.start()
+    try:
+        words = first_words((3, 40), 0, 4096, _NARROW)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert words.nbytes == 4096 * _NARROW * 8
+    assert peak <= words.nbytes + 16 * 8 * _draws._JUMP_PIECE + (64 << 10)
 
 
 def test_golden_bits_carry_the_buffered_half_word():

@@ -354,15 +354,17 @@ def test_batched_aloha_matches_per_trial_reference(layout, seed, block_words):
 
 
 def _count_seedings(monkeypatch):
-    """Record the key of every stream ``mac`` seeds from here on."""
+    """Record the key of every stream ``mac`` seeds from here on: each key
+    handed to the batch keying, ``_draws.seed_words``, which every stream,
+    prefix and CDMA trial is keyed through."""
     seeded = []
-    stream = _draws.stream
+    seed_words = _draws.seed_words
 
-    def counted(*key):
-        seeded.append(key)
-        return stream(*key)
+    def counted(key, first, stop):
+        seeded.extend((*key, t) for t in range(first, stop))
+        return seed_words(key, first, stop)
 
-    monkeypatch.setattr(_draws, "stream", counted)
+    monkeypatch.setattr(_draws, "seed_words", counted)
     return seeded
 
 
