@@ -51,7 +51,8 @@ def test_golden_sub_seed():
 
 
 def _numpy_stream(*key):
-    """numpy's own keying of stream ``key``, the reference for ``_draws``'."""
+    """numpy's own keying of stream ``key``: the reference that the keying
+    ``_draws`` reproduces is checked against."""
     return np.random.PCG64(np.random.SeedSequence(key))
 
 
