@@ -5,8 +5,6 @@ design study: coil parasitics vs frequency, the ferrite-loading knob, and
 the backscatter power the reader actually sees as the implant moves away.
 """
 
-from dataclasses import replace
-
 from biomote.link import (
     NoiseModel,
     ac_resistance,

@@ -7,8 +7,6 @@ trade, and the head-to-head of the two simulated schemes.
 
 from biomote.mac import (
     DeploymentGeometry,
-    MacScenario,
-    aloha_mean_successes,
     binary_tree_iterations,
     cdma_sweep,
     compare_schemes,

@@ -5,14 +5,15 @@ algorithms that NEP 19 does not promise across releases:
 
 * **SeedSequence keying of PCG64.**  A stream is keyed by a tuple of
   integers: a MAC trial by (seed, n, trial) and a PHY point by (seed, snr
-  key).  numpy's SeedSequence hash is reproduced here, once
-  (:func:`_generate_state`): on Python ints for one key, :func:`stream`
-  and :func:`sub_seed` (a BER sweep point's seed), and on uint32 arrays
-  for a batch of trials, :func:`seed_words`, which :func:`streams` (a
-  CDMA point's trials) and :func:`first_words` (ALOHA prefixes) key
-  through.  A stream's seed words, the four uint64 words
-  ``generate_state(4, np.uint64)`` gives, are handed to numpy's
-  ``PCG64``, which seeds itself from them.
+  key).  numpy's SeedSequence hash is reproduced here, once, on uint32
+  arrays (:func:`_generate_state`), and every key goes through
+  :func:`seed_words`, which hashes a batch of keys that differ in their
+  last integer at once: a batch of one for :func:`stream` and
+  :func:`sub_seed` (a BER sweep point's seed), a point's trials for
+  :func:`streams` (CDMA) and :func:`first_words` (ALOHA prefixes).  A
+  stream's seed words, the four uint64 words ``generate_state(4,
+  np.uint64)`` gives, are handed to numpy's ``PCG64``, which seeds itself
+  from them.
 * **The bounded-integer path.**  numpy's bounded draws on 32-bit ranges
   take one uint32 half of a PCG64 output at a time, low half first, and
   keep the other half buffered in the bit generator's state
@@ -80,51 +81,44 @@ def _entropy(key) -> list[int]:
     return words
 
 
-def _hashes(const: int, mult: int, count: int) -> list[tuple[int, int]]:
-    """SeedSequence's running hash constant from ``const``: the (xor,
-    multiplier) pair of each of ``count`` words it hashes in turn."""
-    pairs = []
-    for _ in range(count):
-        pairs.append((const, const * mult & _M32))
-        const = pairs[-1][1]
-    return pairs
+def _hashmix(value, const: int, mult: int) -> tuple:
+    """SeedSequence's ``hashmix`` of the uint32 words ``value`` with the
+    running hash constant ``const``: (the hashed words, the next
+    constant)."""
+    step = const * mult & _M32
+    value = (value ^ const) * step
+    return value ^ value >> 16, step
 
 
-@cache
-def _schedule(entropy: int) -> tuple[list, list, list]:
-    """SeedSequence's hashing of ``entropy`` words, as hash constants: those
-    that fill the pool from the first four words; each step of the pool
-    mix with the (source, pool word) it mixes, sources counted across the
-    pool and then the words after the fourth; and the output words'."""
-    steps = [(src, dst) for src in range(max(4, entropy)) for dst in range(4) if src != dst]
-    pairs = _hashes(_INIT_A, _MULT_A, 4 + len(steps))
-    return (pairs[:4], [step + pair for step, pair in zip(steps, pairs[4:])],
-            [(i % 4,) + pair for i, pair in enumerate(_hashes(_INIT_B, _MULT_B, 8))])
+def _mix(x, y):
+    """SeedSequence's ``mix`` of two uint32 words."""
+    value = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return value ^ value >> 16
 
 
-def _generate_state(entropy: list, words: int) -> list:
-    """``SeedSequence(entropy).generate_state(words)``, word for word, of
-    the uint32 ``entropy`` words, for at most eight ``words``.  The words
-    are ints, or for a batch of keys uint32 arrays that broadcast together,
-    and so are the words of the result: the arrays wrap as the C does, and
-    ``& _M32`` wraps the ints."""
-    fill, steps, outputs = _schedule(len(entropy))
-    mask, left, right = _M32, _MIX_MULT_L, _MIX_MULT_R      # locals: this runs per key
-    pool = []
-    for value, (xor, mult) in zip(entropy[:4] + [0] * (4 - len(entropy)), fill):
-        value = (value ^ xor) * mult & mask
-        pool.append(value ^ value >> 16)
-    # each step mixes the hash of a pool word, or of an entropy word
-    # beyond the fourth, into another pool word
-    pool += entropy[4:]
-    for src, dst, xor, mult in steps:
-        value = (pool[src] ^ xor) * mult & mask
-        value = left * pool[dst] - right * (value ^ value >> 16) & mask
-        pool[dst] = value ^ value >> 16
-    state = []
-    for src, xor, mult in outputs[:words]:
-        value = (pool[src] ^ xor) * mult & mask
-        state.append(value ^ value >> 16)
+def _generate_state(entropy: list) -> list:
+    """``SeedSequence(entropy).generate_state(8)``, word for word, for a
+    batch of keys: the at least four ``entropy`` words are uint32 arrays
+    that broadcast together, a key to a column, and wrap as the C does."""
+    const, pool = _INIT_A, []
+    for value in entropy[:4]:
+        value, const = _hashmix(value, const, _MULT_A)
+        pool.append(value)
+    # mix every pool word into every other, then every entropy word beyond
+    # the fourth into each pool word
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                value, const = _hashmix(pool[src], const, _MULT_A)
+                pool[dst] = _mix(pool[dst], value)
+    for word in entropy[4:]:
+        for dst in range(4):
+            value, const = _hashmix(word, const, _MULT_A)
+            pool[dst] = _mix(pool[dst], value)
+    const, state = _INIT_B, []
+    for i in range(8):
+        value, const = _hashmix(pool[i % 4], const, _MULT_B)
+        state.append(value)
     return state
 
 
@@ -147,7 +141,7 @@ def seed_words(key: tuple[int, ...], first: int, stop: int) -> np.ndarray:
         entropy = fixed + [low] + (_entropy([high]) if high else [])
         entropy = list(np.array(entropy + [0] * (4 - len(entropy)), dtype=np.uint32)[:, None])
         entropy[len(fixed)] = entropy[len(fixed)] + np.arange(size, dtype=np.uint32)
-        table[start - first:start - first + size] = np.array(_generate_state(entropy, 8)).T
+        table[start - first:start - first + size] = np.array(_generate_state(entropy)).T
         start += size
     return table.view("<u8")
 
@@ -175,7 +169,7 @@ def _pcg64():
 
 def stream(*key: int) -> np.random.PCG64:
     """The PCG64 bit generator keyed by the integers ``key``, at its start."""
-    return _pcg64()(np.array(_generate_state(_entropy(key), 8), dtype="<u4").view("<u8"))
+    return _pcg64()(seed_words(key[:-1], key[-1], key[-1] + 1)[0])
 
 
 def streams(key: tuple[int, ...], trials: int):
@@ -190,8 +184,7 @@ def sub_seed(master: int, index: int) -> int:
     """Point ``index``'s seed under ``master``, so a point's draws do not
     depend on how points are split across workers: the first uint64 of
     ``SeedSequence((master, index)).generate_state``."""
-    low, high = _generate_state(_entropy((master, index)), 2)
-    return low | high << 32
+    return int(seed_words((master,), index, index + 1)[0, 0])
 
 
 #: PCG64's LCG multiplier (PCG_DEFAULT_MULTIPLIER_128)

@@ -33,7 +33,8 @@ from biomote._checks import count, fields, finite, positive
 
 __all__ = [
     "MU0", "K_BOLTZMANN",
-    "Coil", "LinkConfig", "LinkBudget", "NoiseModel", "SingularityError",
+    "Coil", "LinkConfig", "MAX_SUBCARRIER_DIVIDER", "LinkBudget", "NoiseModel",
+    "SingularityError",
     "skin_depth", "ac_resistance", "self_inductance", "mutual_inductance",
     "resonance_capacitance", "reflected_impedance", "link_budget",
     "check_distances", "SweepRow", "backscatter_sweep",
@@ -150,6 +151,10 @@ def resonance_capacitance(inductance: float, freq: float) -> float:
 # link configuration
 # ---------------------------------------------------------------------------
 
+#: longest subcarrier divider register, in bits
+MAX_SUBCARRIER_DIVIDER = 64
+
+
 @dataclass(frozen=True)
 class LinkConfig:
     """A reader/mote coil pair plus drive and tuning parameters.
@@ -177,6 +182,9 @@ class LinkConfig:
                "medium_rel_permeability")
         fields(self, finite, "load_impedance")
         fields(self, count, "subcarrier_divider")
+        # 2^n is an exact int, so an unbounded n would build an unbounded one
+        if self.subcarrier_divider > MAX_SUBCARRIER_DIVIDER:
+            raise ValueError(f"subcarrier_divider must be at most {MAX_SUBCARRIER_DIVIDER}")
         contact = (self.reader.wire_diameter + self.mote.wire_diameter) / 2.0
         if self.separation <= contact:
             raise ValueError(

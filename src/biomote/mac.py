@@ -13,11 +13,15 @@ Three schemes sized for a transmit-only micro implant:
   if its whole packet demodulates error-free (multi-access interference is
   the only impairment).
 
-Scenario sweeps read a whole deployment within a time window.  The window
-is carved into frames of ``frame_slots``; scenario runs use a single frame
-spanning the window (each mote transmits its one packet at a random
-offset).  A deployment counts as fully read when the mean shortfall is at
-most ``FULL_READ_SHORTFALL`` motes (about one collision pair).
+ALOHA runs in slots of one packet's airtime: a :class:`MacScenario` holds
+its read window and frame as slot counts.  :func:`read_window_slots` is the
+one conversion of a window in seconds, at a link rate and packet size, to
+whole slots; the scenario sweeps take their windows in seconds and convert
+each once, and :func:`compare_schemes` takes its windows in slots.  The
+window is carved into frames of ``frame_slots``; scenario runs use a
+single frame spanning the window (each mote transmits its one packet at a
+random offset).  A deployment counts as fully read when the mean shortfall
+is at most ``FULL_READ_SHORTFALL`` motes (about one collision pair).
 
 CDMA despreading is exact integer arithmetic done in floating point.
 Random codes go through the Gram matrix C C^T in float32 when n * L <=
@@ -25,7 +29,8 @@ Random codes go through the Gram matrix C C^T in float32 when n * L <=
 float64 above that; the bits are despread in blocks of 64 columns, and a
 trial stops at the first block after which no mote is still error-free.
 Walsh codes use the closed form of C C^T and need no matmul; with n <= L
-every mote has its own row, so all n are read and nothing is drawn.
+every mote has its own row, so all n are read, and the point draws nothing
+and keys no stream.
 
 Every routine is deterministic in (seed, parameters): each trial draws
 from its own stream keyed by (seed, n, trial), so results are
@@ -60,7 +65,6 @@ from __future__ import annotations
 import math
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -68,13 +72,13 @@ from biomote import _draws
 from biomote._checks import count, fields, positive
 
 __all__ = [
-    "MacScenario", "DeploymentGeometry",
+    "MacScenario", "read_window_slots", "DeploymentGeometry",
     "binary_tree_iterations", "aloha_simulate", "aloha_mean_successes",
     "Scenario1Row", "scenario1_sweep", "Scenario2Row", "scenario2_sweep",
     "max_fully_read", "global_recommendation", "cdma_simulate", "CdmaRow",
     "cdma_sweep", "CompareRow", "compare_schemes", "FULL_READ_SHORTFALL",
     "MAX_ALOHA_SLOTS", "MAX_CDMA_MOTES", "MAX_CDMA_DRAW_BYTES",
-    "COMPARE_RATE_BPS", "COMPARE_PACKET_BYTES", "COMPARE_CODE_LEN",
+    "COMPARE_PACKET_BYTES", "COMPARE_CODE_LEN",
 ]
 
 #: mean unread motes tolerated by the "fully read" criterion (one collision
@@ -86,49 +90,48 @@ FULL_READ_SHORTFALL = 2.25
 MAX_ALOHA_SLOTS = 2**32 - 1
 
 
+def read_window_slots(rate: float, packet_bytes: int, read_time: float) -> int:
+    """Whole slots of ``packet_bytes``-byte packets at ``rate`` bit/s in a
+    read window of ``read_time`` seconds: the one conversion of a window
+    from seconds to slots.  ``rate`` and ``read_time`` must be finite and
+    positive, ``packet_bytes`` a count."""
+    slot = count("packet_bytes", packet_bytes) * 8 / positive("rate", rate)
+    return int(positive("read_time", read_time) / slot)
+
+
 @dataclass(frozen=True)
 class MacScenario:
-    """One multi-access run: deployment size, radio parameters, window.
+    """One framed-ALOHA run: deployment size, read window and frame, in
+    slots of one packet's airtime.
 
-    ``n_motes``, ``packet_bytes``, ``frame_slots`` (unless None), ``trials``
-    and ``seed`` are counts held as Python ints, ``n_motes`` and ``seed``
-    from 0; ``rate`` and ``read_time`` are finite and positive.
+    Every field is a count held as a Python int: ``n_motes``,
+    ``window_slots`` and ``seed`` from 0, ``frame_slots`` (unless None) and
+    ``trials`` from 1; a window or frame holds at most
+    :data:`MAX_ALOHA_SLOTS` slots.
     """
 
     n_motes: int
-    rate: float                 # [bit/s]
-    packet_bytes: int
-    read_time: float            # [s]
+    window_slots: int
     frame_slots: int | None = None   # None: one frame spanning the window
     trials: int = 100
     seed: int = _draws.DEFAULT_SEED
 
     def __post_init__(self):
-        fields(self, count, "n_motes", "seed", low=0)
-        fields(self, count, "packet_bytes", "trials")
+        fields(self, count, "n_motes", "window_slots", "seed", low=0)
+        fields(self, count, "trials")
         if self.frame_slots is not None:
             fields(self, count, "frame_slots")
-        fields(self, positive, "rate", "read_time")
         # the draws follow numpy's bounded-integer path for 32-bit ranges
         if self.frame_slots is not None and self.frame_slots > MAX_ALOHA_SLOTS:
             raise ValueError(f"a frame of {self.frame_slots} slots is above "
                              f"the {MAX_ALOHA_SLOTS} an ALOHA run supports")
-        if self.slots_available > MAX_ALOHA_SLOTS:
-            raise ValueError(f"a read window of {self.slots_available} slots is "
+        if self.window_slots > MAX_ALOHA_SLOTS:
+            raise ValueError(f"a read window of {self.window_slots} slots is "
                              f"above the {MAX_ALOHA_SLOTS} an ALOHA run supports")
 
-    # computed once per scenario, not once per ALOHA trial
-    @cached_property
-    def slot_duration(self) -> float:
-        return self.packet_bytes * 8 / self.rate
-
-    @cached_property
-    def slots_available(self) -> int:
-        return int(self.read_time / self.slot_duration)
-
-    @cached_property
+    @property
     def effective_frame_slots(self) -> int:
-        return self.slots_available if self.frame_slots is None else self.frame_slots
+        return self.window_slots if self.frame_slots is None else self.frame_slots
 
 
 @dataclass(frozen=True)
@@ -235,7 +238,7 @@ def _aloha_trials(sc: MacScenario, first: int, stop: int) -> tuple[int, int]:
     prefix holds (:func:`_pick_runs`), and each frame takes the next ones,
     one for each unread mote.  When a trial still unread needs more picks
     than its prefix holds, every prefix of the block is widened."""
-    frame, budget = sc.effective_frame_slots, sc.slots_available
+    frame, budget = sc.effective_frame_slots, sc.window_slots
     if sc.n_motes == 0 or budget < 1:
         return 0, 0
     block = (sc.seed, sc.n_motes, first, stop)
@@ -305,13 +308,12 @@ def max_fully_read(rate: float, read_time: float, packet_bytes: int,
     """Largest deployment, scanned in steps of 10 motes in one frame
     spanning the window, whose mean read count stays within
     :data:`FULL_READ_SHORTFALL` of everyone."""
+    window = read_window_slots(rate, packet_bytes, read_time)
     best = 0
     n = 10
     while True:
-        sc = MacScenario(n_motes=n, rate=rate, packet_bytes=packet_bytes,
-                         read_time=read_time, trials=trials, seed=seed)
-        if (sc.slots_available < 1
-                or aloha_mean_successes(sc) < n - FULL_READ_SHORTFALL):
+        sc = MacScenario(n, window, trials=trials, seed=seed)
+        if window < 1 or aloha_mean_successes(sc) < n - FULL_READ_SHORTFALL:
             return best
         best = n
         n += 10
@@ -336,7 +338,7 @@ def scenario1_sweep(rate: float, read_times, packet_bytes: int,
     each."""
     [read_times] = _axes(read_times)
     for rt in read_times:       # every window, before the first scan
-        MacScenario(0, rate, packet_bytes, rt, trials=trials, seed=seed)
+        MacScenario(0, read_window_slots(rate, packet_bytes, rt), trials=trials, seed=seed)
     return [Scenario1Row(rate, rt, packet_bytes,
                          max_fully_read(rate, rt, packet_bytes, trials, seed))
             for rt in read_times]
@@ -353,11 +355,11 @@ def scenario2_sweep(n_motes_list, rate: float, read_times, packet_bytes: int,
     """
     n_motes_list, read_times = _axes(n_motes_list, read_times)
     # every point is checked before the first one runs
-    points = [MacScenario(n_motes=n, rate=rate, packet_bytes=packet_bytes,
-                          read_time=rt, trials=trials, seed=seed)
-              for rt in read_times for n in n_motes_list]
-    return [Scenario2Row(sc.n_motes, sc.rate, sc.read_time, aloha_mean_successes(sc))
-            for sc in points]
+    windows = [read_window_slots(rate, packet_bytes, rt) for rt in read_times]
+    points = [(rt, MacScenario(n, window, trials=trials, seed=seed))
+              for rt, window in zip(read_times, windows) for n in n_motes_list]
+    return [Scenario2Row(sc.n_motes, rate, rt, aloha_mean_successes(sc))
+            for rt, sc in points]
 
 
 def global_recommendation(zone_successes: int, geom: DeploymentGeometry) -> int:
@@ -410,12 +412,7 @@ def _cdma_trial(n: int, code_len: int, family: str, packet_bits: int,
     if family == "walsh":
         # Mote i carries Walsh row i mod L, so C C^T = L * [i == j (mod L)]:
         # mote j correlates to L times the summed bits of every mote sharing
-        # its row (L > 0 leaves the sign, so the factor is dropped).  With
-        # n <= L every row is its own, so all n are read; the trial's
-        # stream is discarded afterwards, so skipping its draws changes
-        # no other trial.
-        if n <= code_len:
-            return n
+        # its row (L > 0 leaves the sign, so the factor is dropped).
         groups = -(-n // code_len)
         # the narrowest signed type holding +-groups, the largest row sum
         padded = np.zeros((groups * code_len, packet_bits),
@@ -473,6 +470,10 @@ def cdma_simulate(n_motes: int, code_len: int, family: str = "random",
     """Mean motes whose whole packet survives the multi-access interference."""
     _check_cdma(n_motes, code_len, family, packet_bytes, trials)
     count("seed", seed, low=0)
+    if family == "walsh" and n_motes <= code_len:
+        # every mote has a Walsh row of its own, so all n are read: no
+        # trial draws, and no stream is keyed
+        return float(n_motes)
     bits = packet_bytes * 8
     total = sum(_cdma_trial(n_motes, code_len, family, bits, bit_gen)
                 for bit_gen in _draws.streams((seed, n_motes), trials))
@@ -505,8 +506,7 @@ def cdma_sweep(n_motes, code_lens, packet_bytes: int, trials: int = 100,
 # scheme comparison
 # ---------------------------------------------------------------------------
 
-#: link rate and packet size of the scheme comparison
-COMPARE_RATE_BPS = 20e3
+#: packet size of the scheme comparison's CDMA motes
 COMPARE_PACKET_BYTES = 64
 #: its Walsh code length, which is also its ALOHA frame in slots
 COMPARE_CODE_LEN = 128
@@ -522,8 +522,8 @@ def compare_schemes(n_motes_list, duration_slots, trials: int = 100,
     against CDMA with Walsh codes of that length, whose one spread packet
     fills the same airtime as a frame.
 
-    ``duration_slots`` is an iterable of window lengths in slots; neither
-    it nor ``n_motes_list`` may be empty.  Returns one :class:`CompareRow`
+    ``duration_slots`` is an iterable of window lengths in slots, each the
+    ALOHA window as given; neither it nor ``n_motes_list`` may be empty.  Returns one :class:`CompareRow`
     a point, ALOHA then CDMA for each n, for each duration in turn.  CDMA
     rows depend only on (n, seed), never on the duration, so each n is
     simulated once.
@@ -533,11 +533,7 @@ def compare_schemes(n_motes_list, duration_slots, trials: int = 100,
     # every deployment and window is checked before the first point runs
     for n in n_motes_list:
         _check_cdma(n, COMPARE_CODE_LEN, "walsh", COMPARE_PACKET_BYTES, trials)
-    slot = COMPARE_PACKET_BYTES * 8 / COMPARE_RATE_BPS
-    aloha = [(n, d, MacScenario(n_motes=n, rate=COMPARE_RATE_BPS,
-                                packet_bytes=COMPARE_PACKET_BYTES,
-                                read_time=slot * d, frame_slots=COMPARE_CODE_LEN,
-                                trials=trials, seed=seed))
+    aloha = [(n, d, MacScenario(n, d, COMPARE_CODE_LEN, trials, seed))
              for d in durations for n in n_motes_list]
     cdma = {n: cdma_simulate(n, COMPARE_CODE_LEN, "walsh", COMPARE_PACKET_BYTES,
                              trials, seed)

@@ -26,6 +26,7 @@ from biomote.mac import (
     compare_schemes,
     global_recommendation,
     max_fully_read,
+    read_window_slots,
 )
 from biomote.phy import (
     CodeScheme,
@@ -213,10 +214,8 @@ def test_criterion_8_aloha_analytic_oracle():
     ok = True
     details = []
     for n, s in [(5, 16), (10, 16), (91, 128)]:
-        rate, pkt = 16e3, 2
-        sc = MacScenario(n_motes=n, rate=rate, packet_bytes=pkt,
-                         read_time=s * pkt * 8 / rate, frame_slots=s,
-                         trials=400, seed=SEED)
+        sc = MacScenario(n_motes=n, window_slots=s, frame_slots=s, trials=400,
+                         seed=SEED)
         mean = aloha_mean_successes(sc)
         expect = n * (1 - 1 / s) ** (n - 1)
         z = abs(mean - expect) / (math.sqrt(n) / math.sqrt(400))
@@ -228,9 +227,8 @@ def test_criterion_8_aloha_analytic_oracle():
         for picks in product(range(s), repeat=n):
             exact += sum(1 for slot in range(s) if picks.count(slot) == 1)
         exact /= s ** n
-        sc = MacScenario(n_motes=n, rate=16e3, packet_bytes=2,
-                         read_time=s * 2 * 8 / 16e3, frame_slots=s,
-                         trials=2000, seed=SEED)
+        sc = MacScenario(n_motes=n, window_slots=s, frame_slots=s, trials=2000,
+                         seed=SEED)
         mean = aloha_mean_successes(sc)
         z = abs(mean - exact) / max(math.sqrt(n) / math.sqrt(2000), 1e-9)
         ok &= z <= 3.0 or mean == exact
@@ -298,8 +296,8 @@ def test_criterion_11_reproducibility(tmp_path):
     ok = a.read_bytes() == b.read_bytes()
     # worker-count invariance: per-trial seeding makes any chunking of the
     # trial budget aggregate to the same mean
-    sc_full = MacScenario(n_motes=80, rate=200e3, packet_bytes=64,
-                          read_time=5.0, trials=100, seed=SEED)
+    sc_full = MacScenario(n_motes=80, window_slots=read_window_slots(200e3, 64, 5.0),
+                          trials=100, seed=SEED)
     full = aloha_mean_successes(sc_full)
     chunked = 0.0
     for start, stop in ((0, 37), (37, 70), (70, 100)):

@@ -2,15 +2,19 @@
 exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from biomote import cli, link, mac, phy
 from biomote.cli import CSV_SCHEMAS, main, resolve_seed
@@ -621,3 +625,85 @@ def test_ber_curve_failing_before_its_points_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error: distances must be strictly ascending" in err
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# any setting: exit codes and finite output
+# ---------------------------------------------------------------------------
+
+#: the small grid each subcommand runs on before the drawn settings
+_SMALL_RUNS = {
+    "link-sweep": ["link_distances_m=0.05,0.06"],
+    "table1": [],
+    "ber-sweep": ["ber_distances_m=0.05", "ber_trials=200", "ber_min_errors=5",
+                  "ber_max_bits=2000"],
+    "mac-scenario1": ["mac_read_times_s=0.02", "mac_trials=3"],
+    "mac-scenario2": ["mac_read_times_s=0.02", "mac_n_motes=5,20", "mac_trials=3"],
+    "mac-cdma": ["mac_n_motes=3,9", "mac_code_lens=16", "mac_trials=3",
+                 "mac_packet_bytes=8"],
+    "mac-compare": ["mac_n_motes=5,150", "mac_durations_slots=49", "mac_trials=3"],
+}
+
+#: values any key may be given: no number, not finite, not positive,
+#: fractional, or beyond float range
+_ANY_VALUES = ["x", "", "nan", "inf", "-inf", "0", "-1", "2.5", "1e400"]
+
+#: oversized values a run does not grow with: a window past
+#: ``mac.MAX_ALOHA_SLOTS``, a CDMA point past its caps, huge link and
+#: packet figures, a trial count above the bit cap
+_OVERSIZED = {
+    "mac_read_times_s": "2e7", "mac_durations_slots": "4294967296",
+    "mac_code_lens": "10000000000", "mac_packet_bytes": "100000000",
+    "mac_n_motes": str(mac.MAX_CDMA_MOTES + 1), "mac_rate_bps": "1e300",
+    "reader_turns": "1e300", "mote_turns": "1e300", "subcarrier_divider": "1e300",
+    "ber_trials": "1e300",
+}
+
+
+@st.composite
+def _settings(draw):
+    """One ``KEY=VALUE`` for any config key: a value of _ANY_VALUES, a small
+    valid one (a count up to 6, a number from 1e-3 to 1e3, or for a list two
+    of them or a range), an extreme float, or the key's oversized value."""
+    spec = draw(st.sampled_from(fields(RunParameters)))
+    integer = "int" in spec.type
+    small = (st.integers(1, 6).map(str) if integer
+             else st.floats(1e-3, 1e3).map(repr))
+    if spec.name == "noise_dbm":
+        small = st.floats(-200, 30).map(repr)
+    choices = [st.sampled_from(_ANY_VALUES), small]
+    if spec.type.startswith("list"):
+        choices += [st.tuples(small, small).map(",".join),
+                    st.just("1:3:1"), st.just("0:1e12:1")]
+    if not integer:
+        choices.append(st.sampled_from(["1e300", "1e-300", "-1e300"]))
+    if spec.name in _OVERSIZED:
+        choices.append(st.just(_OVERSIZED[spec.name]))
+    return f"{spec.name}={draw(st.one_of(choices))}"
+
+
+@settings(max_examples=120, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(subcommand=st.sampled_from(list(_SMALL_RUNS)),
+       drawn=st.lists(_settings(), min_size=1, max_size=2))
+# f_c / 2^n once built 2^n as an exact int, however many bits n asked for
+@example(subcommand="link-sweep", drawn=["subcarrier_divider=1e300"])
+@example(subcommand="table1", drawn=["subcarrier_divider=65"])
+def test_any_setting_exits_0_2_or_3_with_finite_output(subcommand, drawn):
+    """Through ``main``, a small run with any one or two settings exits 0,
+    2 or 3, and a run that exits 0 writes only finite numbers."""
+    sets = [arg for setting in _SMALL_RUNS[subcommand] + drawn
+            for arg in ("--set", setting)]
+    with tempfile.TemporaryDirectory() as out_dir:
+        out = Path(out_dir) / "x.csv"
+        rc = main([subcommand, "--seed", "7", "--out", str(out), *sets])
+        assert rc in (0, 2, 3)
+        assert out.exists() == (rc == 0)
+        if rc == 0:
+            for line in out.read_text().splitlines()[1:]:
+                for cell in line.split(","):
+                    try:
+                        value = float(cell)
+                    except ValueError:          # a scheme or code name
+                        continue
+                    assert math.isfinite(value), (line, drawn)

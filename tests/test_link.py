@@ -8,6 +8,7 @@ import pytest
 from scipy.special import ellipe, ellipk
 
 from biomote.link import (
+    MAX_SUBCARRIER_DIVIDER,
     MU0,
     TABLE1_CARRIERS,
     Coil,
@@ -449,6 +450,16 @@ def test_noise_model_rejects_non_positive(field):
 def test_link_config_rejects_nan_divider():
     for divider in (math.nan, 2.5, 6.0, 0):
         with pytest.raises(ValueError, match="subcarrier_divider"):
+            replace(reference_link_config(), subcarrier_divider=divider)
+
+
+def test_link_config_caps_the_divider():
+    # f_s = f_c / 2^n builds 2^n exactly: an n of 10^300 asked for
+    # unbounded memory
+    cfg = replace(reference_link_config(), subcarrier_divider=MAX_SUBCARRIER_DIVIDER)
+    assert cfg.subcarrier_freq == 13.56e6 / 2**64
+    for divider in (MAX_SUBCARRIER_DIVIDER + 1, 10**300):
+        with pytest.raises(ValueError, match="subcarrier_divider must be at most 64"):
             replace(reference_link_config(), subcarrier_divider=divider)
 
 

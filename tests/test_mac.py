@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from biomote import _draws, mac
 from biomote.mac import (
     _DESPREAD_BLOCK,
+    COMPARE_CODE_LEN,
     MAX_ALOHA_SLOTS,
     DeploymentGeometry,
     MacScenario,
@@ -28,6 +29,7 @@ from biomote.mac import (
     compare_schemes,
     global_recommendation,
     max_fully_read,
+    read_window_slots,
     scenario1_sweep,
     scenario2_sweep,
 )
@@ -92,40 +94,79 @@ def test_binary_tree_rejects_zero():
 # slotted ALOHA mechanics
 # ---------------------------------------------------------------------------
 
+def _scenario_from(rate=20e3, packet_bytes=64, read_time=1.0, **counts):
+    """A scenario whose window is given in seconds, as the sweeps give it:
+    39 slots of 25.6 ms at the defaults."""
+    return MacScenario(window_slots=read_window_slots(rate, packet_bytes, read_time),
+                       **counts)
+
+
 def test_slot_arithmetic_exact():
-    sc = MacScenario(n_motes=1, rate=20e3, packet_bytes=64, read_time=3.2768)
+    assert read_window_slots(20e3, 64, 3.2768) == 128
     assert Fraction(64 * 8, 20000) == Fraction(256, 10000)      # 25.6 ms
-    assert sc.slot_duration == pytest.approx(0.0256, abs=1e-15)
-    assert sc.slots_available == 128
+    assert read_window_slots(20e3, 64, 0.0256) == 1
+    assert read_window_slots(20e3, 64, 0.0255) == 0
     # 128 slots at 20 kbps/64 B really is 3.2768 s
     assert Fraction(64 * 8, 20000) * 128 == Fraction(32768, 10000)
 
 
+def test_read_window_slots_is_the_truncated_quotient():
+    """Whole slots, the quotient of the window by the slot truncated, float
+    error included: at 200 kbps and 64 B an 8-s window gives 3,124 slots
+    where 3,125 fit, as every recorded CSV was computed."""
+    assert read_window_slots(200e3, 64, 2.0) == 781
+    assert read_window_slots(200e3, 64, 8.0) == 3124
+    assert 8.0 / (64 * 8 / 200e3) < 3125
+    assert read_window_slots(200e3, 64, 10.0) == 3906
+    assert read_window_slots(16e3, 2, 1e-4) == 0
+    assert type(read_window_slots(20e3, np.int16(64), 1.0)) is int
+
+
+def test_sweeps_convert_each_window_once(monkeypatch):
+    """``max_fully_read`` converts its window once before its probes, and
+    ``scenario1_sweep`` and ``scenario2_sweep`` once a read time each."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return read_window_slots(*args)
+
+    monkeypatch.setattr(mac, "read_window_slots", counted)
+    assert max_fully_read(200e3, 4.0, 64, trials=20, seed=3) > 10     # several probes
+    assert calls == [(200e3, 64, 4.0)]
+    calls.clear()
+    scenario2_sweep([10, 20, 30], 200e3, [2.0, 4.0], 64, trials=5, seed=3)
+    assert calls == [(200e3, 64, 2.0), (200e3, 64, 4.0)]
+    calls.clear()
+    monkeypatch.setattr(mac, "max_fully_read", lambda *args: 0)
+    scenario1_sweep(200e3, [2.0, 4.0], 64, trials=5, seed=3)
+    assert calls == [(200e3, 64, 2.0), (200e3, 64, 4.0)]
+
+
 def test_single_mote_always_read():
     for seed in range(20):
-        sc = MacScenario(n_motes=1, rate=20e3, packet_bytes=64, read_time=1.0,
-                         trials=1, seed=seed)
+        sc = MacScenario(n_motes=1, window_slots=39, trials=1, seed=seed)
         s, used = aloha_simulate(sc)
         assert s == 1
-        assert used <= sc.slots_available
-    sc = MacScenario(n_motes=1, rate=20e3, packet_bytes=64, read_time=1.0)
+        assert used <= sc.window_slots
+    sc = MacScenario(n_motes=1, window_slots=39)
     assert aloha_simulate(sc)[0] == sc.trials
 
 
 def test_successes_bounded():
     for seed in range(20):
-        sc = MacScenario(n_motes=500, rate=20e3, packet_bytes=64, read_time=1.0,
-                         frame_slots=16, trials=1, seed=seed)
+        sc = MacScenario(n_motes=500, window_slots=39, frame_slots=16, trials=1,
+                         seed=seed)
         s, used = aloha_simulate(sc)
-        assert s <= min(sc.n_motes, sc.slots_available)
-        assert used <= sc.slots_available
+        assert s <= min(sc.n_motes, sc.window_slots)
+        assert used <= sc.window_slots
 
 
 def test_two_motes_two_slots_expected_value():
     """n=2, S=2, one frame: P(distinct) = 1/2 -> E[successes] = 1."""
-    sc = MacScenario(n_motes=2, rate=16e3, packet_bytes=2, read_time=2e-3,
-                     frame_slots=2, trials=4000, seed=31)
-    assert sc.slots_available == 2
+    sc = _scenario_from(rate=16e3, packet_bytes=2, read_time=2e-3, n_motes=2,
+                        frame_slots=2, trials=4000, seed=31)
+    assert sc.window_slots == 2
     mean = aloha_mean_successes(sc)
     se = math.sqrt(1.0 / sc.trials)  # var of successes is 1 here
     assert abs(mean - 1.0) <= 3 * se
@@ -134,10 +175,8 @@ def test_two_motes_two_slots_expected_value():
 @pytest.mark.parametrize("n,s", [(5, 16), (10, 16), (91, 128)])
 def test_single_frame_matches_analytic(n, s):
     rate, pkt = 16e3, 2
-    read_time = s * pkt * 8 / rate
-    sc = MacScenario(n_motes=n, rate=rate, packet_bytes=pkt,
-                     read_time=read_time, frame_slots=s, trials=400, seed=17)
-    assert sc.slots_available == s
+    assert read_window_slots(rate, pkt, s * pkt * 8 / rate) == s
+    sc = MacScenario(n_motes=n, window_slots=s, frame_slots=s, trials=400, seed=17)
     expect = single_frame_mean(n, s)
     # success-count variance is below n for these loads; 3 sigma banding
     sd = math.sqrt(n)
@@ -146,10 +185,7 @@ def test_single_frame_matches_analytic(n, s):
 
 @pytest.mark.parametrize("n,s", [(2, 2), (3, 3), (4, 4), (4, 3), (3, 4)])
 def test_single_frame_matches_enumeration(n, s):
-    rate, pkt = 16e3, 2
-    read_time = s * pkt * 8 / rate
-    sc = MacScenario(n_motes=n, rate=rate, packet_bytes=pkt,
-                     read_time=read_time, frame_slots=s, trials=3000, seed=23)
+    sc = MacScenario(n_motes=n, window_slots=s, frame_slots=s, trials=3000, seed=23)
     expect = enumerate_mean(n, s)
     assert expect == pytest.approx(single_frame_mean(n, s), rel=1e-12)
     sd = math.sqrt(n)
@@ -157,61 +193,58 @@ def test_single_frame_matches_enumeration(n, s):
 
 
 def test_aloha_deterministic_per_seed():
-    sc = MacScenario(n_motes=40, rate=20e3, packet_bytes=64, read_time=5.0,
-                     trials=50, seed=101)
+    sc = MacScenario(n_motes=40, window_slots=195, trials=50, seed=101)
     assert aloha_mean_successes(sc) == aloha_mean_successes(sc)
 
 
 def test_zero_motes():
-    sc = MacScenario(n_motes=0, rate=20e3, packet_bytes=64, read_time=1.0)
+    sc = MacScenario(n_motes=0, window_slots=39)
     assert aloha_mean_successes(sc) == 0.0
+    assert aloha_simulate(MacScenario(n_motes=5, window_slots=0)) == (0, 0)
 
 
 def test_scenario_validation():
     with pytest.raises(ValueError):
-        MacScenario(n_motes=-1, rate=20e3, packet_bytes=64, read_time=1.0)
+        MacScenario(n_motes=-1, window_slots=39)
+    with pytest.raises(ValueError, match="window_slots"):
+        MacScenario(n_motes=1, window_slots=-1)
     with pytest.raises(ValueError):
-        MacScenario(n_motes=1, rate=0, packet_bytes=64, read_time=1.0)
+        _scenario_from(rate=0, n_motes=1)
     with pytest.raises(ValueError):
-        MacScenario(n_motes=1, rate=20e3, packet_bytes=64, read_time=1.0,
-                    frame_slots=0)
+        MacScenario(n_motes=1, window_slots=39, frame_slots=0)
     with pytest.raises(ValueError):
-        MacScenario(n_motes=1, rate=20e3, packet_bytes=64, read_time=1.0,
-                    trials=0)
+        MacScenario(n_motes=1, window_slots=39, trials=0)
     with pytest.raises(ValueError, match="seed"):
-        MacScenario(n_motes=1, rate=20e3, packet_bytes=64, read_time=1.0,
-                    seed=-1)
+        MacScenario(n_motes=1, window_slots=39, seed=-1)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("field", ["rate", "packet_bytes", "read_time"])
 def test_scenario_rejects_non_finite(field, value):
     # rate=inf used to raise ZeroDivisionError, read_time=nan fail in int()
-    args = dict(n_motes=5, rate=20e3, packet_bytes=64, read_time=1.0) | {field: value}
     with pytest.raises(ValueError, match=field):
-        MacScenario(**args)
+        _scenario_from(n_motes=5, **{field: value})
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, 2.5, 10.0])
 @pytest.mark.parametrize("field", ["n_motes", "frame_slots", "trials",
-                                   "packet_bytes", "seed"])
+                                   "packet_bytes", "seed", "window_slots"])
 def test_scenario_rejects_non_integer_counts(field, value):
     # each used to pass construction and fail in numpy with a TypeError, or
     # (packet_bytes=2.5) run with a 20-bit slot
-    args = dict(n_motes=5, rate=20e3, packet_bytes=64, read_time=1.0) | {field: value}
+    build = MacScenario if field == "window_slots" else _scenario_from
     with pytest.raises(ValueError, match=field):
-        MacScenario(**args)
+        build(**dict(n_motes=5) | {field: value})
 
 
 def test_scenario_takes_numpy_counts():
-    sc = MacScenario(n_motes=np.int64(5), rate=20e3, packet_bytes=np.int16(64),
-                     read_time=1.0, frame_slots=np.int32(16), trials=np.uint16(3),
-                     seed=np.uint64(7))
-    for name in ("n_motes", "packet_bytes", "frame_slots", "trials", "seed"):
+    sc = MacScenario(n_motes=np.int64(5), window_slots=np.int64(39),
+                     frame_slots=np.int32(16), trials=np.uint16(3), seed=np.uint64(7))
+    for name in ("n_motes", "window_slots", "frame_slots", "trials", "seed"):
         assert type(getattr(sc, name)) is int
+    assert _scenario_from(packet_bytes=np.int16(64), n_motes=5).window_slots == 39
     assert aloha_simulate(sc) == aloha_simulate(
-        MacScenario(n_motes=5, rate=20e3, packet_bytes=64, read_time=1.0,
-                    frame_slots=16, trials=3, seed=7))
+        MacScenario(n_motes=5, window_slots=39, frame_slots=16, trials=3, seed=7))
 
 
 @pytest.mark.parametrize("frame_slots,read_time,ok", [
@@ -223,14 +256,24 @@ def test_scenario_takes_numpy_counts():
 ])
 def test_scenario_slot_cap(frame_slots, read_time, ok):
     def build():
-        return MacScenario(n_motes=5, rate=16e3, packet_bytes=2, read_time=read_time,
-                           frame_slots=frame_slots)
+        return _scenario_from(rate=16e3, packet_bytes=2, read_time=read_time,
+                              n_motes=5, frame_slots=frame_slots)
     if ok:
         sc = build()        # constructed only, never run
-        assert max(sc.slots_available, sc.effective_frame_slots) <= MAX_ALOHA_SLOTS
+        assert max(sc.window_slots, sc.effective_frame_slots) <= MAX_ALOHA_SLOTS
     else:
         with pytest.raises(ValueError, match="slots"):
             build()
+
+
+def test_scenario_slot_cap_in_slots():
+    # constructed only, never run: each side of the cap, window and frame
+    assert MacScenario(5, MAX_ALOHA_SLOTS).effective_frame_slots == MAX_ALOHA_SLOTS
+    assert MacScenario(5, 1000, MAX_ALOHA_SLOTS).effective_frame_slots == MAX_ALOHA_SLOTS
+    with pytest.raises(ValueError, match="read window of 4294967296 slots"):
+        MacScenario(5, MAX_ALOHA_SLOTS + 1)
+    with pytest.raises(ValueError, match="frame of 4294967296 slots"):
+        MacScenario(5, 1000, MAX_ALOHA_SLOTS + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -238,20 +281,15 @@ def test_scenario_slot_cap(frame_slots, read_time, ok):
 # ---------------------------------------------------------------------------
 
 def _scenario(n, frame_slots, budget, trials=1, seed=0):
-    """1 ms slots; a window of exactly ``budget`` slots."""
-    rate, pkt = 16e3, 2
-    sc = MacScenario(n_motes=n, rate=rate, packet_bytes=pkt,
-                     read_time=(budget + 0.5) * pkt * 8 / rate,
-                     frame_slots=frame_slots, trials=trials, seed=seed)
-    assert sc.slots_available == budget
-    return sc
+    """A window of ``budget`` slots."""
+    return MacScenario(n, budget, frame_slots, trials, seed)
 
 
 def _aloha_simulate_unique(sc, rng):
     """The framed-ALOHA run counting singletons with ``np.unique``, kept as
     the reference for the sort-based count."""
     frame = sc.effective_frame_slots
-    budget = sc.slots_available
+    budget = sc.window_slots
     remaining = sc.n_motes
     successes = 0
     used = 0
@@ -406,9 +444,11 @@ def test_mean_successes_is_mean_over_fresh_streams(monkeypatch):
 
 def test_default_grids_seedings(monkeypatch):
     """The default ``mac-scenario2`` grid seeds each of its 20 x 100 trial
-    streams once.  The default ``mac-compare`` grid seeds its 2,000 Walsh
-    CDMA streams and its 2,000 ALOHA streams once each, and at most 1,900
-    again, for the blocks that its ten-frame windows widen."""
+    streams once.  The default ``mac-compare`` grid seeds the 800 Walsh
+    CDMA streams of n = 130 to 200 and its 2,000 ALOHA streams once each,
+    and at most 1,900 again, for the blocks that its ten-frame windows
+    widen; a Walsh point of n <= 128 motes, each on its own row, keys
+    none."""
     seeded = _count_seedings(monkeypatch)
     mac._WORD_MEMO.clear()
     scenario2_sweep(range(10, 201, 10), 200e3, [2.0, 4.0, 6.0, 8.0, 10.0], 64)
@@ -416,7 +456,7 @@ def test_default_grids_seedings(monkeypatch):
     seeded.clear()
     mac._WORD_MEMO.clear()
     compare_schemes(range(10, 201, 10), [128, 1280])
-    assert len(seeded) <= 5900
+    assert len(seeded) <= 4700
 
 
 def test_seed_memo_eviction_keeps_streams(monkeypatch):
@@ -608,9 +648,7 @@ def test_scenario1_sweep_checks_every_window_first(monkeypatch, read_times):
 def test_scenario2_rows_bounded():
     rows = scenario2_sweep([0, 20, 40], 200e3, [2.0], 64, trials=30, seed=9)
     for n, rate, read_time, mean in rows:
-        sc = MacScenario(n_motes=max(n, 1), rate=rate, packet_bytes=64,
-                         read_time=read_time)
-        assert 0 <= mean <= min(max(n, 1), sc.slots_available)
+        assert 0 <= mean <= min(max(n, 1), read_window_slots(rate, 64, read_time))
     assert rows[0][3] == 0.0
 
 
@@ -682,9 +720,13 @@ def test_walsh_length_validation():
             cdma_simulate(4, length, "walsh")
 
 
-def test_walsh_family_exact_for_n_below_length():
+def test_walsh_family_exact_for_n_below_length(monkeypatch):
+    # every mote has a row of its own: no trial runs and no stream is keyed
+    seeded = _count_seedings(monkeypatch)
+    monkeypatch.setattr(mac, "_cdma_trial", _no_cdma_trial)
     for n, c in [(5, 16), (16, 16), (100, 128)]:
         assert cdma_simulate(n, c, "walsh", packet_bytes=64, trials=5, seed=2) == n
+    assert seeded == []
 
 
 def walsh_shared_row_law(n, code_len, bits):
@@ -957,6 +999,36 @@ def test_compare_long_duration_aloha_holds_to_50():
     for n in (10, 30, 50):
         se3 = 3 * math.sqrt(n / 40)
         assert by[(n, "aloha")] >= by[(n, "cdma")] - se3
+
+
+def test_compare_schemes_runs_aloha_in_exactly_its_window(monkeypatch):
+    """Each duration d is the ALOHA window, slot for slot, for every d up to
+    15,000.  Rebuilt from seconds at 20 kbps and 64 B, ``(d * slot) /
+    slot`` truncated to d - 1 for 1,023 of them, 49 the first."""
+    assert int(49 * 0.0256 / 0.0256) == 48
+    runs = []
+
+    def recorded(sc):
+        runs.append((sc.window_slots, sc.effective_frame_slots))
+        return 0.0
+
+    monkeypatch.setattr(mac, "aloha_mean_successes", recorded)
+    monkeypatch.setattr(mac, "cdma_simulate", lambda *args: 0.0)
+    durations = range(1, 15_001)
+    rows = compare_schemes([1], durations, trials=1)
+    assert runs == [(d, COMPARE_CODE_LEN) for d in durations]
+    assert [d for _, d, _, _ in rows] == [d for d in durations for _ in range(2)]
+
+
+def test_compare_schemes_window_of_49_slots():
+    """The CLI's ``--set mac_durations_slots=49 --set mac_n_motes=50,200
+    --set mac_trials=20`` rows: 49 slots, where a window rebuilt from
+    seconds ran 48 (14.2 and 15.5 motes read)."""
+    rows = compare_schemes([50, 200], [49], trials=20)
+    aloha = {n: m for n, _, scheme, m in rows if scheme == "aloha"}
+    assert aloha == {50: 14.45, 200: 15.75}
+    assert aloha == {n: aloha_mean_successes(MacScenario(n, 49, COMPARE_CODE_LEN, 20))
+                     for n in (50, 200)}
 
 
 def test_compare_cdma_duration_invariant():
