@@ -6,7 +6,6 @@ the backscatter power the reader actually sees as the implant moves away.
 """
 
 from biomote.link import (
-    NoiseModel,
     ac_resistance,
     backscatter_sweep,
     link_budget,
@@ -16,7 +15,7 @@ from biomote.link import (
     skin_depth,
 )
 
-noise = NoiseModel.from_total_dbm(-105.0)
+noise_dbm = -105.0                  # receiver noise floor
 
 print("=== Coil parasitics ===")
 cfg = reference_link_config()
@@ -33,7 +32,7 @@ print("\n=== Operating table: carrier and core loading ===")
 print("fc MHz   mu   P_tx dBm   PL dB    A_s dB   P_re dBm")
 for fc, mus, nd in [(1e6, (1, 10, 50), 4), (13.56e6, (1, 10), 6), (100e6, (1,), 7)]:
     for mu in mus:
-        b = link_budget(reference_link_config(fc, nd, 0.06, mu), noise)
+        b = link_budget(reference_link_config(fc, nd, 0.06, mu), noise_dbm)
         print(f"{fc/1e6:6.2f}  {mu:4.0f}   {b.p_tx_dbm:8.2f} {b.path_loss_db:8.2f} "
               f"{b.sideband_attenuation_db:8.2f} {b.p_re_dbm:10.2f}")
 print("Higher carrier lowers the path loss; ferrite loading (mu) lowers it "
@@ -41,7 +40,7 @@ print("Higher carrier lowers the path loss; ferrite loading (mu) lowers it "
       "attenuation — the budget balances the two.")
 
 print("\n=== Range: backscatter power vs separation (13.56 MHz, mu = 1) ===")
-rows = backscatter_sweep(reference_link_config(), noise,
+rows = backscatter_sweep(reference_link_config(), noise_dbm,
                          [0.01 + 0.005 * k for k in range(14)])
 prev = 0.0
 for d, p_re, snr in rows:

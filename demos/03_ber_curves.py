@@ -8,7 +8,7 @@ Writes ber_curves.csv next to the script with the distance sweep, one
 import csv
 from pathlib import Path
 
-from biomote.link import NoiseModel, reference_link_config
+from biomote.link import reference_link_config
 from biomote.phy import (
     CodeScheme,
     Modulation,
@@ -34,7 +34,7 @@ print("The on-off scheme runs 3 dB behind antipodal signalling at equal "
 
 print("\n=== BER vs distance through the inductive link ===")
 link = reference_link_config()
-noise = NoiseModel.from_total_dbm(-105.0)
+noise_dbm = -105.0                  # receiver noise floor
 distances = [0.045, 0.05, 0.055, 0.06, 0.065, 0.07]
 schemes = [
     ("ask", Modulation.ASK, CodeScheme.NONE),
@@ -46,7 +46,7 @@ curves = {}
 for k, (name, mod, code) in enumerate(schemes):
     cfg = PhyConfig(modulation=mod, code=code, trials=150_000, min_errors=100,
                     max_bits=2_000_000, seed=100 + k)
-    curves[name] = list(ber_vs_distance(link, noise, cfg, distances))
+    curves[name] = list(ber_vs_distance(link, noise_dbm, cfg, distances))
 
 header = "cm    " + "".join(f"{name:>14}" for name, *_ in schemes)
 print(header)

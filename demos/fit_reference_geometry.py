@@ -29,7 +29,6 @@ from scipy.special import ellipe, ellipk
 from biomote.link import (
     MU0,
     Coil,
-    NoiseModel,
     REFERENCE_MOTE,
     REFERENCE_READER,
     ac_resistance,
@@ -45,7 +44,7 @@ R_READER_TARGETS = {1e6: 5.881, 13.56e6: 19.64, 100e6: 52.13}
 R_MOTE_TARGETS = {1e6: 0.7533, 13.56e6: 0.7542, 100e6: 0.8577}
 P_RE_TARGETS = [(1e6, 4, 1.0, -128.37), (1e6, 4, 10.0, -108.38),
                 (1e6, 4, 50.0, -95.47), (13.56e6, 6, 1.0, -98.82)]
-NOISE = NoiseModel.from_total_dbm(-105.0)
+NOISE_DBM = -105.0
 
 
 def loop_mutual(a, b, z):
@@ -120,11 +119,11 @@ print(f"implant self-L: current-sheet {l_wh*1e9:.1f} nH vs filament "
 
 print("\n=== Budget verification against the regression anchors ===")
 for fc, nd, mu, tgt in P_RE_TARGETS:
-    b = link_budget(reference_link_config(fc, nd, 0.06, mu), NOISE)
+    b = link_budget(reference_link_config(fc, nd, 0.06, mu), NOISE_DBM)
     print(f"fc = {fc/1e6:6.2f} MHz, mu = {mu:4.0f}: P_re = {b.p_re_dbm:8.2f} dBm "
           f"(target {tgt:8.2f}, dev {b.p_re_dbm-tgt:+5.2f}, band +-3 dB)")
-b5 = link_budget(replace(reference_link_config(), separation=0.05), NOISE)
-b65 = link_budget(replace(reference_link_config(), separation=0.065), NOISE)
+b5 = link_budget(replace(reference_link_config(), separation=0.05), NOISE_DBM)
+b65 = link_budget(replace(reference_link_config(), separation=0.065), NOISE_DBM)
 print(f"range check: P_re(5 cm) = {b5.p_re_dbm:.2f} dBm (> -100), "
       f"P_re(6.5 cm) = {b65.p_re_dbm:.2f} dBm (<= -100)")
 

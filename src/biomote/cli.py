@@ -24,9 +24,12 @@ exits 3 before any work.  A layer's ``ValueError`` exits 2: the grid checks
 of :func:`~biomote.mac.scenario1_sweep`, :func:`~biomote.mac.scenario2_sweep`,
 :func:`~biomote.mac.cdma_sweep` and :func:`~biomote.mac.compare_schemes`,
 which guard library callers too, reject a read window above
-:data:`biomote.mac.MAX_ALOHA_SLOTS` slots and a CDMA point above
+:data:`biomote.mac.MAX_ALOHA_SLOTS` slots, an ALOHA deployment above
+:data:`biomote.mac.MAX_ALOHA_MOTES` motes and a CDMA point above
 :data:`biomote.mac.MAX_CDMA_MOTES` motes or whose trial would draw more
-than :data:`biomote.mac.MAX_CDMA_DRAW_BYTES` bytes.
+than :data:`biomote.mac.MAX_CDMA_DRAW_BYTES` bytes.  An ALOHA run whose
+stream prefixes would pass :data:`biomote.mac.MAX_ALOHA_PREFIX_BYTES`
+stops with a ``ValueError`` too, when it gets there.
 
 ``ber-sweep`` runs its four BER curves' points on one thread pool with
 one worker per core this process may use: each curve's
@@ -64,7 +67,6 @@ from biomote.config import (
     load_config,
     packaged_config_path,
 )
-from biomote.link import SingularityError
 from biomote.phy import BerRow, CodeScheme, Modulation, PhyConfig, ber_vs_distance
 
 SEED_ENV_VAR = "BIOLINK_SEED"
@@ -102,7 +104,7 @@ def run_ber_sweep(params: RunParameters, seed: int):
     # and not in a worker's (about 0.5 MB less peak RSS)
     import numpy.random  # noqa: F401
 
-    link_cfg, noise = params.link_config(), params.noise()
+    link_cfg = params.link_config()
     schemes = [
         (Modulation.ASK, CodeScheme.NONE),
         (Modulation.BPSK, CodeScheme.NONE),
@@ -119,8 +121,8 @@ def run_ber_sweep(params: RunParameters, seed: int):
             cfg = PhyConfig(modulation=mod, code=code, trials=params.ber_trials,
                             min_errors=params.ber_min_errors,
                             max_bits=params.ber_max_bits, seed=seed + k)
-            curves.append(ber_vs_distance(link_cfg, noise, cfg, params.ber_distances_m,
-                                          mapper=pool.map))
+            curves.append(ber_vs_distance(link_cfg, params.noise_dbm, cfg,
+                                          params.ber_distances_m, mapper=pool.map))
         return [row for rows in curves for row in rows]
     finally:
         pool.shutdown(cancel_futures=True)       # a failed point stops the rest
@@ -131,8 +133,8 @@ def run_ber_sweep(params: RunParameters, seed: int):
 #: module attribute (as a tracer or a test double does) reaches the study.
 SUBCOMMANDS = {
     "link-sweep": (link.SweepRow, lambda p, seed:
-                   link.backscatter_sweep(p.link_config(), p.noise(), p.link_distances_m)),
-    "table1": (link.Table1Row, lambda p, seed: link.table1_sweep(p.link_config(), p.noise())),
+                   link.backscatter_sweep(p.link_config(), p.noise_dbm, p.link_distances_m)),
+    "table1": (link.Table1Row, lambda p, seed: link.table1_sweep(p.link_config(), p.noise_dbm)),
     "ber-sweep": (BerRow, run_ber_sweep),
     "mac-scenario1": (mac.Scenario1Row, lambda p, seed:
                       mac.scenario1_sweep(p.mac_rate_bps, p.mac_read_times_s,
@@ -213,7 +215,7 @@ def main(argv=None) -> int:
     except ValueError as exc:                # ConfigError is one
         print(f"biomote {args.subcommand}: config error: {exc}", file=sys.stderr)
         return 2
-    except (SingularityError, ArithmeticError, OSError) as exc:
+    except (ArithmeticError, OSError) as exc:      # SingularityError is one
         print(f"biomote {args.subcommand}: runtime error: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -3,19 +3,22 @@ units encoded in key names.
 
 Unknown keys, malformed lines and out-of-range values raise
 :class:`ConfigError` carrying the offending line number.  The defaults
-live only in :class:`RunParameters`: the reference link of
+live only in :class:`RunParameters`.  Each link key names the link field it
+sets once, and its default is that field of the reference link of
 :func:`biomote.link.reference_link_config` (13.56 MHz, permeability 1,
-6 cm separation) and -105 dBm noise.  A file sets the keys it names, and
-an empty one, like the packaged ``table3.cfg``, yields the defaults.
+6 cm separation); the noise floor is one total in dBm, -105 by default.
+A file sets the keys it names, and an empty one, like the packaged
+``table3.cfg``, yields the defaults.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
 from pathlib import Path
 
-from biomote.link import Coil, LinkConfig, NoiseModel, reference_link_config
+from biomote.link import LinkConfig, reference_link_config
 
 __all__ = ["ConfigError", "RunParameters", "load_config", "packaged_config_path"]
 
@@ -97,33 +100,43 @@ _PARSERS = {
 _REFERENCE = reference_link_config()
 
 
+def _link(path: str):
+    """A link key: it sets the field at ``path`` of the link, a
+    :class:`~biomote.link.LinkConfig` field or ``reader.``/``mote.`` and a
+    :class:`~biomote.link.Coil` field, and defaults to the reference link's
+    value there."""
+    return field(default=attrgetter(path)(_REFERENCE), metadata={"link": path})
+
+
 @dataclass
 class RunParameters:
     """Parsed configuration; field names match config keys, and the field
     defaults are the only statement of the shipped defaults, the link's
     taken from :func:`~biomote.link.reference_link_config`."""
 
-    resonance_freq_hz: float = _REFERENCE.resonance_freq
-    subcarrier_divider: int = _REFERENCE.subcarrier_divider
-    separation_m: float = _REFERENCE.separation
-    drive_voltage_v: float = _REFERENCE.drive_voltage
+    resonance_freq_hz: float = _link("resonance_freq")
+    subcarrier_divider: int = _link("subcarrier_divider")
+    separation_m: float = _link("separation")
+    drive_voltage_v: float = _link("drive_voltage")
+    # total receiver noise: 290 K over 200 kHz plus a 15 dB noise figure
+    # gives -105.97 dBm
     noise_dbm: float = field(default=-105.0, metadata={"any_sign": True})
-    medium_rel_permeability: float = _REFERENCE.medium_rel_permeability
-    load_ohm: float | None = None            # None: matched to the mote coil
+    medium_rel_permeability: float = _link("medium_rel_permeability")
+    load_ohm: float | None = _link("load_impedance")   # None: matched to the mote coil
 
-    reader_radius_m: float = _REFERENCE.reader.loop_radius
-    reader_turns: int = _REFERENCE.reader.turns
-    reader_wire_diameter_m: float = _REFERENCE.reader.wire_diameter
-    reader_height_m: float = _REFERENCE.reader.coil_height
-    reader_resistivity_ohm_m: float = _REFERENCE.reader.resistivity
-    reader_core_rel_permeability: float = _REFERENCE.reader.core_rel_permeability
+    reader_radius_m: float = _link("reader.loop_radius")
+    reader_turns: int = _link("reader.turns")
+    reader_wire_diameter_m: float = _link("reader.wire_diameter")
+    reader_height_m: float = _link("reader.coil_height")
+    reader_resistivity_ohm_m: float = _link("reader.resistivity")
+    reader_core_rel_permeability: float = _link("reader.core_rel_permeability")
 
-    mote_radius_m: float = _REFERENCE.mote.loop_radius
-    mote_turns: int = _REFERENCE.mote.turns
-    mote_wire_diameter_m: float = _REFERENCE.mote.wire_diameter
-    mote_height_m: float = _REFERENCE.mote.coil_height
-    mote_resistivity_ohm_m: float = _REFERENCE.mote.resistivity
-    mote_core_rel_permeability: float = _REFERENCE.mote.core_rel_permeability
+    mote_radius_m: float = _link("mote.loop_radius")
+    mote_turns: int = _link("mote.turns")
+    mote_wire_diameter_m: float = _link("mote.wire_diameter")
+    mote_height_m: float = _link("mote.coil_height")
+    mote_resistivity_ohm_m: float = _link("mote.resistivity")
+    mote_core_rel_permeability: float = _link("mote.core_rel_permeability")
 
     link_distances_m: list[float] = field(default_factory=lambda: [round(0.01 + 0.005 * k, 4) for k in range(19)])
     ber_distances_m: list[float] = field(default_factory=lambda: [0.045, 0.05, 0.055, 0.06, 0.065, 0.07])
@@ -141,29 +154,20 @@ class RunParameters:
 
     # ------------------------------------------------------------------
     def link_config(self) -> LinkConfig:
-        """The coupled-coil configuration these parameters describe."""
-        return LinkConfig(
-            reader=Coil(turns=self.reader_turns, loop_radius=self.reader_radius_m,
-                        wire_diameter=self.reader_wire_diameter_m,
-                        coil_height=self.reader_height_m,
-                        resistivity=self.reader_resistivity_ohm_m,
-                        core_rel_permeability=self.reader_core_rel_permeability),
-            mote=Coil(turns=self.mote_turns, loop_radius=self.mote_radius_m,
-                      wire_diameter=self.mote_wire_diameter_m,
-                      coil_height=self.mote_height_m,
-                      resistivity=self.mote_resistivity_ohm_m,
-                      core_rel_permeability=self.mote_core_rel_permeability,
-                      is_mote=True),
-            separation=self.separation_m,
-            drive_voltage=self.drive_voltage_v,
-            resonance_freq=self.resonance_freq_hz,
-            subcarrier_divider=self.subcarrier_divider,
-            load_impedance=self.load_ohm,
-            medium_rel_permeability=self.medium_rel_permeability,
-        )
+        """The coupled-coil configuration these parameters describe: the
+        reference link with each link key's value at its path."""
+        changes = {"reader": {}, "mote": {}, "": {}}
+        for spec in _FIELDS.values():
+            if "link" in spec.metadata:
+                coil, _, name = spec.metadata["link"].rpartition(".")
+                changes[coil][name] = getattr(self, spec.name)
+        return replace(_REFERENCE, reader=replace(_REFERENCE.reader, **changes["reader"]),
+                       mote=replace(_REFERENCE.mote, **changes["mote"]), **changes[""])
 
-    def noise(self) -> NoiseModel:
-        return NoiseModel.from_total_dbm(self.noise_dbm)
+    def noise(self) -> float:
+        """The receiver noise floor in dBm, as
+        :func:`~biomote.link.link_budget` takes it."""
+        return self.noise_dbm
 
 
 _FIELDS = {spec.name: spec for spec in fields(RunParameters)}

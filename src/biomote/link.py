@@ -20,7 +20,8 @@ f_s = f_c / 2^n the load-switching subcarrier.  The sideband sits f_s away
 from resonance and pays the tank's second-order selectivity once; the path
 loss is paid in both directions.
 
-All computation is SI; dB/dBm appear only in the reported budget.
+All computation is SI; dB/dBm appear only in the reported budget and in
+the receiver noise floor, which a caller gives as one total in dBm.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ from dataclasses import dataclass, replace
 from biomote._checks import count, fields, finite, positive
 
 __all__ = [
-    "MU0", "K_BOLTZMANN",
-    "Coil", "LinkConfig", "MAX_SUBCARRIER_DIVIDER", "LinkBudget", "NoiseModel",
+    "MU0", "Coil", "LinkConfig", "MAX_SUBCARRIER_DIVIDER", "LinkBudget",
     "SingularityError",
     "skin_depth", "ac_resistance", "self_inductance", "mutual_inductance",
     "resonance_capacitance", "reflected_impedance", "link_budget",
@@ -43,7 +43,6 @@ __all__ = [
 ]
 
 MU0 = 4.0e-7 * math.pi          # vacuum permeability [H/m]
-K_BOLTZMANN = 1.380649e-23      # Boltzmann constant [J/K]
 
 MOTE_MAX_DIAMETER = 250e-6      # implant envelope: diameter and height caps
 MOTE_MAX_HEIGHT = 250e-6
@@ -215,31 +214,6 @@ class LinkConfig:
 
 
 @dataclass(frozen=True)
-class NoiseModel:
-    """Receiver noise floor: thermal noise in ``bandwidth`` plus noise figure."""
-
-    temperature: float = 290.0          # [K]
-    bandwidth: float = 200e3            # [Hz]
-    noise_figure: float = 15.0          # [dB]
-    total_override_dbm: float | None = None
-
-    def __post_init__(self):
-        fields(self, positive, "temperature", "bandwidth")
-        fields(self, finite, "noise_figure", "total_override_dbm")
-
-    @property
-    def total_dbm(self) -> float:
-        if self.total_override_dbm is not None:
-            return self.total_override_dbm
-        p = K_BOLTZMANN * self.temperature * self.bandwidth
-        return 10.0 * math.log10(p / 1e-3) + self.noise_figure
-
-    @classmethod
-    def from_total_dbm(cls, total: float) -> "NoiseModel":
-        return cls(total_override_dbm=total)
-
-
-@dataclass(frozen=True)
 class LinkBudget:
     """Computed budget at the carrier; powers in dBm, losses in dB."""
 
@@ -248,7 +222,6 @@ class LinkBudget:
     path_loss_db: float
     sideband_attenuation_db: float
     quality_factor: float
-    bandwidth_hz: float
     reader_resistance: float
     mote_resistance: float
     snr_db: float
@@ -270,8 +243,10 @@ def reflected_impedance(config: LinkConfig, freq: float) -> complex:
     return (w * config.mutual()) ** 2 / den
 
 
-def link_budget(config: LinkConfig, noise: NoiseModel) -> LinkBudget:
-    """Evaluate the full backscatter budget at the carrier."""
+def link_budget(config: LinkConfig, noise_dbm: float) -> LinkBudget:
+    """Evaluate the full backscatter budget at the carrier against a
+    receiver noise floor of ``noise_dbm`` in total, which must be finite."""
+    finite("noise_dbm", noise_dbm)
     fc = config.resonance_freq
     w = 2.0 * math.pi * fc
     zr = config.coil_impedance(config.reader, fc)
@@ -308,10 +283,9 @@ def link_budget(config: LinkConfig, noise: NoiseModel) -> LinkBudget:
         path_loss_db=path_loss,
         sideband_attenuation_db=a_s,
         quality_factor=q,
-        bandwidth_hz=fc / q,
         reader_resistance=r_r,
         mote_resistance=zb.real,
-        snr_db=p_re_dbm - noise.total_dbm,
+        snr_db=p_re_dbm - noise_dbm,
     )
 
 
@@ -330,7 +304,7 @@ def check_distances(distances) -> list[float]:
 SweepRow = namedtuple("SweepRow", "distance_m p_re_dbm snr_db")
 
 
-def backscatter_sweep(config: LinkConfig, noise: NoiseModel,
+def backscatter_sweep(config: LinkConfig, noise_dbm: float,
                       distances) -> list[SweepRow]:
     """Budget per separation, one :class:`SweepRow` each.
 
@@ -338,7 +312,7 @@ def backscatter_sweep(config: LinkConfig, noise: NoiseModel,
     """
     out = []
     for d in check_distances(distances):
-        b = link_budget(replace(config, separation=d), noise)
+        b = link_budget(replace(config, separation=d), noise_dbm)
         out.append(SweepRow(d, b.p_re_dbm, b.snr_db))
     return out
 
@@ -355,7 +329,7 @@ Table1Row = namedtuple("Table1Row",
                        "fc_mhz mu r_r_ohm r_b_ohm p_tx_dbm pl_db a_s_db p_re_dbm")
 
 
-def table1_sweep(config: LinkConfig, noise: NoiseModel) -> list[Table1Row]:
+def table1_sweep(config: LinkConfig, noise_dbm: float) -> list[Table1Row]:
     """The operating table: the budget of ``config`` at each carrier and
     divider of :data:`TABLE1_CARRIERS`, ferrite-loaded with each of its mu
     values, one :class:`Table1Row` each."""
@@ -363,7 +337,7 @@ def table1_sweep(config: LinkConfig, noise: NoiseModel) -> list[Table1Row]:
     for fc, mus, divider in TABLE1_CARRIERS:
         carrier = replace(config, resonance_freq=fc, subcarrier_divider=divider)
         for mu in mus:
-            b = link_budget(_ferrite(carrier, mu), noise)
+            b = link_budget(_ferrite(carrier, mu), noise_dbm)
             rows.append(Table1Row(fc / 1e6, mu, b.reader_resistance, b.mote_resistance,
                                   b.p_tx_dbm, b.path_loss_db,
                                   b.sideband_attenuation_db, b.p_re_dbm))

@@ -23,11 +23,13 @@ single frame spanning the window (each mote transmits its one packet at a
 random offset).  A deployment counts as fully read when the mean shortfall
 is at most ``FULL_READ_SHORTFALL`` motes (about one collision pair).
 
-CDMA despreading is exact integer arithmetic done in floating point.
-Random codes go through the Gram matrix C C^T in float32 when n * L <=
-2**24 (every partial sum is then an integer float32 holds exactly) and in
-float64 above that; the bits are despread in blocks of 64 columns, and a
-trial stops at the first block after which no mote is still error-free.
+CDMA despreading is exact integer arithmetic done in float32.  Random
+codes go through the Gram matrix C C^T; every partial sum of a despread is
+an integer of magnitude at most n * L, and the draw cap
+(:data:`MAX_CDMA_DRAW_BYTES`) keeps n * L below 2**23, within the 2**24 up
+to which float32 holds every integer.  The bits are despread in blocks of
+64 columns, and a trial stops at the first block after which no mote is
+still error-free.
 Walsh codes use the closed form of C C^T and need no matmul; with n <= L
 every mote has its own row, so all n are read, and the point draws nothing
 and keys no stream.
@@ -57,7 +59,10 @@ The prefixes are memoised per process within 4 MiB in blocks of trials
 read time keys no stream again.  When a trial still unread needs more
 picks than its prefix holds, the block's streams are all drawn again at
 least four times as wide, and the wider block replaces the narrower one
-in the memo.
+in the memo.  A block's prefixes hold every pick a trial reads, so they
+grow with the frames a crowded window runs: a run stops with a
+``ValueError`` before they would pass :data:`MAX_ALOHA_PREFIX_BYTES`, and
+a deployment holds at most :data:`MAX_ALOHA_MOTES` motes.
 """
 
 from __future__ import annotations
@@ -77,8 +82,8 @@ __all__ = [
     "Scenario1Row", "scenario1_sweep", "Scenario2Row", "scenario2_sweep",
     "max_fully_read", "global_recommendation", "cdma_simulate", "CdmaRow",
     "cdma_sweep", "CompareRow", "compare_schemes", "FULL_READ_SHORTFALL",
-    "MAX_ALOHA_SLOTS", "MAX_CDMA_MOTES", "MAX_CDMA_DRAW_BYTES",
-    "COMPARE_PACKET_BYTES", "COMPARE_CODE_LEN",
+    "MAX_ALOHA_SLOTS", "MAX_ALOHA_MOTES", "MAX_ALOHA_PREFIX_BYTES", "MAX_CDMA_MOTES",
+    "MAX_CDMA_DRAW_BYTES", "COMPARE_PACKET_BYTES", "COMPARE_CODE_LEN",
 ]
 
 #: mean unread motes tolerated by the "fully read" criterion (one collision
@@ -88,6 +93,14 @@ FULL_READ_SHORTFALL = 2.25
 #: most slots an ALOHA window or frame may hold: a mote's slot is one
 #: bounded 32-bit draw
 MAX_ALOHA_SLOTS = 2**32 - 1
+
+#: most motes an ALOHA deployment may hold, about 28 bytes each in a trial;
+#: one frame of MAX_ALOHA_SLOTS slots fully reads fewer than 10**5
+MAX_ALOHA_MOTES = 10**6
+
+#: most bytes of stream words a block of ALOHA trials may draw for its
+#: prefixes; a widening holds about 4.5 times that at its peak
+MAX_ALOHA_PREFIX_BYTES = 64 * 2**20
 
 
 def read_window_slots(rate: float, packet_bytes: int, read_time: float) -> int:
@@ -106,8 +119,8 @@ class MacScenario:
 
     Every field is a count held as a Python int: ``n_motes``,
     ``window_slots`` and ``seed`` from 0, ``frame_slots`` (unless None) and
-    ``trials`` from 1; a window or frame holds at most
-    :data:`MAX_ALOHA_SLOTS` slots.
+    ``trials`` from 1; a deployment holds at most :data:`MAX_ALOHA_MOTES`
+    motes, and a window or frame at most :data:`MAX_ALOHA_SLOTS` slots.
     """
 
     n_motes: int
@@ -119,6 +132,8 @@ class MacScenario:
     def __post_init__(self):
         fields(self, count, "n_motes", "window_slots", "seed", low=0)
         fields(self, count, "trials")
+        if self.n_motes > MAX_ALOHA_MOTES:
+            raise ValueError(f"mac_n_motes above {MAX_ALOHA_MOTES} is too many for ALOHA")
         if self.frame_slots is not None:
             fields(self, count, "frame_slots")
         # the draws follow numpy's bounded-integer path for 32-bit ranges
@@ -253,6 +268,10 @@ def _aloha_trials(sc: MacScenario, first: int, stop: int) -> tuple[int, int]:
             # widen every prefix at least fourfold, so a block that reads
             # on through many frames is drawn again only a few times
             words = max(_words_for(int((taken + remaining).max()), frame), 4 * words)
+            # the bytes of the raw 64-bit words _first_words would draw
+            if 8 * -(-words // 2) * (stop - first) > MAX_ALOHA_PREFIX_BYTES:
+                raise ValueError(f"mac_n_motes={sc.n_motes} in a window of {budget} slots "
+                                 f"reads past {MAX_ALOHA_PREFIX_BYTES} bytes of stream words")
             draws, start, held, words = _pick_runs(block, words, frame, trials)
         # row i takes its next remaining[i] picks, padded with the frame;
         # clipping keeps the padding's indices in range, and turns every
@@ -378,28 +397,20 @@ def _check_walsh_length(name: str, length: int) -> None:
         raise ValueError("Walsh code length must be a power of two")
 
 
-#: most motes a CDMA run may hold: their float64 Gram matrix, n x n, stays
-#: within 64 MiB (every CDMA point is checked before anything is drawn)
+#: most motes a CDMA run may hold: n x n entries of 8 bytes stay within
+#: 64 MiB (every CDMA point is checked before anything is drawn)
 MAX_CDMA_MOTES = math.isqrt(64 * 2**20 // 8)
 
 #: most bytes one CDMA trial may draw, counted at 8 bytes for each of its
 #: n x L code chips and n x bits packet bits (checked with
-#: :data:`MAX_CDMA_MOTES`).  A trial holds less: a bit is a uint8, drawn
-#: through raw words in pieces of at most 512 KiB, and a chip a float32 or
-#: float64 +-1
+#: :data:`MAX_CDMA_MOTES`), which keeps n x L below 2**23.  A trial holds
+#: less: a bit is a uint8, drawn through raw words in pieces of at most
+#: 512 KiB, and a chip a float32 +-1
 MAX_CDMA_DRAW_BYTES = 64 * 2**20
 
 #: bit columns despread per block; a random-code trial stops after the
 #: first block in which every mote has already mis-decoded a bit
 _DESPREAD_BLOCK = 64
-
-
-def _gram_dtype(n: int, code_len: int) -> type:
-    """The float dtype that despreads n motes with length-``code_len`` codes
-    exactly: every Gram entry is an integer of magnitude <= L and every
-    partial sum of ``(C C^T) @ bits`` one of magnitude <= n * L, so float32
-    is exact up to n * L = 2**24 in any BLAS summation order."""
-    return np.float32 if n * code_len <= 1 << 24 else np.float64
 
 
 def _cdma_trial(n: int, code_len: int, family: str, packet_bits: int,
@@ -424,8 +435,7 @@ def _cdma_trial(n: int, code_len: int, family: str, packet_bits: int,
         decided = stacked.sum(axis=0, dtype=padded.dtype) >= 0
         read = np.all(decided == (stacked > 0), axis=2).reshape(-1)[:n]
         return int(np.count_nonzero(read))
-    dtype = _gram_dtype(n, code_len)
-    chips = _draws.random_bits(bit_gen, (n, code_len)).astype(dtype) * 2 - 1
+    chips = _draws.random_bits(bit_gen, (n, code_len)).astype(np.float32) * 2 - 1
     # drawn after the codes: the draw order is part of the seeded output
     draws = _draws.random_bits(bit_gen, (n, packet_bits))
     gram = chips @ chips.T
@@ -434,7 +444,7 @@ def _cdma_trial(n: int, code_len: int, family: str, packet_bits: int,
     alive = np.arange(n)
     for start in range(0, packet_bits, _DESPREAD_BLOCK):
         block = draws[:, start:start + _DESPREAD_BLOCK] > 0
-        correlations = gram[alive] @ (block.astype(dtype) * 2 - 1)
+        correlations = gram[alive] @ (block.astype(np.float32) * 2 - 1)
         alive = alive[np.all((correlations >= 0) == block[alive], axis=1)]
         if alive.size == 0:
             break
@@ -457,7 +467,7 @@ def _check_cdma(n_motes: int, code_len: int, family: str, packet_bytes: int,
         raise ValueError(f"mac_n_motes above {MAX_CDMA_MOTES} "
                          f"is too large for a CDMA run")
     # the cap counts 8 bytes for each code chip and packet bit of a trial,
-    # which bounds what one holds: a float64 chip, or a uint8 bit, whose raw
+    # which bounds what one holds: a float32 chip, or a uint8 bit, whose raw
     # words are drawn in pieces of at most 512 KiB
     if 8 * n_motes * (code_len + 8 * packet_bytes) > MAX_CDMA_DRAW_BYTES:
         raise ValueError(f"mac_n_motes, mac_code_lens and mac_packet_bytes draw more "

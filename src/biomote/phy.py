@@ -50,7 +50,7 @@ import numpy as np
 
 from biomote import _draws, fec
 from biomote._checks import count, fields, finite
-from biomote.link import LinkConfig, NoiseModel, check_distances, link_budget
+from biomote.link import LinkConfig, check_distances, link_budget
 
 __all__ = [
     "Modulation", "CodeScheme", "PhyConfig", "BerEstimate",
@@ -294,12 +294,13 @@ LINK_SNR_TO_CHANNEL_DB = 10.0 * math.log10(2.0)
 BerRow = namedtuple("BerRow", "distance_m scheme code ber bits")
 
 
-def ber_vs_distance(link: LinkConfig, noise: NoiseModel, cfg: PhyConfig,
+def ber_vs_distance(link: LinkConfig, noise_dbm: float, cfg: PhyConfig,
                     distances, mapper: Callable = map) -> Iterator[BerRow]:
     """BER curve over reader-mote separations.
 
-    Per distance the budget fixes the symbol SNR; every scheme sees the
-    same channel (same radiated power).  Returns an iterator of
+    Per distance the budget against a receiver noise floor of
+    ``noise_dbm`` (total, in dBm) fixes the symbol SNR; every scheme sees
+    the same channel (same radiated power).  Returns an iterator of
     :class:`BerRow` in distance order, the scheme named by
     ``cfg.modulation.value`` and the code by ``cfg.code.value``.
 
@@ -313,7 +314,7 @@ def ber_vs_distance(link: LinkConfig, noise: NoiseModel, cfg: PhyConfig,
     its own seed, so no ``mapper`` changes a result.
     """
     distances = check_distances(distances)
-    snrs = [link_budget(replace(link, separation=d), noise).snr_db
+    snrs = [link_budget(replace(link, separation=d), noise_dbm).snr_db
             + LINK_SNR_TO_CHANNEL_DB for d in distances]
     cfgs = [replace(cfg, seed=_draws.sub_seed(cfg.seed, i))
             for i in range(len(distances))]

@@ -16,7 +16,7 @@ import numpy as np
 from biomote import fec, mac
 from biomote.cli import main as cli_main
 from biomote.config import load_config, packaged_config_path
-from biomote.link import NoiseModel, ac_resistance, link_budget, reference_link_config
+from biomote.link import ac_resistance, link_budget, reference_link_config
 from biomote.mac import (
     DeploymentGeometry,
     MacScenario,
@@ -38,7 +38,7 @@ from biomote.phy import (
     ebn0_to_channel_snr,
 )
 
-NOISE = NoiseModel.from_total_dbm(-105.0)
+NOISE = -105.0
 SEED = 0xB10B10
 
 

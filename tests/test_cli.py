@@ -74,6 +74,71 @@ def test_reference_link_has_one_source(tmp_path, monkeypatch):
                      for fc, mus, divider in link.TABLE1_CARRIERS for mu in mus]
 
 
+#: link key -> a valid value, distinct from its default and from every other
+#: key's, and the link field it sets (a coil's under ``reader.`` or ``mote.``)
+_LINK_KEYS = {
+    "resonance_freq_hz": ("1e6", "resonance_freq"),
+    "subcarrier_divider": ("4", "subcarrier_divider"),
+    "separation_m": ("0.05", "separation"),
+    "drive_voltage_v": ("2.5", "drive_voltage"),
+    "medium_rel_permeability": ("1.5", "medium_rel_permeability"),
+    "load_ohm": ("7", "load_impedance"),
+    "reader_radius_m": ("0.04", "reader.loop_radius"),
+    "reader_turns": ("60", "reader.turns"),
+    "reader_wire_diameter_m": ("4e-4", "reader.wire_diameter"),
+    "reader_height_m": ("0.02", "reader.coil_height"),
+    "reader_resistivity_ohm_m": ("1.7e-8", "reader.resistivity"),
+    "reader_core_rel_permeability": ("2", "reader.core_rel_permeability"),
+    "mote_radius_m": ("1e-4", "mote.loop_radius"),
+    "mote_turns": ("30", "mote.turns"),
+    "mote_wire_diameter_m": ("3e-5", "mote.wire_diameter"),
+    "mote_height_m": ("6e-5", "mote.coil_height"),
+    "mote_resistivity_ohm_m": ("2.5e-8", "mote.resistivity"),
+    "mote_core_rel_permeability": ("3", "mote.core_rel_permeability"),
+}
+
+
+def _link_fields(config) -> dict:
+    """Every field of a link by its path, its coils' under ``reader.`` and
+    ``mote.``."""
+    flat = {}
+    for spec in fields(config):
+        value = getattr(config, spec.name)
+        if isinstance(value, link.Coil):
+            flat.update({f"{spec.name}.{f.name}": getattr(value, f.name)
+                         for f in fields(value)})
+        else:
+            flat[spec.name] = value
+    return flat
+
+
+@pytest.mark.parametrize("key", list(_LINK_KEYS))
+def test_each_link_key_sets_only_its_field(key):
+    # a key wired to the wrong field or coil still gives a valid link, and
+    # at the defaults no digest would show it
+    value, path = _LINK_KEYS[key]
+    params = RunParameters()
+    apply_setting(params, key, value)
+    reference, built = _link_fields(link.reference_link_config()), _link_fields(params.link_config())
+    assert [p for p in built if built[p] != reference[p]] == [path]
+    assert built[path] == float(value)
+
+
+def test_link_keys_set_every_link_field_at_once():
+    params = RunParameters()
+    for key, (value, _) in _LINK_KEYS.items():
+        apply_setting(params, key, value)
+    apply_setting(params, "noise_dbm", "-98")
+    built = _link_fields(params.link_config())
+    assert {path: built[path] for _, path in _LINK_KEYS.values()} == {
+        path: float(value) for value, path in _LINK_KEYS.values()}
+    # every field but the coils' fixed roles has its key
+    assert sorted(path for _, path in _LINK_KEYS.values()) == sorted(
+        p for p in built if not p.endswith(".is_mote"))
+    assert (built["reader.is_mote"], built["mote.is_mote"]) == (False, True)
+    assert params.noise() == -98.0
+
+
 def test_empty_file_gives_defaults(tmp_path):
     p = tmp_path / "empty.cfg"
     p.write_text("")
@@ -389,6 +454,22 @@ def test_cdma_draw_cap_boundary():
     mac._check_cdma(1, 64, "random", packet_bytes, 1)
     with pytest.raises(ValueError, match="mac_code_lens"):
         mac._check_cdma(1, 72, "random", packet_bytes, 1)
+
+
+@pytest.mark.parametrize("subcommand", ["mac-scenario2", "mac-compare"])
+def test_oversized_aloha_deployment_exits_2(tmp_path, capsys, monkeypatch, subcommand):
+    # one trial holds about 28 bytes a mote: a billion motes asked for
+    # about 28 GB before any check stopped them
+    def no_work(*args, **kwargs):
+        raise AssertionError("a point ran before the deployments were checked")
+
+    for name in ("aloha_simulate", "cdma_simulate"):
+        monkeypatch.setattr(mac, name, no_work)
+    out = tmp_path / "x.csv"
+    rc = main([subcommand, "--set", "mac_n_motes=10,1000000000", "--out", str(out)])
+    assert rc == 2
+    assert "mac_n_motes" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cdma_cap_leaves_aloha_alone(tmp_path):

@@ -13,7 +13,6 @@ from biomote.link import (
     TABLE1_CARRIERS,
     Coil,
     LinkConfig,
-    NoiseModel,
     SingularityError,
     ac_resistance,
     backscatter_sweep,
@@ -30,7 +29,7 @@ from biomote.link import (
     REFERENCE_READER,
 )
 
-NOISE = NoiseModel.from_total_dbm(-105.0)
+NOISE = -105.0                  # receiver noise floor [dBm]
 
 # coil-resistance regression targets for the fitted reference geometry
 RR_TARGETS = {1e6: 5.881, 13.56e6: 19.64, 100e6: 52.13}
@@ -433,18 +432,10 @@ def test_link_config_rejects_non_finite_complex_load(load):
 
 
 @pytest.mark.parametrize("value", BAD_VALUES)
-@pytest.mark.parametrize("field", ["temperature", "bandwidth", "noise_figure",
-                                   "total_override_dbm"])
-def test_noise_model_rejects_non_finite(field, value):
-    # these used to give a nan or infinite snr_db without an error
-    with pytest.raises(ValueError, match=field):
-        NoiseModel(**{field: value})
-
-
-@pytest.mark.parametrize("field", ["temperature", "bandwidth"])
-def test_noise_model_rejects_non_positive(field):
-    with pytest.raises(ValueError, match=field):
-        NoiseModel(**{field: 0.0})
+def test_link_budget_rejects_non_finite_noise(value):
+    # a nan or infinite floor would give a nan or infinite snr_db
+    with pytest.raises(ValueError, match="noise_dbm"):
+        link_budget(reference_link_config(), value)
 
 
 def test_link_config_rejects_nan_divider():
@@ -475,8 +466,7 @@ def test_counts_take_numpy_integers():
     cfg = replace(reference_link_config(), reader=coil,
                   subcarrier_divider=np.int32(6))
     assert type(coil.turns) is int and type(cfg.subcarrier_divider) is int
-    noise = NoiseModel.from_total_dbm(-105.0)
-    assert link_budget(cfg, noise) == link_budget(reference_link_config(), noise)
+    assert link_budget(cfg, NOISE) == link_budget(reference_link_config(), NOISE)
 
 
 def test_mote_envelope_enforced():
@@ -512,9 +502,3 @@ def test_resonance_capacitor_tunes_out_reactance():
     assert abs(z.imag) < 1e-9 * abs(z.real) + 1e-12
     c = resonance_capacitance(self_inductance(cfg.mote), 1e6)
     assert c > 0
-
-
-def test_noise_model_formula():
-    n = NoiseModel(temperature=290.0, bandwidth=200e3, noise_figure=15.0)
-    assert n.total_dbm == pytest.approx(-105.97, abs=0.05)
-    assert NoiseModel.from_total_dbm(-105.0).total_dbm == -105.0

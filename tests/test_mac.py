@@ -16,11 +16,11 @@ from biomote import _draws, mac
 from biomote.mac import (
     _DESPREAD_BLOCK,
     COMPARE_CODE_LEN,
+    MAX_ALOHA_MOTES,
     MAX_ALOHA_SLOTS,
     DeploymentGeometry,
     MacScenario,
     _cdma_trial,
-    _gram_dtype,
     aloha_mean_successes,
     aloha_simulate,
     binary_tree_iterations,
@@ -274,6 +274,44 @@ def test_scenario_slot_cap_in_slots():
         MacScenario(5, MAX_ALOHA_SLOTS + 1)
     with pytest.raises(ValueError, match="frame of 4294967296 slots"):
         MacScenario(5, 1000, MAX_ALOHA_SLOTS + 1)
+
+
+def test_scenario_deployment_cap():
+    # constructed only, never run: one trial holds about 28 bytes a mote,
+    # so a billion motes asked for about 28 GB
+    assert MacScenario(MAX_ALOHA_MOTES, 1000).n_motes == MAX_ALOHA_MOTES
+    with pytest.raises(ValueError, match=f"mac_n_motes above {MAX_ALOHA_MOTES}"):
+        MacScenario(MAX_ALOHA_MOTES + 1, 1000)
+    # the largest deployment one frame of MAX_ALOHA_SLOTS slots reads in
+    # full, by the single-frame law, is far below the cap
+    s = MAX_ALOHA_SLOTS
+    shortfall = lambda n: -n * math.expm1((n - 1) * math.log1p(-1 / s))
+    assert shortfall(10**5) > mac.FULL_READ_SHORTFALL
+    assert 10**5 < MAX_ALOHA_MOTES
+
+
+def test_widening_stops_at_the_prefix_cap(monkeypatch):
+    # 200 motes in frames of 16 slots almost never meet a singleton slot,
+    # so each of 800 frames reads about 200 picks a trial and the block's
+    # prefixes widen toward 160,000 words each
+    drawn = []
+
+    def recording(key, first, stop, raw):
+        drawn.append(8 * raw * (stop - first))
+        return real(key, first, stop, raw)
+
+    real = _draws.first_words
+    monkeypatch.setattr(_draws, "first_words", recording)
+    monkeypatch.setattr(mac, "_WORD_MEMO", type(mac._WORD_MEMO)())
+    monkeypatch.setattr(mac, "MAX_ALOHA_PREFIX_BYTES", 1 << 16)
+    with pytest.raises(ValueError, match="mac_n_motes=200 in a window of 12800 slots"):
+        aloha_simulate(MacScenario(200, 12_800, 16, trials=2, seed=1))
+    assert drawn and max(drawn) <= 1 << 16
+    # a window that fits under the same cap runs as it would without one
+    sc = MacScenario(200, 160, 16, trials=2, seed=1)
+    under = aloha_simulate(sc)
+    monkeypatch.setattr(mac, "MAX_ALOHA_PREFIX_BYTES", 1 << 40)
+    assert aloha_simulate(sc) == under
 
 
 # ---------------------------------------------------------------------------
@@ -951,14 +989,16 @@ def test_walsh_wide_row_sums_match_int32_reference(n, code_len):
         assert _cdma_trial(n, code_len, "walsh", 8, _draws.stream(5, n, t)) == expect
 
 
-def test_gram_dtype_at_float32_bound():
-    # float32 holds every integer up to 2**24, the largest partial sum at
-    # n * L = 2**24; one more and the despread needs float64
-    assert _gram_dtype(2**16, 2**8) is np.float32
-    assert _gram_dtype(2**24, 1) is np.float32
-    assert _gram_dtype(2**24 + 1, 1) is np.float64
-    assert _gram_dtype(2**16 + 1, 2**8) is np.float64
-    assert _gram_dtype(200, 256) is np.float32
+@pytest.mark.parametrize("n", [1, 2, 3, 200, 1000, mac.MAX_CDMA_MOTES])
+def test_cdma_caps_keep_despreading_within_float32(n):
+    # float32 holds every integer up to 2**24, and a despread's partial sums
+    # are integers of magnitude at most n * L; the longest code the draw cap
+    # accepts for n motes, with the smallest packets, keeps n * L below it
+    code_len = mac.MAX_CDMA_DRAW_BYTES // (8 * n) - 8
+    mac._check_cdma(n, code_len, "random", 1, 1)
+    with pytest.raises(ValueError, match="mac_code_lens"):
+        mac._check_cdma(n, code_len + 1, "random", 1, 1)
+    assert n * code_len <= 2**24
 
 
 def test_compare_schemes_takes_a_list_of_durations():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from biomote import _draws, phy
-from biomote.link import NoiseModel, reference_link_config
+from biomote.link import reference_link_config
 from biomote.phy import (
     BerEstimate,
     CodeScheme,
@@ -263,7 +263,7 @@ def test_ber_monotone_in_snr():
 
 def test_ber_vs_distance_band_properties():
     link = reference_link_config()
-    noise = NoiseModel.from_total_dbm(-105.0)
+    noise = -105.0
     cfg = PhyConfig(trials=60_000, min_errors=60, max_bits=400_000, seed=21)
     curve = list(ber_vs_distance(link, noise, cfg, [0.05, 0.06, 0.07]))
     assert [row[:3] for row in curve] == [(d, "bpsk", "none") for d in (0.05, 0.06, 0.07)]
@@ -276,7 +276,7 @@ def test_ber_vs_distance_points_worker_independent():
     """Each sweep point derives its own seed from (master, index): computing
     a point alone must reproduce the full sweep's value at that index."""
     link = reference_link_config()
-    noise = NoiseModel.from_total_dbm(-105.0)
+    noise = -105.0
     cfg = PhyConfig(trials=30_000, min_errors=30, max_bits=200_000, seed=77)
     full = list(ber_vs_distance(link, noise, cfg, [0.055, 0.06, 0.065]))
     from biomote._draws import sub_seed
@@ -295,7 +295,7 @@ def test_ber_vs_distance_mapper_changes_no_point():
     from concurrent.futures import ThreadPoolExecutor
 
     link = reference_link_config()
-    noise = NoiseModel.from_total_dbm(-105.0)
+    noise = -105.0
     cfg = PhyConfig(trials=20_000, min_errors=20, max_bits=100_000, seed=78)
     distances = [0.05, 0.055, 0.06, 0.065]
     serial = list(ber_vs_distance(link, noise, cfg, distances))
@@ -316,7 +316,7 @@ def test_ber_vs_distance_maps_every_point_before_a_row_is_read():
     and returns before any row is read: a caller can queue several curves
     on one pool before it waits for the first."""
     link = reference_link_config()
-    noise = NoiseModel.from_total_dbm(-105.0)
+    noise = -105.0
     cfg = PhyConfig(trials=2_000, min_errors=5, max_bits=10_000, seed=79)
     distances = [0.05, 0.055, 0.06]
     calls = []
@@ -338,7 +338,7 @@ def test_ber_vs_distance_maps_every_point_before_a_row_is_read():
 def test_ber_vs_distance_rejects_unsorted():
     link = reference_link_config()
     with pytest.raises(ValueError):
-        ber_vs_distance(link, NoiseModel.from_total_dbm(-105.0), PhyConfig(),
+        ber_vs_distance(link, -105.0, PhyConfig(),
                         [0.06, 0.05])
 
 
@@ -350,7 +350,7 @@ def test_ber_vs_distance_rejects_empty_before_any_point():
 
     for distances in ([], iter([])):
         with pytest.raises(ValueError, match="non-empty"):
-            ber_vs_distance(reference_link_config(), NoiseModel.from_total_dbm(-105.0),
+            ber_vs_distance(reference_link_config(), -105.0,
                             PhyConfig(), distances, mapper=no_work)
 
 
@@ -359,7 +359,7 @@ def test_ber_vs_distance_rows_name_the_scheme():
     cfg = PhyConfig(modulation=Modulation.ASK, code=CodeScheme.RS_31_26,
                     trials=1_000, min_errors=1, max_bits=2_000, seed=80)
     [row] = ber_vs_distance(reference_link_config(),
-                            NoiseModel.from_total_dbm(-105.0), cfg, [0.06])
+                            -105.0, cfg, [0.06])
     assert row[:3] == (0.06, "ask", "rs31_26")
     assert isinstance(row[3], float) and isinstance(row[4], int)
 
