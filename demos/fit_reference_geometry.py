@@ -101,7 +101,7 @@ n_b = math.floor((R_MOTE_TARGETS[100e6] * 1.15)
                  * (d_b / 2) ** 2 * math.pi / (RHO_AU * 2 * math.pi * 125e-6))
 print(f"turn count at the band ceiling: N = {n_b}")
 mote = Coil(turns=n_b, loop_radius=125e-6, wire_diameter=d_b,
-            coil_height=50e-6, resistivity=RHO_AU, is_mote=True)
+            coil_height=50e-6, resistivity=RHO_AU)
 for f, tgt in sorted(R_MOTE_TARGETS.items()):
     r = ac_resistance(mote, f)
     print(f"  R({f/1e6:6.2f} MHz) = {r:7.4f} ohm  target {tgt:7.4f}  "

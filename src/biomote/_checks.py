@@ -2,7 +2,6 @@
 for library callers.  Each check returns the value it accepts and raises a
 ``ValueError`` that names the field."""
 
-import cmath
 import math
 import operator
 
@@ -30,13 +29,12 @@ def positive(name: str, value):
 
 
 def finite(name: str, value):
-    """``value``, a real or complex number, which must be finite; None
-    passes."""
+    """``value``, which must be a finite real number."""
     try:
-        if value is None or cmath.isfinite(value):
+        if math.isfinite(value):
             return value
     except TypeError:
-        raise ValueError(f"{name} must be a number, not {value!r}") from None
+        raise ValueError(f"{name} must be a real number, not {value!r}") from None
     raise ValueError(f"{name} must be finite")
 
 

@@ -27,8 +27,8 @@ after each step, and numpy seeds it (``srandom``) from the seed words.
 :func:`first_words` reproduces both for prefixes of up to :data:`_NARROW`
 raw words, so an ALOHA study at the defaults never loads ``numpy.random``:
 word k of a stream is the output of the LCG state k steps on, a jump in
-closed form (Brown 1994) from the seed words, computed for a piece of
-trials and words at once.  Wider prefixes, CDMA trials and the PHY's
+closed form (Brown 1994) from the seed words, computed for a batch of
+keys and words at once.  Wider prefixes, CDMA trials and the PHY's
 streams come from numpy's ``PCG64``.
 
 Bits (:func:`random_bits`, numpy's ``integers(0, 2)``) and ALOHA's slot
@@ -63,7 +63,8 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
-#: most keys :func:`streams` and :func:`first_words` hash at once
+#: most keys :func:`streams` and :func:`first_words` hash at once, and the
+#: most rows :func:`_jumped` computes at once
 _KEYS = 1 << 10
 
 
@@ -194,10 +195,6 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 #: ``numpy.random`` (every default ALOHA prefix, at most about 103)
 _NARROW = 128
 
-#: most words of :func:`first_words`' jump computed at once: 64 KiB a
-#: uint64 array
-_JUMP_PIECE = 1 << 13
-
 
 def _jumps(width: int) -> tuple[np.ndarray, ...]:
     """(A_hi, A_lo, C_hi, C_lo), the 64-bit halves of the constants of
@@ -233,24 +230,24 @@ def _jumped(seeds: np.ndarray, out: np.ndarray) -> None:
     each row of :func:`seed_words` ``seeds``, into the rows of ``out``.
 
     A row seeds the LCG with x = (words 0, 1) and inc = 2 (words 2, 3) + 1,
-    each (high, low); every 128-bit product wraps in uint64 halves."""
+    each (high, low); every 128-bit product wraps in uint64 halves.  The
+    rows are computed together, one uint64 grid the shape of ``out`` per
+    temporary: at most :data:`_KEYS` rows of :data:`_NARROW` words, 1 MiB,
+    as :func:`first_words` calls it."""
     raw = out.shape[1]
     a_hi, a_lo, c_hi, c_lo = _A_HI[:raw], _A_LO[:raw], _C_HI[:raw], _C_LO[:raw]
-    step = max(1, _JUMP_PIECE // raw)
-    for start in range(0, len(seeds), step):
-        words = seeds[start:start + step]
-        x_hi, x_lo = words[:, 0:1], words[:, 1:2]
-        inc_hi = words[:, 2:3] << 1 | words[:, 3:4] >> 63
-        inc_lo = words[:, 3:4] << 1 | 1
-        low, high = _wide_product(a_lo, x_lo)
-        inc_low, inc_high = _wide_product(c_lo, inc_lo)
-        low += inc_low
-        high += inc_high + (low < inc_low)
-        high += a_hi * x_lo + a_lo * x_hi + c_hi * inc_lo + c_lo * inc_hi
-        # XSL-RR: the two halves xor-ed, rotated right by the top six bits
-        turn = high >> 58
-        low ^= high
-        out[start:start + step] = low >> turn | low << (-turn & 63)
+    x_hi, x_lo = seeds[:, 0:1], seeds[:, 1:2]
+    inc_hi = seeds[:, 2:3] << 1 | seeds[:, 3:4] >> 63
+    inc_lo = seeds[:, 3:4] << 1 | 1
+    low, high = _wide_product(a_lo, x_lo)
+    inc_low, inc_high = _wide_product(c_lo, inc_lo)
+    low += inc_low
+    high += inc_high + (low < inc_low)
+    high += a_hi * x_lo + a_lo * x_hi + c_hi * inc_lo + c_lo * inc_hi
+    # XSL-RR: the two halves xor-ed, rotated right by the top six bits
+    turn = high >> 58
+    low ^= high
+    out[:] = low >> turn | low << (-turn & 63)
 
 
 def first_words(key: tuple[int, ...], first: int, stop: int, raw: int) -> np.ndarray:

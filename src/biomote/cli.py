@@ -13,23 +13,17 @@ and returns rows of that type: :class:`~biomote.link.SweepRow`,
 :class:`~biomote.link.Table1Row`, :class:`~biomote.mac.Scenario1Row`,
 :class:`~biomote.mac.Scenario2Row`, :class:`~biomote.mac.CdmaRow` and
 :class:`~biomote.mac.CompareRow`; ``ber-sweep`` writes
-:class:`~biomote.phy.BerRow`.  A study reads a
-:class:`~biomote.config.RunParameters`: the ``--config`` file, the packaged
-``table3.cfg`` by default, which sets no key, so every key it omits keeps
-its dataclass default, and then each ``--set``.
+:class:`~biomote.phy.BerRow`.  A study reads the
+:class:`~biomote.config.RunParameters` that
+:func:`~biomote.config.load_config` builds from the ``--config`` file (the
+packaged ``table3.cfg`` by default, which sets no key, so every key keeps
+its dataclass default) and then each ``--set``.
 
 Exit codes: 0 success, 2 configuration problem, 3 runtime failure.  An
 ``--out`` whose directory does not exist, or that is itself a directory,
-exits 3 before any work.  A layer's ``ValueError`` exits 2: the grid checks
-of :func:`~biomote.mac.scenario1_sweep`, :func:`~biomote.mac.scenario2_sweep`,
-:func:`~biomote.mac.cdma_sweep` and :func:`~biomote.mac.compare_schemes`,
-which guard library callers too, reject a read window above
-:data:`biomote.mac.MAX_ALOHA_SLOTS` slots, an ALOHA deployment above
-:data:`biomote.mac.MAX_ALOHA_MOTES` motes and a CDMA point above
-:data:`biomote.mac.MAX_CDMA_MOTES` motes or whose trial would draw more
-than :data:`biomote.mac.MAX_CDMA_DRAW_BYTES` bytes.  An ALOHA run whose
-stream prefixes would pass :data:`biomote.mac.MAX_ALOHA_PREFIX_BYTES`
-stops with a ``ValueError`` too, when it gets there.
+exits 3 before any work.  A layer's ``ValueError`` exits 2: among them the
+grid checks of the :mod:`biomote.mac` sweeps, which guard library callers
+too, and the MAC caps that module states (its ``MAX_*`` constants).
 
 ``ber-sweep`` runs its four BER curves' points on one thread pool with
 one worker per core this process may use: each curve's
@@ -60,13 +54,7 @@ if not any(var in os.environ for var in
 
 from biomote import link, mac
 from biomote._draws import DEFAULT_SEED
-from biomote.config import (
-    ConfigError,
-    RunParameters,
-    apply_setting,
-    load_config,
-    packaged_config_path,
-)
+from biomote.config import ConfigError, RunParameters, load_config, packaged_config_path
 from biomote.phy import BerRow, CodeScheme, Modulation, PhyConfig, ber_vs_distance
 
 SEED_ENV_VAR = "BIOLINK_SEED"
@@ -192,20 +180,11 @@ def resolve_seed(flag_value: int | None) -> int:
     return seed
 
 
-def load_parameters(args) -> RunParameters:
-    params = load_config(args.config or packaged_config_path())
-    for item in args.set:
-        if "=" not in item:
-            raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
-        key, _, value = item.partition("=")
-        apply_setting(params, key.strip(), value.strip())
-    return params
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        params, seed = load_parameters(args), resolve_seed(args.seed)
+        params = load_config(args.config or packaged_config_path(), args.set)
+        seed = resolve_seed(args.seed)
         if not args.out.parent.is_dir():     # fail before the study, not after
             raise NotADirectoryError(f"{args.out.parent} is not an existing directory")
         if args.out.is_dir():

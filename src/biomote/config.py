@@ -8,7 +8,8 @@ sets once, and its default is that field of the reference link of
 :func:`biomote.link.reference_link_config` (13.56 MHz, permeability 1,
 6 cm separation); the noise floor is one total in dBm, -105 by default.
 A file sets the keys it names, and an empty one, like the packaged
-``table3.cfg``, yields the defaults.
+``table3.cfg``, yields the defaults; :func:`load_config` applies a run's
+``--set`` items after the file's lines, through the same reader.
 """
 
 from __future__ import annotations
@@ -193,23 +194,28 @@ def apply_setting(params: RunParameters, key: str, value: str,
     setattr(params, key, parsed)
 
 
-def load_config(path: str | Path) -> RunParameters:
-    """Parse a config file into :class:`RunParameters`."""
+def load_config(path: str | Path, settings=()) -> RunParameters:
+    """Parse a config file into :class:`RunParameters`, then apply each
+    ``key=value`` item of ``settings`` (the CLI's ``--set``) over it.
+
+    A file line and an item are read alike, except that only a file line
+    may be blank or hold a ``#`` comment, and only its errors carry a line
+    number.
+    """
     path = Path(path)
     try:
         # utf-8-sig drops the byte-order mark some editors write first
         text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    lines = [(lineno, item) for lineno, raw in enumerate(text.splitlines(), start=1)
+             if (item := raw.split("#", 1)[0].strip())]
     params = RunParameters()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        text = raw.split("#", 1)[0].strip()
-        if not text:
-            continue
-        if "=" not in text:
-            raise ConfigError(f"expected 'key = value', got {raw.strip()!r}", lineno)
-        key, _, value = text.partition("=")
-        apply_setting(params, key.strip(), value.strip(), lineno)
+    for line, item in lines + [(None, item.strip()) for item in settings]:
+        if "=" not in item:
+            raise ConfigError(f"expected 'key = value', got {item!r}", line)
+        key, _, value = item.partition("=")
+        apply_setting(params, key.strip(), value.strip(), line)
     return params
 
 

@@ -26,7 +26,9 @@ the receiver noise floor, which a caller gives as one total in dBm.
 
 from __future__ import annotations
 
+import cmath
 import math
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass, replace
 
@@ -70,17 +72,11 @@ class Coil:
     coil_height: float          # [m]
     resistivity: float          # [ohm m]
     core_rel_permeability: float = 1.0
-    is_mote: bool = False
 
     def __post_init__(self):
         fields(self, count, "turns")
         fields(self, positive, "loop_radius", "wire_diameter", "coil_height",
                "resistivity", "core_rel_permeability")
-        if self.is_mote:
-            if 2 * self.loop_radius > MOTE_MAX_DIAMETER:
-                raise ValueError("mote coil diameter exceeds 250 um envelope")
-            if self.coil_height > MOTE_MAX_HEIGHT:
-                raise ValueError("mote coil height exceeds 250 um envelope")
 
     @property
     def wire_length(self) -> float:
@@ -88,12 +84,11 @@ class Coil:
         return self.turns * 2.0 * math.pi * self.loop_radius
 
 
-def skin_depth(freq: float, resistivity: float, rel_permeability: float = 1.0) -> float:
-    """Skin depth delta = sqrt(rho / (pi f mu0 mur)) [m]."""
+def skin_depth(freq: float, resistivity: float) -> float:
+    """Skin depth delta = sqrt(rho / (pi f mu0)) [m] of a non-magnetic wire."""
     positive("freq", freq)
     positive("resistivity", resistivity)
-    positive("rel_permeability", rel_permeability)
-    return math.sqrt(resistivity / (math.pi * freq * MU0 * rel_permeability))
+    return math.sqrt(resistivity / (math.pi * freq * MU0))
 
 
 def ac_resistance(coil: Coil, freq: float) -> float:
@@ -158,10 +153,11 @@ MAX_SUBCARRIER_DIVIDER = 64
 class LinkConfig:
     """A reader/mote coil pair plus drive and tuning parameters.
 
-    ``load_impedance`` is the mote's load; ``None`` selects a resistive
-    load matched to the mote coil resistance at the carrier (the maximum
-    backscatter operating point).  Subcarrier f_s = f_c / 2^n with n the
-    divider register length.
+    ``mote`` must fit the implant envelope, 250 um in diameter and in
+    height.  ``load_impedance`` is the mote's load, a finite complex value;
+    ``None`` selects a resistive load matched to the mote coil resistance
+    at the carrier (the maximum backscatter operating point).  Subcarrier
+    f_s = f_c / 2^n with n the divider register length.
     """
 
     reader: Coil
@@ -177,9 +173,16 @@ class LinkConfig:
         for name in ("reader", "mote"):
             if not isinstance(getattr(self, name), Coil):
                 raise ValueError(f"{name} must be a Coil, not {getattr(self, name)!r}")
+        if 2 * self.mote.loop_radius > MOTE_MAX_DIAMETER:
+            raise ValueError("mote coil diameter exceeds 250 um envelope")
+        if self.mote.coil_height > MOTE_MAX_HEIGHT:
+            raise ValueError("mote coil height exceeds 250 um envelope")
         fields(self, positive, "separation", "drive_voltage", "resonance_freq",
                "medium_rel_permeability")
-        fields(self, finite, "load_impedance")
+        load = self.load_impedance
+        if load is not None and not (isinstance(load, numbers.Complex) and cmath.isfinite(load)):
+            raise ValueError(f"load_impedance must be None or a finite complex number, "
+                             f"not {load!r}")
         fields(self, count, "subcarrier_divider")
         # 2^n is an exact int, so an unbounded n would build an unbounded one
         if self.subcarrier_divider > MAX_SUBCARRIER_DIVIDER:
@@ -202,11 +205,11 @@ class LinkConfig:
         w = 2.0 * math.pi * freq
         return complex(r, w * ind - 1.0 / (w * cap))
 
-    def matched_load(self) -> complex:
-        return complex(ac_resistance(self.mote, self.resonance_freq), 0.0)
-
     def effective_load(self) -> complex:
-        return self.matched_load() if self.load_impedance is None else complex(self.load_impedance)
+        """The mote's load, or the matched load when it is None."""
+        if self.load_impedance is None:
+            return complex(ac_resistance(self.mote, self.resonance_freq), 0.0)
+        return complex(self.load_impedance)
 
     def mutual(self) -> float:
         return mutual_inductance(self.reader, self.mote, self.separation,
@@ -371,7 +374,6 @@ REFERENCE_MOTE = Coil(
     wire_diameter=38e-6,
     coil_height=50e-6,
     resistivity=GOLD_RESISTIVITY,
-    is_mote=True,
 )
 
 REFERENCE_DRIVE_VOLTAGE = 3.8       # handset-class reader drive

@@ -118,14 +118,16 @@ class MacScenario:
     slots of one packet's airtime.
 
     Every field is a count held as a Python int: ``n_motes``,
-    ``window_slots`` and ``seed`` from 0, ``frame_slots`` (unless None) and
-    ``trials`` from 1; a deployment holds at most :data:`MAX_ALOHA_MOTES`
-    motes, and a window or frame at most :data:`MAX_ALOHA_SLOTS` slots.
+    ``window_slots`` and ``seed`` from 0, ``frame_slots`` and ``trials``
+    from 1; a deployment holds at most :data:`MAX_ALOHA_MOTES` motes, and a
+    window or frame at most :data:`MAX_ALOHA_SLOTS` slots.  A
+    ``frame_slots`` of None is stored as ``window_slots``, one frame
+    spanning the window, which may then be 0.
     """
 
     n_motes: int
     window_slots: int
-    frame_slots: int | None = None   # None: one frame spanning the window
+    frame_slots: int | None = None
     trials: int = 100
     seed: int = _draws.DEFAULT_SEED
 
@@ -134,19 +136,17 @@ class MacScenario:
         fields(self, count, "trials")
         if self.n_motes > MAX_ALOHA_MOTES:
             raise ValueError(f"mac_n_motes above {MAX_ALOHA_MOTES} is too many for ALOHA")
-        if self.frame_slots is not None:
-            fields(self, count, "frame_slots")
         # the draws follow numpy's bounded-integer path for 32-bit ranges
-        if self.frame_slots is not None and self.frame_slots > MAX_ALOHA_SLOTS:
-            raise ValueError(f"a frame of {self.frame_slots} slots is above "
-                             f"the {MAX_ALOHA_SLOTS} an ALOHA run supports")
         if self.window_slots > MAX_ALOHA_SLOTS:
             raise ValueError(f"a read window of {self.window_slots} slots is "
                              f"above the {MAX_ALOHA_SLOTS} an ALOHA run supports")
-
-    @property
-    def effective_frame_slots(self) -> int:
-        return self.window_slots if self.frame_slots is None else self.frame_slots
+        if self.frame_slots is None:
+            object.__setattr__(self, "frame_slots", self.window_slots)
+        else:
+            fields(self, count, "frame_slots")
+        if self.frame_slots > MAX_ALOHA_SLOTS:
+            raise ValueError(f"a frame of {self.frame_slots} slots is above "
+                             f"the {MAX_ALOHA_SLOTS} an ALOHA run supports")
 
 
 @dataclass(frozen=True)
@@ -253,7 +253,7 @@ def _aloha_trials(sc: MacScenario, first: int, stop: int) -> tuple[int, int]:
     prefix holds (:func:`_pick_runs`), and each frame takes the next ones,
     one for each unread mote.  When a trial still unread needs more picks
     than its prefix holds, every prefix of the block is widened."""
-    frame, budget = sc.effective_frame_slots, sc.window_slots
+    frame, budget = sc.frame_slots, sc.window_slots
     if sc.n_motes == 0 or budget < 1:
         return 0, 0
     block = (sc.seed, sc.n_motes, first, stop)
@@ -390,15 +390,10 @@ def global_recommendation(zone_successes: int, geom: DeploymentGeometry) -> int:
 # CDMA
 # ---------------------------------------------------------------------------
 
-def _check_walsh_length(name: str, length: int) -> None:
-    """Reject a Walsh code length that is not an integer or not a power of
-    two, 0 included."""
-    if count(name, length, low=0).bit_count() != 1:
-        raise ValueError("Walsh code length must be a power of two")
-
-
-#: most motes a CDMA run may hold: n x n entries of 8 bytes stay within
-#: 64 MiB (every CDMA point is checked before anything is drawn)
+#: most motes a CDMA run may hold: a random-code trial holds its n x n
+#: float32 Gram matrix and, in its first despread block, a copy of it
+#: (``gram[alive]``), 8 bytes an entry together, within 64 MiB (every CDMA
+#: point is checked before anything is drawn)
 MAX_CDMA_MOTES = math.isqrt(64 * 2**20 // 8)
 
 #: most bytes one CDMA trial may draw, counted at 8 bytes for each of its
@@ -457,7 +452,9 @@ def _check_cdma(n_motes: int, code_len: int, family: str, packet_bytes: int,
     whose trial would not fit in memory (:data:`MAX_CDMA_MOTES`,
     :data:`MAX_CDMA_DRAW_BYTES`); the caps' messages name the CLI's keys."""
     if family == "walsh":
-        _check_walsh_length("code_len", code_len)
+        # an integer power of two, which 0 is not
+        if count("code_len", code_len, low=0).bit_count() != 1:
+            raise ValueError("Walsh code length must be a power of two")
     elif family != "random":
         raise ValueError(f"unknown spreading family {family!r}")
     n_motes, code_len, packet_bytes, trials = map(

@@ -132,10 +132,8 @@ def test_link_keys_set_every_link_field_at_once():
     built = _link_fields(params.link_config())
     assert {path: built[path] for _, path in _LINK_KEYS.values()} == {
         path: float(value) for value, path in _LINK_KEYS.values()}
-    # every field but the coils' fixed roles has its key
-    assert sorted(path for _, path in _LINK_KEYS.values()) == sorted(
-        p for p in built if not p.endswith(".is_mote"))
-    assert (built["reader.is_mote"], built["mote.is_mote"]) == (False, True)
+    # every field has its key
+    assert sorted(path for _, path in _LINK_KEYS.values()) == sorted(built)
     assert params.noise() == -98.0
 
 
@@ -220,6 +218,17 @@ def test_list_and_range_syntax(tmp_path):
     params = load_config(p)
     assert params.mac_n_motes == [10, 20, 30, 40]
     assert params.link_distances_m == [0.05, 0.06]
+
+
+def test_settings_apply_after_the_file(tmp_path):
+    # the CLI's --set items go through the file's reader, after its lines
+    p = tmp_path / "c.cfg"
+    p.write_text("separation_m = 0.05\nmac_trials = 7\n")
+    params = load_config(p, ["separation_m=0.04", " mac_n_motes = 10:30:10 "])
+    assert (params.separation_m, params.mac_trials, params.mac_n_motes) == (0.04, 7, [10, 20, 30])
+    with pytest.raises(ConfigError, match="mac_trials") as err:
+        load_config(p, ["mac_trials=0"])
+    assert err.value.line is None
 
 
 def _typed(value):
@@ -366,6 +375,19 @@ def test_unknown_set_key_exits_2(tmp_path, capsys):
     rc = main(["link-sweep", "--set", "nope=1", "--out", str(tmp_path / "x.csv")])
     assert rc == 2
     assert "nope" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting,message", [
+    ("mote_radius_m=2e-4", "mote coil diameter exceeds 250 um envelope"),
+    ("separation_m", "expected 'key = value', got 'separation_m'"),
+])
+def test_out_of_envelope_or_malformed_set_exits_2(tmp_path, capsys, setting, message):
+    # the link checks its mote's envelope; a --set item is read like a
+    # config line
+    out = tmp_path / "x.csv"
+    assert main(["link-sweep", "--set", setting, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bad_config_exits_2(tmp_path, capsys):

@@ -111,10 +111,11 @@ def test_keys_must_be_non_negative():
 
 
 def test_narrow_prefixes_are_computed_in_pieces():
-    """Narrow prefixes of 4,096 trials peak at their table plus sixteen
-    uint64 grids of one piece of the jump, and 64 KiB for the keys (numpy
-    reports its buffers to ``tracemalloc``), not at grids of the whole
-    batch, about 9 MiB more."""
+    """Narrow prefixes of 4,096 trials are computed one batch of
+    ``_KEYS`` keys at a time: they peak at their table plus sixteen uint64
+    grids of one batch, 1 MiB each, and 64 KiB for the keys (numpy reports
+    its buffers to ``tracemalloc``), not at grids of all 4,096 rows, 4 MiB
+    each."""
     tracemalloc.start()
     try:
         words = first_words((3, 40), 0, 4096, _NARROW)
@@ -122,7 +123,7 @@ def test_narrow_prefixes_are_computed_in_pieces():
     finally:
         tracemalloc.stop()
     assert words.nbytes == 4096 * _NARROW * 8
-    assert peak <= words.nbytes + 16 * 8 * _draws._JUMP_PIECE + (64 << 10)
+    assert peak <= words.nbytes + 16 * 8 * _draws._KEYS * _NARROW + (64 << 10)
 
 
 def test_golden_bits_carry_the_buffered_half_word():

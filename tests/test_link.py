@@ -113,8 +113,6 @@ def test_skin_depth_rejects_nonpositive():
     pytest.param(lambda: skin_depth(math.nan, 1.68e-8), "freq", id="skin_depth-freq"),
     pytest.param(lambda: skin_depth(1e6, math.nan), "resistivity",
                  id="skin_depth-resistivity"),
-    pytest.param(lambda: skin_depth(1e6, 1.68e-8, math.nan), "rel_permeability",
-                 id="skin_depth-rel_permeability"),
     pytest.param(lambda: ac_resistance(REFERENCE_READER, math.nan), "freq",
                  id="ac_resistance-nan"),
     pytest.param(lambda: ac_resistance(REFERENCE_READER, -1e6), "freq",
@@ -431,11 +429,24 @@ def test_link_config_rejects_non_finite_complex_load(load):
         replace(reference_link_config(), load_impedance=load)
 
 
-@pytest.mark.parametrize("value", BAD_VALUES)
+@pytest.mark.parametrize("value", BAD_VALUES + [None, 1j, "x"])
 def test_link_budget_rejects_non_finite_noise(value):
-    # a nan or infinite floor would give a nan or infinite snr_db
+    # a nan or infinite floor would give a nan or infinite snr_db; 1j used
+    # to give a complex snr_db, and None a TypeError that named no field
     with pytest.raises(ValueError, match="noise_dbm"):
         link_budget(reference_link_config(), value)
+
+
+def test_link_budget_takes_a_complex_load():
+    # the load alone may be complex: a reactance detunes the mote loop, and
+    # the budget stays real
+    cfg = reference_link_config()
+    matched = cfg.effective_load()
+    assert matched.imag == 0
+    tuned, detuned = (link_budget(replace(cfg, load_impedance=matched + 1j * x), NOISE)
+                      for x in (0.0, 5.0))
+    assert tuned == link_budget(cfg, NOISE)
+    assert type(detuned.snr_db) is float and detuned.p_re_dbm < tuned.p_re_dbm
 
 
 def test_link_config_rejects_nan_divider():
@@ -470,12 +481,15 @@ def test_counts_take_numpy_integers():
 
 
 def test_mote_envelope_enforced():
-    with pytest.raises(ValueError):
-        Coil(turns=5, loop_radius=130e-6, wire_diameter=1e-5, coil_height=1e-4,
-             resistivity=2.44e-8, is_mote=True)
-    with pytest.raises(ValueError):
-        Coil(turns=5, loop_radius=100e-6, wire_diameter=1e-5, coil_height=3e-4,
-             resistivity=2.44e-8, is_mote=True)
+    # the link checks its mote; the same coil may be a reader
+    wide = Coil(turns=5, loop_radius=130e-6, wire_diameter=1e-5, coil_height=1e-4,
+                resistivity=2.44e-8)
+    tall = Coil(turns=5, loop_radius=100e-6, wire_diameter=1e-5, coil_height=3e-4,
+                resistivity=2.44e-8)
+    for coil, message in ((wide, "diameter"), (tall, "height")):
+        with pytest.raises(ValueError, match=f"mote coil {message} exceeds 250 um envelope"):
+            replace(reference_link_config(), mote=coil)
+        assert replace(reference_link_config(), reader=coil).reader == coil
     # the reference mote sits exactly on the diameter envelope
     assert 2 * REFERENCE_MOTE.loop_radius <= 250e-6
     assert REFERENCE_MOTE.coil_height <= 250e-6

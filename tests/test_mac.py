@@ -2,6 +2,7 @@
 enumeration, chip-level CDMA properties, scheme comparison contract."""
 
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import chain, product
@@ -260,7 +261,7 @@ def test_scenario_slot_cap(frame_slots, read_time, ok):
                               n_motes=5, frame_slots=frame_slots)
     if ok:
         sc = build()        # constructed only, never run
-        assert max(sc.window_slots, sc.effective_frame_slots) <= MAX_ALOHA_SLOTS
+        assert max(sc.window_slots, sc.frame_slots) <= MAX_ALOHA_SLOTS
     else:
         with pytest.raises(ValueError, match="slots"):
             build()
@@ -268,8 +269,11 @@ def test_scenario_slot_cap(frame_slots, read_time, ok):
 
 def test_scenario_slot_cap_in_slots():
     # constructed only, never run: each side of the cap, window and frame
-    assert MacScenario(5, MAX_ALOHA_SLOTS).effective_frame_slots == MAX_ALOHA_SLOTS
-    assert MacScenario(5, 1000, MAX_ALOHA_SLOTS).effective_frame_slots == MAX_ALOHA_SLOTS
+    assert MacScenario(5, MAX_ALOHA_SLOTS).frame_slots == MAX_ALOHA_SLOTS
+    assert MacScenario(5, 1000, MAX_ALOHA_SLOTS).frame_slots == MAX_ALOHA_SLOTS
+    # no frame: one spanning the window, an empty one included
+    assert MacScenario(5, 1000) == MacScenario(5, 1000, 1000)
+    assert MacScenario(5, 0).frame_slots == 0
     with pytest.raises(ValueError, match="read window of 4294967296 slots"):
         MacScenario(5, MAX_ALOHA_SLOTS + 1)
     with pytest.raises(ValueError, match="frame of 4294967296 slots"):
@@ -326,7 +330,7 @@ def _scenario(n, frame_slots, budget, trials=1, seed=0):
 def _aloha_simulate_unique(sc, rng):
     """The framed-ALOHA run counting singletons with ``np.unique``, kept as
     the reference for the sort-based count."""
-    frame = sc.effective_frame_slots
+    frame = sc.frame_slots
     budget = sc.window_slots
     remaining = sc.n_motes
     successes = 0
@@ -812,6 +816,59 @@ def test_walsh_two_shared_rows_exact():
     assert cdma_simulate(130, 128, "walsh", packet_bytes=64, trials=20, seed=2) == 126
 
 
+def random_code_read_chances(codes):
+    """Exact chance, for each mote of one random-code trial with the +-1
+    ``codes`` (n x L), that it reads one packet bit right.
+
+    Mote j correlates to L s_j + S_j, for its own bit s_j = +-1 and S_j the
+    sum over k != j of s_k G_jk, with G = C C^T; a tie decides 1.  The signs
+    are independent and fair, so S_j is symmetric and the chance is
+    P(S_j > -L) + P(S_j = -L) / 2.  S_j's law is the inverse of its
+    characteristic function, the product over k != j of cos(w G_jk), taken
+    exactly by a real FFT on a grid wider than twice the largest |S_j|.
+    Equal |G_jk| are grouped, in units of the gcd of all |G| (which L
+    shares), so each mote's product is one row of a matrix product.
+    """
+    n, code_len = codes.shape
+    # exact in float64: every entry is an integer of magnitude at most L
+    mags = np.abs(codes.astype(float) @ codes.T.astype(float)).astype(np.int64)
+    unit = np.gcd.reduce(mags, axis=None)
+    values, index = np.unique(mags // unit, return_inverse=True)
+    # counts[j, v]: how many k != j have |G_jk| = values[v] * unit
+    counts = np.bincount((np.arange(n)[:, None] * values.size + index.reshape(n, n)).ravel(),
+                         minlength=n * values.size).reshape(n, values.size).astype(float)
+    counts[np.arange(n), np.searchsorted(values, code_len // unit)] -= 1
+    size = 1 << (2 * int((counts @ values).max()) + 1).bit_length()
+    cos = np.cos(2 * np.pi / size * np.outer(values, np.arange(size // 2 + 1)))
+    # each product as exp(sum of log|cos|), its sign from the count of
+    # negative factors
+    char = np.exp(counts @ np.log(np.abs(cos))) * (1 - 2 * ((counts @ (cos < 0).astype(float)) % 2))
+    law = np.fft.irfft(char, size)
+    sums, edge = np.fft.fftfreq(size, 1 / size), -(code_len // unit)
+    return law @ np.select([sums > edge, sums == edge], [1.0, 0.5])
+
+
+@pytest.mark.parametrize("n,code_len,trials", [(10, 16, 400), (40, 64, 200),
+                                               (200, 16, 60), (200, 256, 30)])
+def test_random_family_matches_its_law_given_the_codes(n, code_len, trials):
+    """Given its codes, a trial's bit columns are independent, so it reads
+    the sum over motes of p_j^bits on average (p_j from
+    :func:`random_code_read_chances`, the codes replayed from its stream).
+    The mean paired difference of reads and that law over the trials is
+    within 3 sigma of 0, sigma from the differences; the trials are those
+    of ``cdma_simulate``."""
+    seed, bits = 3, 8
+    reads, exact = [], []
+    for t in range(trials):
+        codes = _draws.random_bits(_draws.stream(seed, n, t), (n, code_len)).astype(np.int8) * 2 - 1
+        exact.append(float(np.sum(random_code_read_chances(codes) ** bits)))
+        reads.append(_cdma_trial(n, code_len, "random", bits, _draws.stream(seed, n, t)))
+    assert sum(reads) / trials == cdma_simulate(n, code_len, "random", bits // 8, trials, seed)
+    diffs = np.subtract(reads, exact)
+    sigma = float(np.std(diffs, ddof=1)) / math.sqrt(trials)
+    assert abs(diffs.mean()) <= 3 * sigma, (diffs.mean(), sigma)
+
+
 def test_random_family_peak_then_decline():
     means = {n: cdma_simulate(n, 32, "random", packet_bytes=8, trials=150, seed=13)
              for n in (1, 2, 4, 6, 10, 16, 24)}
@@ -1001,6 +1058,21 @@ def test_cdma_caps_keep_despreading_within_float32(n):
     assert n * code_len <= 2**24
 
 
+def test_cdma_trial_at_the_mote_cap_stays_within_65_mib():
+    # one trial of MAX_CDMA_MOTES motes holds its n x n float32 Gram matrix
+    # and, in its first despread block, the copy gram[alive], 32 MiB each
+    n = mac.MAX_CDMA_MOTES
+    bit_gen = _draws.stream(3, n, 0)        # numpy.random loads untraced
+    tracemalloc.start()
+    try:
+        _cdma_trial(n, 16, "random", 8, bit_gen)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # at least the Gram matrix: tracemalloc sees numpy's buffers
+    assert 4 * n * n <= peak <= 65 * 2**20
+
+
 def test_compare_schemes_takes_a_list_of_durations():
     ns, durations = [20, 60, 20], [128, 1280]
     rows = compare_schemes(ns, durations, trials=5, seed=55)
@@ -1049,7 +1121,7 @@ def test_compare_schemes_runs_aloha_in_exactly_its_window(monkeypatch):
     runs = []
 
     def recorded(sc):
-        runs.append((sc.window_slots, sc.effective_frame_slots))
+        runs.append((sc.window_slots, sc.frame_slots))
         return 0.0
 
     monkeypatch.setattr(mac, "aloha_mean_successes", recorded)

@@ -150,7 +150,7 @@ def test_awgn_energy_of_own_mean_changes_nothing(case, snr_db):
 
 def test_awgn_rejects_bad_energy():
     x = modulate(np.ones(100), Modulation.BPSK)
-    for energy in (-1.0, math.nan, math.inf):
+    for energy in (-1.0, math.nan, math.inf, 1j, "x"):
         with pytest.raises(ValueError, match="energy"):
             awgn(x, 3.0, np.random.default_rng(0), energy=energy)
 
@@ -450,10 +450,10 @@ def test_phyconfig_takes_numpy_counts():
     assert ber_monte_carlo(cfg, 4.0) == ber_monte_carlo(plain, 4.0)
 
 
-@pytest.mark.parametrize("snr_db", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("snr_db", [math.nan, math.inf, -math.inf, None, 1j, "x"])
 def test_ber_monte_carlo_rejects_non_finite_snr(snr_db):
-    # these used to fail in _snr_key with a ValueError or an OverflowError
-    # that did not name the input
+    # these used to fail in _snr_key with a ValueError, an OverflowError or
+    # a TypeError that did not name the input
     with pytest.raises(ValueError, match="snr_db"):
         ber_monte_carlo(PhyConfig(trials=100, max_bits=1_000), snr_db)
 
