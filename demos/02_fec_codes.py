@@ -24,14 +24,14 @@ print(f"LFSR encoder agrees: {np.array_equal(word, fec.hamming_encode_lfsr(msg))
 
 corrupted = word.copy()
 corrupted[9] ^= 1
-decoded, corrected, flag = fec.hamming_decode(corrupted)
+decoded, corrected = fec.hamming_decode(corrupted)
 print(f"flip bit 9 -> decoder fixes {corrected} bit, message intact: "
       f"{np.array_equal(decoded, msg)}")
 
 two = word.copy()
 two[2] ^= 1
 two[11] ^= 1
-decoded2, corrected2, _ = fec.hamming_decode(two)
+decoded2, corrected2 = fec.hamming_decode(two)
 print(f"two flips exceed the single-error budget: decoder reports "
       f"corrected={corrected2} and returns a wrong block "
       f"(recovered={np.array_equal(decoded2, msg)}) — rate 11/15 = "

@@ -159,22 +159,29 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: the packaged table3.cfg, which sets none)")
         p.add_argument("--out", type=Path, default=Path(f"{name}.csv"),
                        help="output CSV path")
-        p.add_argument("--seed", type=int, default=None,
-                       help=f"master seed (fallback: ${SEED_ENV_VAR}, then "
-                            f"{DEFAULT_SEED:#x})")
+        p.add_argument("--seed", type=parse_seed, default=None,
+                       help=f"master seed, decimal or 0x/0o/0b-prefixed (fallback: "
+                            f"${SEED_ENV_VAR}, read the same way, then {DEFAULT_SEED:#x})")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override one config key (repeatable)")
     return parser
 
 
+def parse_seed(text: str) -> int:
+    """A seed as ``--seed`` and ``$BIOLINK_SEED`` give it, in any form that
+    ``int(text, 0)`` or ``int(text)`` reads: 0x/0o/0b-prefixed
+    (``0xB10B10``) or decimal, leading zeros included (``010``).  Decimal
+    text goes to base 10, which reads all that base 0 reads of it and
+    leading zeros too; any other text goes to base 0."""
+    return int(text, 10 if text.strip().lstrip("+-").replace("_", "").isdigit() else 0)
+
+
 def resolve_seed(flag_value: int | None) -> int:
-    seed = flag_value
-    if seed is None:
-        env = os.environ.get(SEED_ENV_VAR, hex(DEFAULT_SEED))
-        try:
-            seed = int(env, 0)
-        except ValueError as exc:
-            raise ConfigError(f"bad {SEED_ENV_VAR} value {env!r}") from exc
+    env = os.environ.get(SEED_ENV_VAR, hex(DEFAULT_SEED))
+    try:
+        seed = parse_seed(env) if flag_value is None else flag_value
+    except ValueError as exc:
+        raise ConfigError(f"bad {SEED_ENV_VAR} value {env!r}") from exc
     if seed < 0:
         raise ConfigError("seed must be a non-negative integer")
     return seed

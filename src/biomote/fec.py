@@ -34,8 +34,14 @@ never lies within two symbols of a codeword, and a pattern of three errors
 is always flagged; four or more errors can land within two symbols of
 another codeword, and are then miscorrected to it.
 
-Every encoder, decoder and packing function rejects bits outside {0, 1}
-and symbols outside [0, 31] with ``ValueError``.
+The four codecs, ``hamming_encode``, ``hamming_decode``, ``rs_encode`` and
+``rs_decode``, take one word, a 1-D array of the codec's input length, or a
+batch, an (m, length) array of m words.  One word gives one word back, with
+its counts and flags as Python scalars; a batch gives (m, ...) arrays.  Any
+other shape or length raises ``ValueError``.  The shift-register encoders
+take one word only; the packing functions take any leading shape.  Every
+encoder, decoder and packing function rejects bits outside {0, 1} and
+symbols outside [0, 31] with ``ValueError``.
 
 Dtypes
 ------
@@ -122,6 +128,16 @@ def _check_alphabet(values: np.ndarray, top: int, what: str) -> None:
         raise ValueError(f"{what} must lie in [0, {top}]")
 
 
+def _codec_input(values, length: int, top: int) -> tuple[np.ndarray, bool]:
+    """A codec's input as an (m, length) batch over [0, top], and whether it
+    was one word: the rule the module docstring states."""
+    values = _as_symbols(values)
+    if values.ndim not in (1, 2) or values.shape[-1] != length:
+        raise ValueError(f"need a length-{length} word or (m, {length}) batch, got {values.shape}")
+    _check_alphabet(values, top, "bits" if top == 1 else "symbols")
+    return np.atleast_2d(values), values.ndim == 1
+
+
 # ---------------------------------------------------------------------------
 # Hamming(15,11)
 # ---------------------------------------------------------------------------
@@ -167,18 +183,12 @@ def _pack_rows(bits: np.ndarray) -> np.ndarray:
 def hamming_encode(msg) -> np.ndarray:
     """Encode 11 message bits into a systematic 15-bit codeword.
 
-    Accepts a length-11 sequence or an (m, 11) array; returns the matching
-    (…, 15) uint8 array with parity in positions 0..3.
+    Returns uint8 codewords, one per message, with parity in positions 0..3.
     """
-    msg = np.asarray(msg)
-    single = msg.ndim == 1
-    msg = np.atleast_2d(msg)
-    if msg.shape[-1] != HAMMING_K:
-        raise ValueError(f"message must have length {HAMMING_K}, got {msg.shape[-1]}")
-    _check_alphabet(msg, 1, "bits")
-    out = np.empty(msg.shape[:-1] + (HAMMING_N,), dtype=np.uint8)
-    out[..., :4] = np.take(_NIBBLE_BITS, np.take(_HAMMING_PARITY, _pack_rows(msg)), axis=0)
-    out[..., 4:] = msg
+    msg, single = _codec_input(msg, HAMMING_K, 1)
+    out = np.empty((msg.shape[0], HAMMING_N), dtype=np.uint8)
+    out[:, :4] = np.take(_NIBBLE_BITS, np.take(_HAMMING_PARITY, _pack_rows(msg)), axis=0)
+    out[:, 4:] = msg
     return out[0] if single else out
 
 
@@ -200,31 +210,25 @@ def hamming_encode_lfsr(msg) -> np.ndarray:
 
 
 def hamming_decode(word):
-    """Syndrome-decode a 15-bit word (or an (m, 15) batch).
+    """Syndrome-decode 15-bit words.
 
-    Returns ``(msg, corrected, detected_uncorrectable)``.  Exactly one bit
-    error is corrected; ``corrected`` counts 0 or 1 flips per word.  The
-    (15,11) code is perfect, so every syndrome points at some position and
-    the uncorrectable flag is structurally always False (double errors
-    miscorrect to a third position rather than being detected).
+    Returns ``(msg, corrected)``: the uint8 messages and the 0 or 1 bits
+    flipped in each word (int64; an int for one word).  Exactly one bit
+    error is corrected.  The (15,11) code is perfect, so every syndrome
+    points at some position and no error is ever detected without being
+    corrected: two errors miscorrect to a third position.
     """
-    word = np.asarray(word)
-    single = word.ndim == 1
-    word = np.atleast_2d(word)
-    if word.shape[-1] != HAMMING_N:
-        raise ValueError(f"word must have length {HAMMING_N}, got {word.shape[-1]}")
-    _check_alphabet(word, 1, "bits")
+    word, single = _codec_input(word, HAMMING_N, 1)
     # syndrome = parity recomputed from data xor received parity
     packed = _pack_rows(word)
     syn = np.take(_HAMMING_PARITY, packed >> 4) ^ (packed & 0xF)
     fixed = word.astype(np.uint8)
     rows = np.nonzero(syn)[0]
     fixed[rows, _HAMMING_POS_OF_SYNDROME[syn[rows]]] ^= 1
-    msg = fixed[:, 4:]
     corrected = (syn != 0).astype(np.int64)
     if single:
-        return msg[0], int(corrected[0]), False
-    return msg, corrected, np.zeros(word.shape[0], dtype=bool)
+        return fixed[0, 4:], int(corrected[0])
+    return fixed[:, 4:], corrected
 
 
 # ---------------------------------------------------------------------------
@@ -295,12 +299,7 @@ def rs_encode(msg) -> np.ndarray:
     codeword evaluates to zero at a^1..a^5.  The codeword has the message's
     integer dtype (int64 for any other input).
     """
-    msg = _as_symbols(msg)
-    single = msg.ndim == 1
-    msg = np.atleast_2d(msg)
-    if msg.shape[-1] != RS_K:
-        raise ValueError(f"message must have length {RS_K}, got {msg.shape[-1]}")
-    _check_alphabet(msg, 31, "symbols")
+    msg, single = _codec_input(msg, RS_K, 31)
     out = np.empty((msg.shape[0], RS_N), dtype=msg.dtype)
     out[:, :_RS_SHIFT] = _unpack_fields(_xor_lookup(_RS_PARITY_WORDS, msg))
     out[:, _RS_SHIFT:] = msg
@@ -355,12 +354,7 @@ def rs_decode(word):
     changed, 0 for a flagged word.  ``msg`` has the word's integer dtype
     (int64 for any other input), ``corrected`` is int64.
     """
-    word = _as_symbols(word)
-    single = word.ndim == 1
-    word = np.atleast_2d(word)
-    if word.shape[-1] != RS_N:
-        raise ValueError(f"word must have length {RS_N}, got {word.shape[-1]}")
-    _check_alphabet(word, 31, "symbols")
+    word, single = _codec_input(word, RS_N, 31)
     fixed = word.copy()
     corrected = np.zeros(word.shape[0], dtype=np.int64)
     failure = np.zeros(word.shape[0], dtype=bool)
@@ -387,10 +381,9 @@ def rs_decode(word):
     fixed[rows[ok]] = trial[ok]
     corrected[rows[ok]] = np.bincount(r, minlength=len(rows))[ok]
     failure[rows[~ok]] = True
-    msg = fixed[:, _RS_SHIFT:]
     if single:
-        return msg[0], int(corrected[0]), bool(failure[0])
-    return msg, corrected, failure
+        return fixed[0, _RS_SHIFT:], int(corrected[0]), bool(failure[0])
+    return fixed[:, _RS_SHIFT:], corrected, failure
 
 
 # ---------------------------------------------------------------------------

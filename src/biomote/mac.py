@@ -392,8 +392,9 @@ def global_recommendation(zone_successes: int, geom: DeploymentGeometry) -> int:
 
 #: most motes a CDMA run may hold: a random-code trial holds its n x n
 #: float32 Gram matrix and, in its first despread block, a copy of it
-#: (``gram[alive]``), 8 bytes an entry together, within 64 MiB (every CDMA
-#: point is checked before anything is drawn)
+#: (``gram[alive]``), 8 bytes an entry together, within 64 MiB; its n x L
+#: chips are freed before the copy (every CDMA point is checked before
+#: anything is drawn)
 MAX_CDMA_MOTES = math.isqrt(64 * 2**20 // 8)
 
 #: most bytes one CDMA trial may draw, counted at 8 bytes for each of its
@@ -431,9 +432,10 @@ def _cdma_trial(n: int, code_len: int, family: str, packet_bits: int,
         read = np.all(decided == (stacked > 0), axis=2).reshape(-1)[:n]
         return int(np.count_nonzero(read))
     chips = _draws.random_bits(bit_gen, (n, code_len)).astype(np.float32) * 2 - 1
+    gram = chips @ chips.T
+    del chips                # the despread reads gram alone; free it before gram[alive]
     # drawn after the codes: the draw order is part of the seeded output
     draws = _draws.random_bits(bit_gen, (n, packet_bits))
-    gram = chips @ chips.T
     # Despread block by block over the motes still error-free; most trials
     # of a crowded channel lose every mote in the first block.
     alive = np.arange(n)

@@ -148,7 +148,7 @@ def test_criterion_4_fec_oracles():
     for pos in range(15):
         w = words.copy()
         w[:, pos] ^= 1
-        dec, corrected, _ = fec.hamming_decode(w)
+        dec, corrected = fec.hamming_decode(w)
         ham_ok &= bool(np.array_equal(dec, msgs) and (corrected == 1).all())
     t_ham = time.perf_counter() - t0
     ham_ok &= t_ham < 10.0

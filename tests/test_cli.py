@@ -363,6 +363,30 @@ def test_zero_seed_accepted(monkeypatch):
     assert resolve_seed(0) == 0
 
 
+@pytest.mark.parametrize("text, seed", [
+    ("0xB10B10", 0xB10B10), ("0b101", 5), ("0o17", 15), ("010", 10), ("1_000", 1000),
+    (" +7 ", 7), ("0_10", 10),
+])
+def test_seed_flag_and_env_read_the_same_forms(monkeypatch, text, seed):
+    # the union of int(text, 0) and int(text): the help prints the default
+    # in hex, and int(text, 0) alone rejects decimal leading zeros
+    assert cli.build_parser().parse_args(["mac-scenario2", "--seed", text]).seed == seed
+    monkeypatch.setenv("BIOLINK_SEED", text)
+    assert resolve_seed(None) == seed
+
+
+@pytest.mark.parametrize("text", ["abc", "1.5", "0x", "0b2", "08x"])
+def test_unreadable_seed_exits_2(tmp_path, capsys, monkeypatch, text):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:          # argparse exits itself
+        main(["link-sweep", "--seed", text, "--out", str(out)])
+    assert exc.value.code == 2
+    monkeypatch.setenv("BIOLINK_SEED", text)
+    assert main(["link-sweep", "--out", str(out)]) == 2
+    assert f"config error: bad BIOLINK_SEED value {text!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_set_override(tmp_path):
     out = tmp_path / "l.csv"
     assert main(["link-sweep", "--set", "link_distances_m=0.06", "--out", str(out)]) == 0

@@ -107,10 +107,9 @@ def test_hamming_wrong_length_rejected():
 def test_hamming_roundtrip_and_min_weight_exhaustive():
     msgs = all_messages_11()
     words = hamming_encode(msgs)
-    dec, corrected, flags = hamming_decode(words)
+    dec, corrected = hamming_decode(words)
     assert np.array_equal(dec, msgs)
     assert not corrected.any()
-    assert not flags.any()
     weights = words.sum(axis=1)
     assert weights[1:].min() >= 3       # linear code: min weight = min distance
     assert weights[0] == 0
@@ -123,10 +122,9 @@ def test_hamming_single_error_exhaustive():
     for pos in range(15):
         corrupted = words.copy()
         corrupted[:, pos] ^= 1
-        dec, corrected, flags = hamming_decode(corrupted)
+        dec, corrected = hamming_decode(corrupted)
         assert np.array_equal(dec, msgs)
         assert (corrected == 1).all()
-        assert not flags.any()
 
 
 def test_hamming_double_error_never_claims_two():
@@ -136,7 +134,7 @@ def test_hamming_double_error_never_claims_two():
             w = word.copy()
             w[i] ^= 1
             w[j] ^= 1
-            _, corrected, _ = hamming_decode(w)
+            _, corrected = hamming_decode(w)
             assert corrected <= 1
 
 
@@ -330,6 +328,25 @@ def test_out_of_alphabet_rejected(entry, length, bad):
         getattr(fec, entry)(values)
 
 
+@pytest.mark.parametrize("entry, length", [
+    ("hamming_encode", 11), ("hamming_decode", 15), ("rs_encode", 26), ("rs_decode", 31),
+])
+@pytest.mark.parametrize("case", ["0-d", "3-D batch", "wrong-width word", "wrong-width batch"])
+def test_codec_takes_one_word_or_a_2d_batch(entry, length, case):
+    shape = {"0-d": (), "3-D batch": (2, 20, length), "wrong-width word": (length + 1,),
+             "wrong-width batch": (3, length + 1)}[case]
+    values = np.zeros(shape, dtype=np.int64)
+    with pytest.raises(ValueError, match=f"length-{length} word"):
+        getattr(fec, entry)(values)
+
+
+def test_one_word_gives_python_scalars():
+    msg, corrected = hamming_decode(hamming_encode(np.ones(11, dtype=np.uint8)))
+    assert msg.shape == (11,) and type(corrected) is int
+    msg, corrected, failure = rs_decode(rs_encode(np.arange(26)))
+    assert msg.shape == (26,) and type(corrected) is int and type(failure) is bool
+
+
 def test_symbol_bit_roundtrip():
     syms = RNG.integers(0, 32, size=(7, 31))
     assert np.array_equal(bits_to_symbols(symbols_to_bits(syms)), syms)
@@ -477,12 +494,11 @@ def test_hamming_encode_matches_matrix_form_exhaustive():
 def test_hamming_decode_matches_syndrome_form_exhaustive():
     """All 2^15 received words, codewords or not."""
     words = all_words_15()
-    msg, corrected, flags = hamming_decode(words)
+    msg, corrected = hamming_decode(words)
     ref_msg, ref_corrected = ref_hamming_decode(words)
     assert msg.dtype == np.uint8 and corrected.dtype == np.int64
     assert np.array_equal(msg, ref_msg)
     assert np.array_equal(corrected, ref_corrected)
-    assert not flags.any()
     # int64 input and the single-word form take the same path
     assert np.array_equal(hamming_decode(words.astype(np.int64))[0], msg)
     one = hamming_decode(words[12345])

@@ -1058,14 +1058,16 @@ def test_cdma_caps_keep_despreading_within_float32(n):
     assert n * code_len <= 2**24
 
 
-def test_cdma_trial_at_the_mote_cap_stays_within_65_mib():
+@pytest.mark.parametrize("code_len", [16, 256])
+def test_cdma_trial_at_the_mote_cap_stays_within_65_mib(code_len):
     # one trial of MAX_CDMA_MOTES motes holds its n x n float32 Gram matrix
-    # and, in its first despread block, the copy gram[alive], 32 MiB each
+    # and, in its first despread block, the copy gram[alive], 32 MiB each;
+    # its n x L chips are freed before that copy is made
     n = mac.MAX_CDMA_MOTES
     bit_gen = _draws.stream(3, n, 0)        # numpy.random loads untraced
     tracemalloc.start()
     try:
-        _cdma_trial(n, 16, "random", 8, bit_gen)
+        _cdma_trial(n, code_len, "random", 8, bit_gen)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
