@@ -1058,8 +1058,7 @@ def test_cdma_caps_keep_despreading_within_float32(n):
     assert n * code_len <= 2**24
 
 
-@pytest.mark.parametrize("code_len", [16, 256])
-def test_cdma_trial_at_the_mote_cap_stays_within_65_mib(code_len):
+def _cdma_trial_peak_at_the_mote_cap(code_len):
     # one trial of MAX_CDMA_MOTES motes holds its n x n float32 Gram matrix
     # and, in its first despread block, the copy gram[alive], 32 MiB each;
     # its n x L chips are freed before that copy is made
@@ -1073,6 +1072,14 @@ def test_cdma_trial_at_the_mote_cap_stays_within_65_mib(code_len):
         tracemalloc.stop()
     # at least the Gram matrix: tracemalloc sees numpy's buffers
     assert 4 * n * n <= peak <= 65 * 2**20
+
+
+def test_cdma_trial_at_the_mote_cap_stays_within_65_mib():
+    _cdma_trial_peak_at_the_mote_cap(16)
+
+
+def test_cdma_trial_with_long_codes_at_the_mote_cap_stays_within_65_mib():
+    _cdma_trial_peak_at_the_mote_cap(256)
 
 
 def test_compare_schemes_takes_a_list_of_durations():
