@@ -1,8 +1,8 @@
 """Bit-error-rate studies: Monte Carlo against the Q-function, then the
 full link chain — how each modulation/coding pair degrades with distance.
 
-Writes ber_curves.csv next to the script with the distance sweep, one
-``ber_vs_distance`` row per line, in the columns of ``biomote ber-sweep``.
+Writes ber_curves.csv next to the script with the distance sweep, the
+rows of one ``ber_sweep`` call in the columns of ``biomote ber-sweep``.
 """
 
 import csv
@@ -10,12 +10,14 @@ from pathlib import Path
 
 from biomote.link import reference_link_config
 from biomote.phy import (
+    BER_CURVES,
+    BerRow,
     CodeScheme,
     Modulation,
     PhyConfig,
     ber_monte_carlo,
+    ber_sweep,
     ber_theory,
-    ber_vs_distance,
     ebn0_to_channel_snr,
 )
 
@@ -36,22 +38,14 @@ print("\n=== BER vs distance through the inductive link ===")
 link = reference_link_config()
 noise_dbm = -105.0                  # receiver noise floor
 distances = [0.045, 0.05, 0.055, 0.06, 0.065, 0.07]
-schemes = [
-    ("ask", Modulation.ASK, CodeScheme.NONE),
-    ("bpsk", Modulation.BPSK, CodeScheme.NONE),
-    ("bpsk+hamming", Modulation.BPSK, CodeScheme.HAMMING_15_11),
-    ("bpsk+rs", Modulation.BPSK, CodeScheme.RS_31_26),
-]
-curves = {}
-for k, (name, mod, code) in enumerate(schemes):
-    cfg = PhyConfig(modulation=mod, code=code, trials=150_000, min_errors=100,
-                    max_bits=2_000_000, seed=100 + k)
-    curves[name] = list(ber_vs_distance(link, noise_dbm, cfg, distances))
+rows = ber_sweep(link, noise_dbm, distances, trials=150_000, min_errors=100,
+                 max_bits=2_000_000, seed=100)
+names = [f"{mod.value}+{code.value}" if code is not CodeScheme.NONE else mod.value
+         for mod, code in BER_CURVES]
 
-header = "cm    " + "".join(f"{name:>14}" for name, *_ in schemes)
-print(header)
+print("cm    " + "".join(f"{name:>18}" for name in names))
 for i, d in enumerate(distances):
-    cells = "".join(f"{curves[name][i][3]:14.3e}" for name, *_ in schemes)
+    cells = "".join(f"{row.ber:18.3e}" for row in rows[i::len(distances)])
     print(f"{d*100:4.1f}  {cells}")
 print("Inside ~5.5 cm the coded links are effectively error-free; past "
       "6 cm every combination is above 1e-2 and the link is gone.  The "
@@ -60,7 +54,6 @@ print("Inside ~5.5 cm the coded links are effectively error-free; past "
 out = Path(__file__).parent / "ber_curves.csv"
 with out.open("w", newline="") as fh:
     writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["distance_m", "scheme", "code", "ber", "bits"])
-    for name, *_ in schemes:
-        writer.writerows(curves[name])
+    writer.writerow(BerRow._fields)
+    writer.writerows(rows)
 print(f"\nwrote {out}")

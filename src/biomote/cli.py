@@ -6,14 +6,13 @@ seeds for inner Monte Carlo points derive deterministically from the
 master seed, so results are also invariant to any trial chunking.
 
 Each subcommand is one entry of :data:`SUBCOMMANDS`: its row type, whose
-field names are its CSV columns, and its study.  Every study but
-``ber-sweep``, which owns its thread pool, is one call into the layer that
-owns its points, which checks the whole grid before the first point runs
-and returns rows of that type: :class:`~biomote.link.SweepRow`,
-:class:`~biomote.link.Table1Row`, :class:`~biomote.mac.Scenario1Row`,
+field names are its CSV columns, and its study.  Every study is one call
+into the layer that owns its points, which checks the whole grid before
+the first point runs and returns rows of that type:
+:class:`~biomote.link.SweepRow`, :class:`~biomote.link.Table1Row`,
+:class:`~biomote.phy.BerRow`, :class:`~biomote.mac.Scenario1Row`,
 :class:`~biomote.mac.Scenario2Row`, :class:`~biomote.mac.CdmaRow` and
-:class:`~biomote.mac.CompareRow`; ``ber-sweep`` writes
-:class:`~biomote.phy.BerRow`.  A study reads the
+:class:`~biomote.mac.CompareRow`.  A study reads the
 :class:`~biomote.config.RunParameters` that
 :func:`~biomote.config.load_config` builds from the ``--config`` file (the
 packaged ``table3.cfg`` by default, which sets no key, so every key keeps
@@ -25,11 +24,10 @@ exits 3 before any work.  A layer's ``ValueError`` exits 2: among them the
 grid checks of the :mod:`biomote.mac` sweeps, which guard library callers
 too, and the MAC caps that module states (its ``MAX_*`` constants).
 
-``ber-sweep`` runs its four BER curves' points on one thread pool with
-one worker per core this process may use: each curve's
-:func:`~biomote.phy.ber_vs_distance` call queues its points before it
-returns the iterator of its rows, so all points are queued in scheme and
-distance order before a row is read.  Each point has its own seed.  numpy's
+``ber-sweep`` is one :func:`~biomote.phy.ber_sweep` call whose points run
+on a thread pool the CLI opens, one worker per core this process may use:
+the call queues all 24 default points, in curve and distance order,
+before it reads a row.  Each point has its own seed.  numpy's
 BLAS still runs on one thread unless the caller sets
 ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS``:
 the CDMA products (at most 200 x 256 at the shipped defaults) are too
@@ -52,12 +50,13 @@ if not any(var in os.environ for var in
            ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-from biomote import link, mac
+from biomote import link, mac, phy
 from biomote._draws import DEFAULT_SEED
 from biomote.config import ConfigError, RunParameters, load_config, packaged_config_path
-from biomote.phy import BerRow, CodeScheme, Modulation, PhyConfig, ber_vs_distance
 
 SEED_ENV_VAR = "BIOLINK_SEED"
+#: the seeds that ``--seed`` and ``$BIOLINK_SEED`` accept
+SEED_FORMS = "a non-negative integer, decimal or 0x/0o/0b-prefixed"
 
 
 def _fmt(value) -> str:
@@ -92,26 +91,14 @@ def run_ber_sweep(params: RunParameters, seed: int):
     # and not in a worker's (about 0.5 MB less peak RSS)
     import numpy.random  # noqa: F401
 
-    link_cfg = params.link_config()
-    schemes = [
-        (Modulation.ASK, CodeScheme.NONE),
-        (Modulation.BPSK, CodeScheme.NONE),
-        (Modulation.BPSK, CodeScheme.HAMMING_15_11),
-        (Modulation.BPSK, CodeScheme.RS_31_26),
-    ]
-    n_points = len(schemes) * len(params.ber_distances_m)
+    n_points = len(phy.BER_CURVES) * len(params.ber_distances_m)
     # numpy releases the GIL in the noise draws and the large array
     # operations; a worker that is done takes the next point of any curve.
     pool = ThreadPoolExecutor(max_workers=min(n_points, _usable_cores()))
     try:
-        curves = []
-        for k, (mod, code) in enumerate(schemes):
-            cfg = PhyConfig(modulation=mod, code=code, trials=params.ber_trials,
-                            min_errors=params.ber_min_errors,
-                            max_bits=params.ber_max_bits, seed=seed + k)
-            curves.append(ber_vs_distance(link_cfg, params.noise_dbm, cfg,
-                                          params.ber_distances_m, mapper=pool.map))
-        return [row for rows in curves for row in rows]
+        return phy.ber_sweep(params.link_config(), params.noise_dbm, params.ber_distances_m,
+                             trials=params.ber_trials, min_errors=params.ber_min_errors,
+                             max_bits=params.ber_max_bits, seed=seed, mapper=pool.map)
     finally:
         pool.shutdown(cancel_futures=True)       # a failed point stops the rest
 
@@ -123,7 +110,7 @@ SUBCOMMANDS = {
     "link-sweep": (link.SweepRow, lambda p, seed:
                    link.backscatter_sweep(p.link_config(), p.noise_dbm, p.link_distances_m)),
     "table1": (link.Table1Row, lambda p, seed: link.table1_sweep(p.link_config(), p.noise_dbm)),
-    "ber-sweep": (BerRow, run_ber_sweep),
+    "ber-sweep": (phy.BerRow, run_ber_sweep),
     "mac-scenario1": (mac.Scenario1Row, lambda p, seed:
                       mac.scenario1_sweep(p.mac_rate_bps, p.mac_read_times_s,
                                           p.mac_packet_bytes, trials=p.mac_trials, seed=seed)),
@@ -160,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=Path, default=Path(f"{name}.csv"),
                        help="output CSV path")
         p.add_argument("--seed", type=parse_seed, default=None,
-                       help=f"master seed, decimal or 0x/0o/0b-prefixed (fallback: "
+                       help=f"master seed, {SEED_FORMS} (fallback: "
                             f"${SEED_ENV_VAR}, read the same way, then {DEFAULT_SEED:#x})")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override one config key (repeatable)")
@@ -172,15 +159,22 @@ def parse_seed(text: str) -> int:
     ``int(text, 0)`` or ``int(text)`` reads: 0x/0o/0b-prefixed
     (``0xB10B10``) or decimal, leading zeros included (``010``).  Decimal
     text goes to base 10, which reads all that base 0 reads of it and
-    leading zeros too; any other text goes to base 0."""
-    return int(text, 10 if text.strip().lstrip("+-").replace("_", "").isdigit() else 0)
+    leading zeros too; any other text goes to base 0.
+
+    Unreadable text raises ``argparse.ArgumentTypeError`` naming the
+    accepted forms, the one error whose message argparse prints as given
+    (for a ``ValueError`` it names the type's function instead)."""
+    try:
+        return int(text, 10 if text.strip().lstrip("+-").replace("_", "").isdigit() else 0)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected {SEED_FORMS}, got {text!r}") from None
 
 
 def resolve_seed(flag_value: int | None) -> int:
     env = os.environ.get(SEED_ENV_VAR, hex(DEFAULT_SEED))
     try:
         seed = parse_seed(env) if flag_value is None else flag_value
-    except ValueError as exc:
+    except argparse.ArgumentTypeError as exc:
         raise ConfigError(f"bad {SEED_ENV_VAR} value {env!r}") from exc
     if seed < 0:
         raise ConfigError("seed must be a non-negative integer")

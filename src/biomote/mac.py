@@ -498,17 +498,15 @@ def cdma_sweep(n_motes, code_lens, packet_bytes: int, trials: int = 100,
     """Random-code CDMA over every (code length, deployment) pair.
 
     Returns one :class:`CdmaRow` of family ``"random"`` for every n, for
-    each code length in turn.  The whole grid is checked before the
-    first point runs: the caps grow with n and L, so every n is checked at
-    the largest L and every L at the largest n.
+    each code length in turn.  Every point is checked before the first
+    one runs.
     """
     n_motes, code_lens = _axes(n_motes, code_lens)
-    for n in n_motes:
-        _check_cdma(n, max(code_lens), "random", packet_bytes, trials)
-    for c in code_lens:
-        _check_cdma(max(n_motes), c, "random", packet_bytes, trials)
+    points = [(n, c) for c in code_lens for n in n_motes]
+    for n, c in points:
+        _check_cdma(n, c, "random", packet_bytes, trials)
     return [CdmaRow(n, c, "random", cdma_simulate(n, c, "random", packet_bytes, trials, seed))
-            for c in code_lens for n in n_motes]
+            for n, c in points]
 
 
 # ---------------------------------------------------------------------------

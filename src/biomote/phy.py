@@ -17,6 +17,9 @@ curves take the link SNR from the budget (signal over total noise in the
 Nyquist bandwidth of the symbol rate), which maps to gamma = SNR + 3.01 dB
 and is common to all schemes at a given range because the radiated power,
 not the per-information-bit energy, is what the link fixes.
+:func:`ber_sweep` is the ``ber-sweep`` study: one such curve for each
+pair of :data:`BER_CURVES`, each point run by the caller's ``mapper``
+(the CLI passes a thread pool's ``map``).
 
 Tiles
 -----
@@ -56,6 +59,7 @@ __all__ = [
     "Modulation", "CodeScheme", "PhyConfig", "BerEstimate",
     "modulate", "awgn", "demodulate", "ber_theory",
     "ebn0_to_channel_snr", "ber_monte_carlo", "BerRow", "ber_vs_distance",
+    "BER_CURVES", "ber_sweep",
 ]
 
 
@@ -320,3 +324,26 @@ def ber_vs_distance(link: LinkConfig, noise_dbm: float, cfg: PhyConfig,
             for i in range(len(distances))]
     return (BerRow(d, cfg.modulation.value, cfg.code.value, est.ber, est.bits_simulated)
             for d, est in zip(distances, mapper(ber_monte_carlo, cfgs, snrs)))
+
+
+#: the (modulation, code) pair of each :func:`ber_sweep` curve, in row order
+BER_CURVES = ((Modulation.ASK, CodeScheme.NONE), (Modulation.BPSK, CodeScheme.NONE),
+              (Modulation.BPSK, CodeScheme.HAMMING_15_11), (Modulation.BPSK, CodeScheme.RS_31_26))
+
+
+def ber_sweep(link: LinkConfig, noise_dbm: float, distances, *, trials: int, min_errors: int,
+              max_bits: int, seed: int, mapper: Callable = map) -> list[BerRow]:
+    """The ``ber-sweep`` study: a :func:`ber_vs_distance` curve for each
+    pair of :data:`BER_CURVES`, the k-th with seed ``seed + k`` and the
+    stopping policy of :class:`PhyConfig`.
+
+    Each curve hands its points to ``mapper`` before the next curve is
+    built and before any row is read, so an executor's ``map`` queues every
+    point in curve and distance order.  Returns the rows of every curve,
+    curve by curve.
+    """
+    distances = check_distances(distances)
+    curves = [ber_vs_distance(link, noise_dbm, PhyConfig(mod, code, trials, min_errors,
+                                                         max_bits, seed + k), distances, mapper)
+              for k, (mod, code) in enumerate(BER_CURVES)]
+    return [row for rows in curves for row in rows]

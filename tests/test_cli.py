@@ -274,6 +274,7 @@ def test_schema_headers_match_contract(tmp_path):
 @pytest.mark.parametrize("subcommand,module,name", [
     ("link-sweep", link, "backscatter_sweep"),
     ("table1", link, "table1_sweep"),
+    ("ber-sweep", phy, "ber_sweep"),
     ("mac-scenario1", mac, "scenario1_sweep"),
     ("mac-scenario2", mac, "scenario2_sweep"),
     ("mac-cdma", mac, "cdma_sweep"),
@@ -381,6 +382,9 @@ def test_unreadable_seed_exits_2(tmp_path, capsys, monkeypatch, text):
     with pytest.raises(SystemExit) as exc:          # argparse exits itself
         main(["link-sweep", "--seed", text, "--out", str(out)])
     assert exc.value.code == 2
+    # the message names the forms a seed may take, not a function
+    assert (f"argument --seed: expected a non-negative integer, decimal or "
+            f"0x/0o/0b-prefixed, got {text!r}") in capsys.readouterr().err
     monkeypatch.setenv("BIOLINK_SEED", text)
     assert main(["link-sweep", "--out", str(out)]) == 2
     assert f"config error: bad BIOLINK_SEED value {text!r}" in capsys.readouterr().err

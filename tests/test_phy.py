@@ -16,6 +16,7 @@ from biomote.phy import (
     PhyConfig,
     awgn,
     ber_monte_carlo,
+    ber_sweep,
     ber_theory,
     ber_vs_distance,
     demodulate,
@@ -335,6 +336,36 @@ def test_ber_vs_distance_maps_every_point_before_a_row_is_read():
     assert len(calls) == 1
 
 
+def test_ber_sweep_is_four_seeded_curves():
+    """``ber_sweep`` gives the rows of ASK, BPSK, BPSK+Hamming and BPSK+RS
+    curves, curve k seeded ``seed + k``, curve after curve.  Every curve
+    reaches the mapper before a row is read, and the distances are taken
+    once, so an iterator serves all four curves."""
+    link = reference_link_config()
+    noise = -105.0
+    distances = [0.05, 0.06]
+    policy = dict(trials=2_000, min_errors=20, max_bits=20_000)
+    pairs = [(Modulation.ASK, CodeScheme.NONE), (Modulation.BPSK, CodeScheme.NONE),
+             (Modulation.BPSK, CodeScheme.HAMMING_15_11),
+             (Modulation.BPSK, CodeScheme.RS_31_26)]
+    expected = [row for k, (mod, code) in enumerate(pairs)
+                for row in ber_vs_distance(link, noise, PhyConfig(mod, code, seed=40 + k,
+                                                                  **policy), distances)]
+    queued = []
+
+    def mapper(fn, cfgs, snrs):
+        queued.append(len(cfgs))
+
+        def rows():
+            assert queued == [2, 2, 2, 2]        # every curve queued first
+            yield from map(fn, cfgs, snrs)
+        return rows()
+
+    assert ber_sweep(link, noise, iter(distances), seed=40, mapper=mapper,
+                     **policy) == expected
+    assert ber_sweep(link, noise, distances, seed=40, **policy) == expected
+
+
 def test_ber_vs_distance_rejects_unsorted():
     link = reference_link_config()
     with pytest.raises(ValueError):
@@ -649,3 +680,47 @@ def test_hamming_monte_carlo_matches_exact_oracle(mod, snr_db):
     exact = mean_block / 11
     sigma = math.sqrt(var_block / blocks) / 11
     assert abs(est.ber - exact) <= 3 * sigma, (est.ber, exact, sigma)
+
+
+# ---------------------------------------------------------------------------
+# RS(31,26) hard-decision law
+# ---------------------------------------------------------------------------
+
+# from 8.5 dB up, words with four or more wrong symbols are under a sixth
+# as common as words with three, so the law's bracket is narrow
+@pytest.mark.parametrize("snr_db", [8.5, 9.0, 9.5, 10.0])
+def test_rs_monte_carlo_matches_hard_decision_law(snr_db):
+    """BPSK hard decisions make each 5-bit symbol err independently with
+    q = 1 - (1-p)^5, p = Q(sqrt(g)).  RS(31,26) has d = 6: a word with at
+    most two wrong symbols is corrected, and one with three lies at distance
+    3 or more from every other codeword, so it is flagged and passed raw,
+    with 3 (26/31) 5p/q wrong information bits expected (a wrong symbol is
+    a message symbol with probability 26/31 and has 5p/q wrong bits on
+    average).  A word with w >= 4 wrong symbols leaves between 0 and
+    5 min(26, w + 2) wrong information bits, a miscorrection changing at
+    most two more symbols.  The Monte Carlo lies within 3 sigma of that
+    bracket, sigma from an upper bound of the per-block second moment."""
+    gamma = 10.0 ** (snr_db / 10.0)
+    p = 0.5 * math.erfc(math.sqrt(gamma / 2.0))
+    q = 1.0 - (1.0 - p) ** 5
+    w = np.arange(32)
+    weight = np.array([math.comb(31, k) for k in w]) * q ** w * (1.0 - q) ** (31 - w)
+    assert weight[4:].sum() < weight[3] / 6
+    # B, the wrong bits of a wrong symbol, is binomial(5, p) given B >= 1;
+    # J, the message symbols among three wrong ones, is hypergeometric
+    mean_b = 5 * p / q
+    second_b = (5 * p * (1 - p) + (5 * p) ** 2) / q
+    mean_j, falling_j = 3 * 26 / 31, 3 * 2 * 26 * 25 / (31 * 30)    # E[J], E[J(J-1)]
+    cap = 5 * np.minimum(26, w[4:] + 2)
+    low = weight[3] * mean_j * mean_b
+    high = low + float(np.sum(weight[4:] * cap))
+    second = (weight[3] * (mean_j * second_b + falling_j * mean_b ** 2)
+              + float(np.sum(weight[4:] * cap ** 2.0)))
+    blocks = 60_000
+    cfg = PhyConfig(code=CodeScheme.RS_31_26, trials=130 * blocks, min_errors=1,
+                    max_bits=130 * blocks, seed=17)
+    est = ber_monte_carlo(cfg, snr_db)
+    assert est.bits_simulated == 130 * blocks
+    sigma = math.sqrt((second - low ** 2) / blocks) / 130
+    assert low / 130 - 3 * sigma <= est.ber <= high / 130 + 3 * sigma, \
+        (est.ber, low / 130, high / 130, sigma)
