@@ -22,19 +22,15 @@ Exit codes: 0 success, 2 configuration problem, 3 runtime failure.  An
 ``--out`` whose directory does not exist, or that is itself a directory,
 exits 3 before any work.  A layer's ``ValueError`` exits 2: among them the
 grid checks of the :mod:`biomote.mac` sweeps, which guard library callers
-too, and the MAC caps that module states (its ``MAX_*`` constants).
+too, and the caps that :mod:`biomote.mac` and :mod:`biomote.phy` state
+(their ``MAX_*`` constants).
 
-``ber-sweep`` is one :func:`~biomote.phy.ber_sweep` call whose points run
-on a thread pool the CLI opens, one worker per core this process may use:
-the call queues all 24 default points, in curve and distance order,
-before it reads a row.  Each point has its own seed.  numpy's
-BLAS still runs on one thread unless the caller sets
+numpy's BLAS runs on one thread unless the caller sets
 ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS``:
 the CDMA products (at most 200 x 256 at the shipped defaults) are too
-small for a second thread to help.  CSV bytes never
-depend on either thread count, because the despreading is exact integer
-arithmetic in any summation order and each BER point draws from its own
-seeded stream.
+small for a second thread to help.  CSV bytes never depend on that
+thread count, because the despreading is exact integer arithmetic in any
+summation order.
 """
 
 from __future__ import annotations
@@ -52,7 +48,7 @@ if not any(var in os.environ for var in
 
 from biomote import link, mac, phy
 from biomote._draws import DEFAULT_SEED
-from biomote.config import ConfigError, RunParameters, load_config, packaged_config_path
+from biomote.config import ConfigError, load_config, packaged_config_path
 
 SEED_ENV_VAR = "BIOLINK_SEED"
 #: the seeds that ``--seed`` and ``$BIOLINK_SEED`` accept
@@ -70,47 +66,18 @@ def _write_csv(path: Path, row_type, rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-# ---------------------------------------------------------------------------
-# subcommand bodies
-# ---------------------------------------------------------------------------
-
-def _usable_cores() -> int:
-    """Number of cores this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:               # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def run_ber_sweep(params: RunParameters, seed: int):
-    # imported here: at module level its ~6 ms would delay every subcommand
-    from concurrent.futures import ThreadPoolExecutor
-
-    # the points' generators need numpy.random: loaded here, before the
-    # workers start, its import allocates in the main thread's malloc arena
-    # and not in a worker's (about 0.5 MB less peak RSS)
-    import numpy.random  # noqa: F401
-
-    n_points = len(phy.BER_CURVES) * len(params.ber_distances_m)
-    # numpy releases the GIL in the noise draws and the large array
-    # operations; a worker that is done takes the next point of any curve.
-    pool = ThreadPoolExecutor(max_workers=min(n_points, _usable_cores()))
-    try:
-        return phy.ber_sweep(params.link_config(), params.noise_dbm, params.ber_distances_m,
-                             trials=params.ber_trials, min_errors=params.ber_min_errors,
-                             max_bits=params.ber_max_bits, seed=seed, mapper=pool.map)
-    finally:
-        pool.shutdown(cancel_futures=True)       # a failed point stops the rest
-
-
 #: subcommand -> (row type, study(params, seed) -> rows of it).  The lambdas
-#: look up ``link.<name>`` and ``mac.<name>`` when they run, so rebinding a
-#: module attribute (as a tracer or a test double does) reaches the study.
+#: look up ``link.<name>``, ``phy.<name>`` and ``mac.<name>`` when they run,
+#: so rebinding a module attribute (as a tracer or a test double does)
+#: reaches the study.
 SUBCOMMANDS = {
     "link-sweep": (link.SweepRow, lambda p, seed:
                    link.backscatter_sweep(p.link_config(), p.noise_dbm, p.link_distances_m)),
     "table1": (link.Table1Row, lambda p, seed: link.table1_sweep(p.link_config(), p.noise_dbm)),
-    "ber-sweep": (phy.BerRow, run_ber_sweep),
+    "ber-sweep": (phy.BerRow, lambda p, seed:
+                  phy.ber_sweep(p.link_config(), p.noise_dbm, p.ber_distances_m,
+                                trials=p.ber_trials, min_errors=p.ber_min_errors,
+                                max_bits=p.ber_max_bits, seed=seed)),
     "mac-scenario1": (mac.Scenario1Row, lambda p, seed:
                       mac.scenario1_sweep(p.mac_rate_bps, p.mac_read_times_s,
                                           p.mac_packet_bytes, trials=p.mac_trials, seed=seed)),

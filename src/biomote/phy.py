@@ -18,8 +18,11 @@ Nyquist bandwidth of the symbol rate), which maps to gamma = SNR + 3.01 dB
 and is common to all schemes at a given range because the radiated power,
 not the per-information-bit energy, is what the link fixes.
 :func:`ber_sweep` is the ``ber-sweep`` study: one such curve for each
-pair of :data:`BER_CURVES`, each point run by the caller's ``mapper``
-(the CLI passes a thread pool's ``map``).
+pair of :data:`BER_CURVES`, its points run on a thread pool that the call
+opens, one worker per core this process may use.  The call queues all 24
+default points, in curve and distance order, before it reads a row.  Each
+point draws from its own seeded stream, so the rows never depend on the
+worker count.
 
 Tiles
 -----
@@ -44,6 +47,7 @@ never change a result.
 from __future__ import annotations
 
 import math
+import os
 from collections import namedtuple
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -59,7 +63,7 @@ __all__ = [
     "Modulation", "CodeScheme", "PhyConfig", "BerEstimate",
     "modulate", "awgn", "demodulate", "ber_theory",
     "ebn0_to_channel_snr", "ber_monte_carlo", "BerRow", "ber_vs_distance",
-    "BER_CURVES", "ber_sweep",
+    "BER_CURVES", "MAX_SWEEP_BITS", "ber_sweep",
 ]
 
 
@@ -331,19 +335,52 @@ BER_CURVES = ((Modulation.ASK, CodeScheme.NONE), (Modulation.BPSK, CodeScheme.NO
               (Modulation.BPSK, CodeScheme.HAMMING_15_11), (Modulation.BPSK, CodeScheme.RS_31_26))
 
 
+#: most information bits a :func:`ber_sweep` may budget, ``max_bits`` for
+#: each of its points: a coded point that sees no error runs its whole cap,
+#: at 26-37 ns an information bit on a 2-core Xeon, so a sweep at the cap
+#: takes at most about 40 s of CPU
+MAX_SWEEP_BITS = 10**9
+
+
+def _usable_cores() -> int:
+    """Number of cores this process may run on: all of them on a platform
+    with no affinity call."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def ber_sweep(link: LinkConfig, noise_dbm: float, distances, *, trials: int, min_errors: int,
-              max_bits: int, seed: int, mapper: Callable = map) -> list[BerRow]:
+              max_bits: int, seed: int) -> list[BerRow]:
     """The ``ber-sweep`` study: a :func:`ber_vs_distance` curve for each
     pair of :data:`BER_CURVES`, the k-th with seed ``seed + k`` and the
     stopping policy of :class:`PhyConfig`.
 
-    Each curve hands its points to ``mapper`` before the next curve is
-    built and before any row is read, so an executor's ``map`` queues every
-    point in curve and distance order.  Returns the rows of every curve,
-    curve by curve.
+    The points run on a thread pool of one worker per core this process
+    may use.  Each curve hands its points to the pool's ``map`` before the
+    next curve is built and before any row is read, so the pool takes
+    every point in curve and distance order; a point that raises cancels
+    the points still queued.  A sweep whose points budget more than
+    :data:`MAX_SWEEP_BITS` bits in all raises ``ValueError`` before any
+    point runs; the message names the CLI's keys.  Returns the rows of
+    every curve, curve by curve.
     """
     distances = check_distances(distances)
-    curves = [ber_vs_distance(link, noise_dbm, PhyConfig(mod, code, trials, min_errors,
-                                                         max_bits, seed + k), distances, mapper)
-              for k, (mod, code) in enumerate(BER_CURVES)]
-    return [row for rows in curves for row in rows]
+    cfgs = [PhyConfig(mod, code, trials, min_errors, max_bits, seed + k)
+            for k, (mod, code) in enumerate(BER_CURVES)]
+    if len(cfgs) * len(distances) * cfgs[0].max_bits > MAX_SWEEP_BITS:
+        raise ValueError(f"ber_max_bits={max_bits} at {len(distances)} ber_distances_m on "
+                         f"{len(cfgs)} curves budgets more than {MAX_SWEEP_BITS} bits")
+    # imported here: at module level they would load in every CLI run.
+    # numpy.random, loaded before the workers start, allocates in the
+    # calling thread's malloc arena and not in a worker's (about 0.5 MB
+    # less peak RSS)
+    from concurrent.futures import ThreadPoolExecutor
+    import numpy.random  # noqa: F401
+
+    # numpy releases the GIL in the noise draws and the large array
+    # operations; a worker that is done takes the next point of any curve
+    pool = ThreadPoolExecutor(max_workers=_usable_cores())
+    try:
+        curves = [ber_vs_distance(link, noise_dbm, cfg, distances, pool.map) for cfg in cfgs]
+        return [row for rows in curves for row in rows]
+    finally:
+        pool.shutdown(cancel_futures=True)       # a failed point stops the rest

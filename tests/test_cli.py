@@ -7,7 +7,6 @@ import os
 import subprocess
 import sys
 import tempfile
-import threading
 import time
 from dataclasses import fields
 from pathlib import Path
@@ -26,7 +25,6 @@ from biomote.config import (
     packaged_config_path,
 )
 from biomote.link import link_budget
-from biomote.phy import CodeScheme, Modulation, PhyConfig, ber_vs_distance
 
 
 def run_cli(args, env_extra=None):
@@ -549,6 +547,17 @@ def test_default_aloha_runs_leave_numpy_random_unloaded(subcommand, tmp_path):
     assert r.stdout.split() == ["False", "True"]
 
 
+def test_cli_import_leaves_pool_and_numpy_random_unloaded():
+    """Only ``phy.ber_sweep`` needs a thread pool and ``numpy.random``, so it
+    imports them when it runs: at import they would cost every other
+    subcommand's child CPU and RSS."""
+    code = ("import sys, biomote.cli\n"
+            "print('concurrent.futures' in sys.modules, 'numpy.random' in sys.modules)\n")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       check=True)
+    assert r.stdout.split() == ["False", "False"]
+
+
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
@@ -651,100 +660,39 @@ def test_oversized_range_exits_2_before_work(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("setting", ["ber_max_bits=1e13",
+                                     "ber_distances_m=0.02:0.2:0.0001"])
+def test_oversized_ber_budget_exits_2_before_work(tmp_path, capsys, monkeypatch, setting):
+    """A bit budget past ``phy.MAX_SWEEP_BITS``, from a large cap or a long
+    range, ends the run with exit 2 before any point runs."""
+    def no_work(*args):
+        raise AssertionError("a point ran")
+
+    monkeypatch.setattr(phy, "ber_monte_carlo", no_work)
+    out = tmp_path / "x.csv"
+    assert main(["ber-sweep", "--set", setting, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "ber_max_bits" in err and "ber_distances_m" in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
-# ber-sweep thread pool
+# ber-sweep failures
 # ---------------------------------------------------------------------------
 
-def small_ber_params():
-    params = RunParameters()
-    for setting in ("ber_distances_m=0.05,0.065", "ber_trials=2000",
-                    "ber_min_errors=20", "ber_max_bits=20000"):
-        apply_setting(params, *setting.split("="))
-    return params
-
-
-@pytest.mark.parametrize("cores", [1, 4])
-def test_ber_sweep_rows_independent_of_core_count(monkeypatch, cores):
-    """On one worker or on four, and with the interpreter switching threads
-    as often as it can, the points give the rows of a serial loop over the
-    schemes, in scheme order, and none runs on the calling thread."""
-    params = small_ber_params()
-    seed = 31
-    serial = []
-    schemes = [(Modulation.ASK, CodeScheme.NONE), (Modulation.BPSK, CodeScheme.NONE),
-               (Modulation.BPSK, CodeScheme.HAMMING_15_11),
-               (Modulation.BPSK, CodeScheme.RS_31_26)]
-    for k, (mod, code) in enumerate(schemes):
-        cfg = PhyConfig(modulation=mod, code=code, trials=params.ber_trials,
-                        min_errors=params.ber_min_errors,
-                        max_bits=params.ber_max_bits, seed=seed + k)
-        serial += ber_vs_distance(params.link_config(), params.noise(), cfg,
-                                  params.ber_distances_m)
-    workers = set()
-    point = phy.ber_monte_carlo
-
-    def recording(*args):
-        workers.add(threading.get_ident())
-        return point(*args)
-
-    monkeypatch.setattr(phy, "ber_monte_carlo", recording)
-    monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)          # switch threads as often as it can
-    try:
-        rows = cli.run_ber_sweep(params, seed)
-    finally:
-        sys.setswitchinterval(interval)
-    assert rows == serial
-    assert threading.get_ident() not in workers
-    assert 1 <= len(workers) <= cores
-
-
-def test_ber_sweep_queues_points_in_scheme_and_distance_order(monkeypatch):
-    """One worker takes the points of every curve in the order of the rows:
-    each curve queues its points only after the curve before it."""
-    params = small_ber_params()
-    order = []
-
+def test_failed_ber_point_exits_2(tmp_path, capsys, monkeypatch):
+    """A point that raises ValueError ends the run with exit 2 and its
+    message, and writes no CSV."""
     def point(cfg, snr_db):
-        order.append((cfg.code, snr_db))
-        time.sleep(0.002)                # let later curves try to jump ahead
-        return phy.BerEstimate(ber=0.0, bits_simulated=1, errors=0,
-                               low_confidence=False)
+        raise ValueError("point failed")
 
     monkeypatch.setattr(phy, "ber_monte_carlo", point)
-    monkeypatch.setattr(cli, "_usable_cores", lambda: 1)
-    rows = cli.run_ber_sweep(params, 31)
-    assert [code for code, _ in order] == [CodeScheme(row[2]) for row in rows]
-    assert len(order) == 4 * len(params.ber_distances_m)
-    for k in range(4):
-        snrs = [snr for _, snr in order[2 * k:2 * k + 2]]
-        assert snrs == sorted(snrs, reverse=True)    # nearer point first
-
-
-def test_failed_ber_point_exits_2_and_cancels_the_rest(tmp_path, capsys, monkeypatch):
-    """A point that raises ValueError ends the run with exit 2, and the
-    points not yet started never run."""
-    started = []
-
-    def point(cfg, snr_db):
-        started.append((cfg.modulation, snr_db))
-        if cfg.modulation is Modulation.ASK and len(started) == 1:
-            raise ValueError("point failed")
-        time.sleep(0.2)
-        return phy.BerEstimate(ber=0.0, bits_simulated=1, errors=0,
-                               low_confidence=False)
-
-    monkeypatch.setattr(phy, "ber_monte_carlo", point)
-    monkeypatch.setattr(cli, "_usable_cores", lambda: 1)
     out = tmp_path / "x.csv"
     assert main(["ber-sweep", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "config error: point failed" in err
     assert "Traceback" not in err
     assert not out.exists()
-    # the one worker may take the second point before the pool shuts down
-    assert 1 <= len(started) <= 2
 
 
 def test_ber_curve_failing_before_its_points_exits_2(tmp_path, capsys):

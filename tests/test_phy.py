@@ -2,6 +2,10 @@
 closed-form oracle."""
 
 import math
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -293,8 +297,6 @@ def test_ber_vs_distance_points_worker_independent():
 def test_ber_vs_distance_mapper_changes_no_point():
     """Points run through a thread pool, or in reverse order, give the
     curve of the builtin map."""
-    from concurrent.futures import ThreadPoolExecutor
-
     link = reference_link_config()
     noise = -105.0
     cfg = PhyConfig(trials=20_000, min_errors=20, max_bits=100_000, seed=78)
@@ -336,34 +338,140 @@ def test_ber_vs_distance_maps_every_point_before_a_row_is_read():
     assert len(calls) == 1
 
 
-def test_ber_sweep_is_four_seeded_curves():
+BER_PAIRS = [(Modulation.ASK, CodeScheme.NONE), (Modulation.BPSK, CodeScheme.NONE),
+             (Modulation.BPSK, CodeScheme.HAMMING_15_11), (Modulation.BPSK, CodeScheme.RS_31_26)]
+
+#: a stopping policy small enough for a test of the whole sweep
+SMALL_POLICY = dict(trials=2_000, min_errors=20, max_bits=20_000)
+
+
+def serial_curves(link, noise, distances, seed):
+    """The rows of ASK, BPSK, BPSK+Hamming and BPSK+RS curves, curve k
+    seeded ``seed + k``, each run by the builtin map."""
+    return [row for k, (mod, code) in enumerate(BER_PAIRS)
+            for row in ber_vs_distance(link, noise, PhyConfig(mod, code, seed=seed + k,
+                                                              **SMALL_POLICY), distances)]
+
+
+def test_ber_sweep_is_four_seeded_curves(monkeypatch):
     """``ber_sweep`` gives the rows of ASK, BPSK, BPSK+Hamming and BPSK+RS
-    curves, curve k seeded ``seed + k``, curve after curve.  Every curve
-    reaches the mapper before a row is read, and the distances are taken
-    once, so an iterator serves all four curves."""
+    curves, curve k seeded ``seed + k``, curve after curve.  All four
+    curves share one pool's ``map`` and are queued before a row is read,
+    and the distances are taken once, so an iterator serves all four."""
     link = reference_link_config()
     noise = -105.0
     distances = [0.05, 0.06]
-    policy = dict(trials=2_000, min_errors=20, max_bits=20_000)
-    pairs = [(Modulation.ASK, CodeScheme.NONE), (Modulation.BPSK, CodeScheme.NONE),
-             (Modulation.BPSK, CodeScheme.HAMMING_15_11),
-             (Modulation.BPSK, CodeScheme.RS_31_26)]
-    expected = [row for k, (mod, code) in enumerate(pairs)
-                for row in ber_vs_distance(link, noise, PhyConfig(mod, code, seed=40 + k,
-                                                                  **policy), distances)]
-    queued = []
+    expected = serial_curves(link, noise, distances, 40)
+    curve = phy.ber_vs_distance
+    events = []
 
-    def mapper(fn, cfgs, snrs):
-        queued.append(len(cfgs))
+    def recording(link, noise_dbm, cfg, distances, mapper):
+        events.append(("queue", mapper))
+        rows = curve(link, noise_dbm, cfg, distances, mapper)
 
-        def rows():
-            assert queued == [2, 2, 2, 2]        # every curve queued first
-            yield from map(fn, cfgs, snrs)
-        return rows()
+        def read():
+            events.append(("read", None))
+            yield from rows
+        return read()
 
-    assert ber_sweep(link, noise, iter(distances), seed=40, mapper=mapper,
-                     **policy) == expected
-    assert ber_sweep(link, noise, distances, seed=40, **policy) == expected
+    monkeypatch.setattr(phy, "ber_vs_distance", recording)
+    assert ber_sweep(link, noise, iter(distances), seed=40, **SMALL_POLICY) == expected
+    assert [kind for kind, _ in events] == ["queue"] * 4 + ["read"] * 4
+    mappers = [mapper for _, mapper in events[:4]]
+    assert isinstance(mappers[0].__self__, ThreadPoolExecutor)
+    assert all(mapper == mappers[0] for mapper in mappers)     # one pool's map
+
+
+@pytest.mark.parametrize("cores", [1, 4])
+def test_ber_sweep_rows_independent_of_core_count(monkeypatch, cores):
+    """On one worker or on four, and with the interpreter switching threads
+    as often as it can, the points give the rows of a serial loop over the
+    curves, in curve order, and none runs on the calling thread."""
+    link = reference_link_config()
+    noise = -105.0
+    distances = [0.05, 0.065]
+    serial = serial_curves(link, noise, distances, 31)
+    workers = set()
+    point = phy.ber_monte_carlo
+
+    def recording(*args):
+        workers.add(threading.get_ident())
+        return point(*args)
+
+    monkeypatch.setattr(phy, "ber_monte_carlo", recording)
+    monkeypatch.setattr(phy, "_usable_cores", lambda: cores)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)          # switch threads as often as it can
+    try:
+        rows = ber_sweep(link, noise, distances, seed=31, **SMALL_POLICY)
+    finally:
+        sys.setswitchinterval(interval)
+    assert rows == serial
+    assert threading.get_ident() not in workers
+    assert 1 <= len(workers) <= cores
+
+
+def test_ber_sweep_queues_points_in_scheme_and_distance_order(monkeypatch):
+    """One worker takes the points of every curve in the order of the rows:
+    each curve queues its points only after the curve before it."""
+    distances = [0.05, 0.065]
+    order = []
+
+    def point(cfg, snr_db):
+        order.append((cfg.code, snr_db))
+        time.sleep(0.002)                # let later curves try to jump ahead
+        return BerEstimate(ber=0.0, bits_simulated=1, errors=0, low_confidence=False)
+
+    monkeypatch.setattr(phy, "ber_monte_carlo", point)
+    monkeypatch.setattr(phy, "_usable_cores", lambda: 1)
+    rows = ber_sweep(reference_link_config(), -105.0, distances, seed=31, **SMALL_POLICY)
+    assert [code for code, _ in order] == [CodeScheme(row[2]) for row in rows]
+    assert len(order) == 4 * len(distances)
+    for k in range(4):
+        snrs = [snr for _, snr in order[2 * k:2 * k + 2]]
+        assert snrs == sorted(snrs, reverse=True)    # nearer point first
+
+
+def test_failed_ber_point_cancels_the_rest(monkeypatch):
+    """A point that raises ends the sweep with its error, and the points
+    not yet started never run."""
+    started = []
+
+    def point(cfg, snr_db):
+        started.append((cfg.modulation, snr_db))
+        if cfg.modulation is Modulation.ASK and len(started) == 1:
+            raise ValueError("point failed")
+        time.sleep(0.2)
+        return BerEstimate(ber=0.0, bits_simulated=1, errors=0, low_confidence=False)
+
+    monkeypatch.setattr(phy, "ber_monte_carlo", point)
+    monkeypatch.setattr(phy, "_usable_cores", lambda: 1)
+    with pytest.raises(ValueError, match="point failed"):
+        ber_sweep(reference_link_config(), -105.0, [0.045, 0.05, 0.055, 0.06, 0.065, 0.07],
+                  seed=31, **SMALL_POLICY)
+    # the one worker may take the second point before the pool shuts down
+    assert 1 <= len(started) <= 2
+
+
+def test_ber_sweep_bit_budget_cap(monkeypatch):
+    """``max_bits`` summed over every point of the four curves may reach
+    ``MAX_SWEEP_BITS`` but not pass it; past it no point runs."""
+    def point(cfg, snr_db):
+        return BerEstimate(ber=0.0, bits_simulated=cfg.max_bits, errors=0,
+                           low_confidence=True)
+
+    monkeypatch.setattr(phy, "ber_monte_carlo", point)
+    link = reference_link_config()
+    policy = dict(trials=1, min_errors=0, seed=1)
+    at_cap = phy.MAX_SWEEP_BITS // 8
+    assert len(ber_sweep(link, -105.0, [0.05, 0.06], max_bits=at_cap, **policy)) == 8
+
+    def no_work(*args):
+        raise AssertionError("a point ran")
+
+    monkeypatch.setattr(phy, "ber_monte_carlo", no_work)
+    with pytest.raises(ValueError, match="ber_max_bits=.*ber_distances_m"):
+        ber_sweep(link, -105.0, [0.05, 0.06], max_bits=at_cap + 1, **policy)
 
 
 def test_ber_vs_distance_rejects_unsorted():
