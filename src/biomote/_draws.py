@@ -38,7 +38,7 @@ words in pieces of at most :data:`_PIECE` (512 KiB), so a draw holds its
 uint8 result and one piece.  Only the PHY noise still comes from a
 ``Generator`` method.  ``tests/test_draws.py`` pins each algorithm
 to literal golden values recorded with numpy 2.4.6 and to numpy's own
-methods, and CI pins the CSV digests.
+methods, and ``tests/csv_digests.json`` pins the CLI's CSV digests.
 """
 
 from __future__ import annotations

@@ -530,10 +530,10 @@ def compare_schemes(n_motes_list, duration_slots, trials: int = 100,
     fills the same airtime as a frame.
 
     ``duration_slots`` is an iterable of window lengths in slots, each the
-    ALOHA window as given; neither it nor ``n_motes_list`` may be empty.  Returns one :class:`CompareRow`
-    a point, ALOHA then CDMA for each n, for each duration in turn.  CDMA
-    rows depend only on (n, seed), never on the duration, so each n is
-    simulated once.
+    ALOHA window as given; neither it nor ``n_motes_list`` may be empty.
+    Returns one :class:`CompareRow` a point, ALOHA then CDMA for each n, for
+    each duration in turn.  CDMA rows depend only on (n, seed), never on the
+    duration, so each n is simulated once.
     """
     n_motes_list, durations = _axes(n_motes_list, duration_slots)
     durations = [count("duration_slots", d) for d in durations]

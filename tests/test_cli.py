@@ -1,16 +1,20 @@
 """CLI harness tests: config parsing contract, CSV schemas, reproducibility,
 exit codes."""
 
+import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
 import time
 from dataclasses import fields
+from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -27,13 +31,23 @@ from biomote.config import (
 from biomote.link import link_budget
 
 
-def run_cli(args, env_extra=None):
-    env = dict(os.environ)
-    env.pop("BIOLINK_SEED", None)
+SRC = Path(__file__).resolve().parent.parent / "src"
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def run_cli(args, env_extra=None, preexec_fn=None):
+    """Run ``python -m biomote.cli`` on this checkout's ``src`` in a child
+    that sees neither the caller's ``BIOLINK_SEED`` nor its BLAS thread
+    variables, then ``env_extra``; ``preexec_fn`` runs in the child before
+    the CLI starts."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("BIOLINK_SEED", *BLAS_THREAD_VARS)}
+    env["PYTHONPATH"] = str(SRC)
     if env_extra:
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "biomote.cli", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env,
+                          preexec_fn=preexec_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -558,9 +572,6 @@ def test_cli_import_leaves_pool_and_numpy_random_unloaded():
     assert r.stdout.split() == ["False", "False"]
 
 
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-
-
 def blas_env_after_import(module, preset):
     """The BLAS thread variables a child sees after importing ``module``,
     started with none of them set except ``preset``."""
@@ -674,6 +685,48 @@ def test_oversized_ber_budget_exits_2_before_work(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert "ber_max_bits" in err and "ber_distances_m" in err
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# pinned CSV digests
+# ---------------------------------------------------------------------------
+
+# The byte contract: each entry runs the CLI with its ``args`` (and its
+# ``env``, and on one core if ``one_core``) and names the SHA-256 digest of
+# the CSV, and ``why`` that run is pinned.  The digests rest on numpy's
+# seeded streams, its bounded-integer path and its normals (see
+# biomote._draws), so they hold for the numpy release named in the table.
+CSV_DIGESTS = json.loads((Path(__file__).parent / "csv_digests.json").read_text())
+
+
+@pytest.mark.parametrize("pin", CSV_DIGESTS["pins"], ids=lambda pin: pin["name"])
+def test_pinned_csv_digest(pin, tmp_path):
+    out = tmp_path / f"{pin['name']}.csv"
+    # only this child is pinned, to the lowest core it may use
+    one_core = (partial(os.sched_setaffinity, 0, {min(os.sched_getaffinity(0))})
+                if pin.get("one_core") else None)
+    r = run_cli([*pin["args"], "--out", str(out)], pin.get("env"), one_core)
+    assert r.returncode == 0, r.stderr
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == pin["sha256"], (
+        f"pin {pin['name']}: the CSV's SHA-256 is {digest}, the table's "
+        f"{pin['sha256']} (numpy {np.__version__} here, "
+        f"{CSV_DIGESTS['numpy']} when the table was recorded)")
+
+
+def test_csv_digest_table_is_complete():
+    """Every study is pinned at its defaults, and every entry is well formed."""
+    pins = CSV_DIGESTS["pins"]
+    names = [pin["name"] for pin in pins]
+    assert len(set(names)) == len(names)
+    required = {"name", "args", "sha256", "why"}
+    at_defaults = {pin["args"][0] for pin in pins
+                   if len(pin["args"]) == 1 and set(pin) == required}
+    assert set(cli.SUBCOMMANDS) <= at_defaults
+    for pin in pins:
+        assert required <= set(pin) <= required | {"env", "one_core"}, pin["name"]
+        assert re.fullmatch("[0-9a-f]{64}", pin["sha256"]), pin["name"]
+        assert pin["why"].strip(), pin["name"]
 
 
 # ---------------------------------------------------------------------------
