@@ -8,11 +8,11 @@ the backscatter power the reader actually sees as the implant moves away.
 from biomote.link import (
     ac_resistance,
     backscatter_sweep,
-    link_budget,
     mutual_inductance,
     reference_link_config,
     self_inductance,
     skin_depth,
+    table1_sweep,
 )
 
 noise_dbm = -105.0                  # receiver noise floor
@@ -30,11 +30,9 @@ print(f"L_reader = {self_inductance(cfg.reader)*1e3:.3f} mH, "
 
 print("\n=== Operating table: carrier and core loading ===")
 print("fc MHz   mu   P_tx dBm   PL dB    A_s dB   P_re dBm")
-for fc, mus, nd in [(1e6, (1, 10, 50), 4), (13.56e6, (1, 10), 6), (100e6, (1,), 7)]:
-    for mu in mus:
-        b = link_budget(reference_link_config(fc, nd, 0.06, mu), noise_dbm)
-        print(f"{fc/1e6:6.2f}  {mu:4.0f}   {b.p_tx_dbm:8.2f} {b.path_loss_db:8.2f} "
-              f"{b.sideband_attenuation_db:8.2f} {b.p_re_dbm:10.2f}")
+for row in table1_sweep(reference_link_config(), noise_dbm):
+    print(f"{row.fc_mhz:6.2f}  {row.mu:4.0f}   {row.p_tx_dbm:8.2f} {row.pl_db:8.2f} "
+          f"{row.a_s_db:8.2f} {row.p_re_dbm:10.2f}")
 print("Higher carrier lowers the path loss; ferrite loading (mu) lowers it "
       "further but sharpens the tank, so the subcarrier sideband pays more "
       "attenuation — the budget balances the two.")

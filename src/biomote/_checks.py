@@ -1,6 +1,6 @@
 """Field checks of the link, MAC and PHY layers: the config parser's rules
 for library callers.  Each check returns the value it accepts and raises a
-``ValueError`` that names the field."""
+``ValueError``; a field's check names the field."""
 
 import math
 import operator
@@ -43,3 +43,11 @@ def fields(obj, check, *names: str, **limits) -> None:
     the check returns."""
     for name in names:
         object.__setattr__(obj, name, check(name, getattr(obj, name), **limits))
+
+
+def axes(*values) -> list[list]:
+    """Each axis of a sweep grid as a list, taken once; none may be empty."""
+    values = [list(axis) for axis in values]
+    if not all(values):
+        raise ValueError("sweep axes must be non-empty")
+    return values

@@ -32,7 +32,7 @@ import numbers
 from collections import namedtuple
 from dataclasses import dataclass, replace
 
-from biomote._checks import count, fields, finite, positive
+from biomote._checks import axes, count, fields, finite, positive
 
 __all__ = [
     "MU0", "Coil", "LinkConfig", "MAX_SUBCARRIER_DIVIDER", "LinkBudget",
@@ -295,9 +295,7 @@ def link_budget(config: LinkConfig, noise_dbm: float) -> LinkBudget:
 def check_distances(distances) -> list[float]:
     """``distances`` as a list, which must be non-empty and strictly
     ascending; every separation sweep takes its grid through here."""
-    distances = list(distances)
-    if not distances:
-        raise ValueError("distances must be non-empty")
+    [distances] = axes(distances)
     if any(b <= a for a, b in zip(distances, distances[1:])):
         raise ValueError("distances must be strictly ascending")
     return distances

@@ -16,12 +16,13 @@ Three schemes sized for a transmit-only micro implant:
 ALOHA runs in slots of one packet's airtime: a :class:`MacScenario` holds
 its read window and frame as slot counts.  :func:`read_window_slots` is the
 one conversion of a window in seconds, at a link rate and packet size, to
-whole slots; the scenario sweeps take their windows in seconds and convert
-each once, and :func:`compare_schemes` takes its windows in slots.  The
-window is carved into frames of ``frame_slots``; scenario runs use a
-single frame spanning the window (each mote transmits its one packet at a
-random offset).  A deployment counts as fully read when the mean shortfall
-is at most ``FULL_READ_SHORTFALL`` motes (about one collision pair).
+whole slots; the two scenario sweeps take their windows in seconds and
+convert each once, and :func:`max_fully_read` and :func:`compare_schemes`
+take theirs in slots.  The window is carved into frames of
+``frame_slots``; scenario runs use a single frame spanning the window (each
+mote transmits its one packet at a random offset).  A deployment counts as
+fully read when the mean shortfall is at most ``FULL_READ_SHORTFALL`` motes
+(about one collision pair).
 
 CDMA despreading is exact integer arithmetic done in float32.  Random
 codes go through the Gram matrix C C^T; every partial sum of a despread is
@@ -38,7 +39,9 @@ Every routine is deterministic in (seed, parameters): each trial draws
 from its own stream keyed by (seed, n, trial), so results are
 independent of any chunking of trials across workers.  :mod:`biomote._draws`
 keys the streams, a point's trials in batches, and holds numpy's draw
-rules; this module holds only the frames and the despreading.
+rules; this module holds the frames and the despreading, and for ALOHA how
+much of each stream a block of trials holds: the prefix margin
+(:func:`_words_for`), the prefix memo and the widening cap, below.
 
 ALOHA runs all trials of a point together as arrays.  A trial's slot picks
 are numpy's ``Generator.integers(0, frame)`` draws, reproduced from the raw
@@ -74,7 +77,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from biomote import _draws
-from biomote._checks import count, fields, positive
+from biomote._checks import axes, count, fields, positive
 
 __all__ = [
     "MacScenario", "read_window_slots", "DeploymentGeometry",
@@ -322,28 +325,20 @@ def aloha_mean_successes(sc: MacScenario) -> float:
     return aloha_simulate(sc)[0] / sc.trials
 
 
-def max_fully_read(rate: float, read_time: float, packet_bytes: int,
-                   trials: int = 100, seed: int = _draws.DEFAULT_SEED) -> int:
+def max_fully_read(window_slots: int, trials: int = 100,
+                   seed: int = _draws.DEFAULT_SEED) -> int:
     """Largest deployment, scanned in steps of 10 motes in one frame
-    spanning the window, whose mean read count stays within
-    :data:`FULL_READ_SHORTFALL` of everyone."""
-    window = read_window_slots(rate, packet_bytes, read_time)
+    spanning a window of ``window_slots`` slots, whose mean read count stays
+    within :data:`FULL_READ_SHORTFALL` of everyone; 0 for an empty window.
+    Each probe is a :class:`MacScenario`, which checks the counts."""
     best = 0
     n = 10
     while True:
-        sc = MacScenario(n, window, trials=trials, seed=seed)
-        if window < 1 or aloha_mean_successes(sc) < n - FULL_READ_SHORTFALL:
+        sc = MacScenario(n, window_slots, trials=trials, seed=seed)
+        if window_slots < 1 or aloha_mean_successes(sc) < n - FULL_READ_SHORTFALL:
             return best
         best = n
         n += 10
-
-
-def _axes(*axes) -> list[list]:
-    """Each axis of a sweep grid as a list, taken once; none may be empty."""
-    axes = [list(axis) for axis in axes]
-    if not all(axes):
-        raise ValueError("sweep lists must be non-empty")
-    return axes
 
 
 #: one row of :func:`scenario1_sweep`; the field names are its CSV columns
@@ -354,13 +349,13 @@ def scenario1_sweep(rate: float, read_times, packet_bytes: int,
                     trials: int = 100, seed: int = _draws.DEFAULT_SEED) -> list[Scenario1Row]:
     """Deployment-sizing question: the largest fully read deployment for
     each read window (:func:`max_fully_read`), one :class:`Scenario1Row`
-    each."""
-    [read_times] = _axes(read_times)
-    for rt in read_times:       # every window, before the first scan
-        MacScenario(0, read_window_slots(rate, packet_bytes, rt), trials=trials, seed=seed)
-    return [Scenario1Row(rate, rt, packet_bytes,
-                         max_fully_read(rate, rt, packet_bytes, trials, seed))
-            for rt in read_times]
+    each.  Each read time is converted to slots once, and every window is
+    checked before the first scan."""
+    [read_times] = axes(read_times)
+    windows = [MacScenario(0, read_window_slots(rate, packet_bytes, rt), trials=trials,
+                           seed=seed).window_slots for rt in read_times]
+    return [Scenario1Row(rate, rt, packet_bytes, max_fully_read(window, trials, seed))
+            for rt, window in zip(read_times, windows)]
 
 
 #: one row of :func:`scenario2_sweep`; the field names are its CSV columns
@@ -372,7 +367,7 @@ def scenario2_sweep(n_motes_list, rate: float, read_times, packet_bytes: int,
     """Local-deployment question: mean successful motes at fixed sizes, one
     :class:`Scenario2Row` for each deployment, for each read window in turn.
     """
-    n_motes_list, read_times = _axes(n_motes_list, read_times)
+    n_motes_list, read_times = axes(n_motes_list, read_times)
     # every point is checked before the first one runs
     windows = [read_window_slots(rate, packet_bytes, rt) for rt in read_times]
     points = [(rt, MacScenario(n, window, trials=trials, seed=seed))
@@ -501,7 +496,7 @@ def cdma_sweep(n_motes, code_lens, packet_bytes: int, trials: int = 100,
     each code length in turn.  Every point is checked before the first
     one runs.
     """
-    n_motes, code_lens = _axes(n_motes, code_lens)
+    n_motes, code_lens = axes(n_motes, code_lens)
     points = [(n, c) for c in code_lens for n in n_motes]
     for n, c in points:
         _check_cdma(n, c, "random", packet_bytes, trials)
@@ -535,7 +530,7 @@ def compare_schemes(n_motes_list, duration_slots, trials: int = 100,
     each duration in turn.  CDMA rows depend only on (n, seed), never on the
     duration, so each n is simulated once.
     """
-    n_motes_list, durations = _axes(n_motes_list, duration_slots)
+    n_motes_list, durations = axes(n_motes_list, duration_slots)
     durations = [count("duration_slots", d) for d in durations]
     # every deployment and window is checked before the first point runs
     for n in n_motes_list:

@@ -192,7 +192,7 @@ def test_criterion_5_binary_tree():
 
 def test_criterion_6_scenario1_anchor():
     t0 = time.perf_counter()
-    n_max = max_fully_read(200e3, 10.0, 64, trials=100, seed=SEED)
+    n_max = max_fully_read(read_window_slots(200e3, 64, 10.0), trials=100, seed=SEED)
     geom = DeploymentGeometry()
     rec = global_recommendation(n_max, geom)
     ok = abs(n_max - 91) <= 0.15 * 91
@@ -205,7 +205,7 @@ def test_criterion_6_scenario1_anchor():
 
 
 def test_criterion_7_scenario2_anchor():
-    n_opt = max_fully_read(200e3, 20.0, 64, trials=100, seed=SEED)
+    n_opt = max_fully_read(read_window_slots(200e3, 64, 20.0), trials=100, seed=SEED)
     ok = abs(n_opt - 130) <= 0.15 * 130
     report("7", ok, f"optimum local deployment = {n_opt} (130 ± 15%)")
 

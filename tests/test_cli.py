@@ -420,6 +420,8 @@ def test_unknown_set_key_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("setting,message", [
     ("mote_radius_m=2e-4", "mote coil diameter exceeds 250 um envelope"),
     ("separation_m", "expected 'key = value', got 'separation_m'"),
+    ("link_distances_m=0.1:0.2:0", "'link_distances_m': range step must be positive"),
+    ("link_distances_m=0.2:0.1:0.01", "'link_distances_m': empty list"),
 ])
 def test_out_of_envelope_or_malformed_set_exits_2(tmp_path, capsys, setting, message):
     # the link checks its mote's envelope; a --set item is read like a

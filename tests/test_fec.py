@@ -62,6 +62,8 @@ def test_gf_pow_consistency():
     assert gf_pow(2, 0) == 1
     assert gf_pow(2, 31) == 1   # alpha has multiplicative order 31
     assert gf_pow(2, 32) == 2
+    assert gf_pow(0, 0) == 1
+    assert gf_pow(0, 3) == 0
 
 
 def _gf_mul_shift_xor(a: int, b: int) -> int:
@@ -338,6 +340,16 @@ def test_codec_takes_one_word_or_a_2d_batch(entry, length, case):
     values = np.zeros(shape, dtype=np.int64)
     with pytest.raises(ValueError, match=f"length-{length} word"):
         getattr(fec, entry)(values)
+
+
+@pytest.mark.parametrize("entry, length, message", [
+    ("bits_to_symbols", 7, "multiple of 5"),
+    ("hamming_encode_lfsr", 10, "length 11"), ("hamming_encode_lfsr", 12, "length 11"),
+    ("rs_encode_lfsr", 25, "length 26"), ("rs_encode_lfsr", 27, "length 26"),
+])
+def test_wrong_length_rejected(entry, length, message):
+    with pytest.raises(ValueError, match=message):
+        getattr(fec, entry)(np.zeros(length, dtype=np.int64))
 
 
 def test_one_word_gives_python_scalars():

@@ -124,8 +124,8 @@ def test_read_window_slots_is_the_truncated_quotient():
 
 
 def test_sweeps_convert_each_window_once(monkeypatch):
-    """``max_fully_read`` converts its window once before its probes, and
-    ``scenario1_sweep`` and ``scenario2_sweep`` once a read time each."""
+    """``scenario1_sweep`` and ``scenario2_sweep`` convert once a read time
+    each; ``scenario1_sweep``'s scans take that window in slots."""
     calls = []
 
     def counted(*args):
@@ -133,15 +133,19 @@ def test_sweeps_convert_each_window_once(monkeypatch):
         return read_window_slots(*args)
 
     monkeypatch.setattr(mac, "read_window_slots", counted)
-    assert max_fully_read(200e3, 4.0, 64, trials=20, seed=3) > 10     # several probes
-    assert calls == [(200e3, 64, 4.0)]
-    calls.clear()
     scenario2_sweep([10, 20, 30], 200e3, [2.0, 4.0], 64, trials=5, seed=3)
     assert calls == [(200e3, 64, 2.0), (200e3, 64, 4.0)]
     calls.clear()
-    monkeypatch.setattr(mac, "max_fully_read", lambda *args: 0)
-    scenario1_sweep(200e3, [2.0, 4.0], 64, trials=5, seed=3)
+    rows = scenario1_sweep(200e3, [2.0, 4.0], 64, trials=20, seed=3)
+    assert all(row.max_motes > 10 for row in rows)      # several probes each
     assert calls == [(200e3, 64, 2.0), (200e3, 64, 4.0)]
+
+
+def test_max_fully_read_takes_a_window_in_slots():
+    assert max_fully_read(0) == 0
+    for window in (781.0, -1, MAX_ALOHA_SLOTS + 1):
+        with pytest.raises(ValueError, match="window"):
+            max_fully_read(window)
 
 
 def test_single_mote_always_read():
@@ -561,8 +565,8 @@ PINNED_COMPARE_ALOHA = {(50, 300): 49.2, (200, 300): 103.45,
 
 def test_aloha_sweeps_pinned():
     for read_time, n in PINNED_MAX_FULLY_READ.items():
-        assert max_fully_read(200e3, read_time, 64) == n
-    assert max_fully_read(100e3, 5.0, 64, trials=40, seed=3) == 40
+        assert max_fully_read(read_window_slots(200e3, 64, read_time)) == n
+    assert max_fully_read(read_window_slots(100e3, 64, 5.0), trials=40, seed=3) == 40
     rows = scenario2_sweep([10, 100, 200], 200e3, [2.0, 10.0], 64)
     assert {(n, rt): m for n, _, rt, m in rows} == PINNED_SCENARIO2
     for duration in (300, 640):
@@ -657,22 +661,23 @@ def test_multi_frame_matches_exact_law(n, s):
 
 def test_max_fully_read_monotone_in_window():
     pkt, rate = 64, 200e3
-    short = max_fully_read(rate, 2.0, pkt, trials=40, seed=3)
-    long = max_fully_read(rate, 8.0, pkt, trials=40, seed=3)
+    short = max_fully_read(read_window_slots(rate, pkt, 2.0), trials=40, seed=3)
+    long = max_fully_read(read_window_slots(rate, pkt, 8.0), trials=40, seed=3)
     assert long >= short
 
 
 def test_max_fully_read_monotone_in_rate():
     pkt = 64
-    slow = max_fully_read(100e3, 5.0, pkt, trials=40, seed=3)
-    fast = max_fully_read(400e3, 5.0, pkt, trials=40, seed=3)
+    slow = max_fully_read(read_window_slots(100e3, pkt, 5.0), trials=40, seed=3)
+    fast = max_fully_read(read_window_slots(400e3, pkt, 5.0), trials=40, seed=3)
     assert fast >= slow
 
 
 def test_scenario1_sweep_rows_are_max_fully_read():
     read_times = [2.0, 4.0]
     rows = scenario1_sweep(200e3, iter(read_times), 64, trials=20, seed=3)
-    assert rows == [(200e3, rt, 64, max_fully_read(200e3, rt, 64, trials=20, seed=3))
+    assert rows == [(200e3, rt, 64,
+                     max_fully_read(read_window_slots(200e3, 64, rt), trials=20, seed=3))
                     for rt in read_times]
 
 

@@ -90,6 +90,8 @@ def test_awgn_infinite_snr_passthrough():
     y = awgn(x, math.inf, np.random.default_rng(0))
     assert np.array_equal(x, y)
     assert not np.shares_memory(x, y)
+    with pytest.raises(ValueError, match=r"finite or \+inf"):
+        awgn(x, -math.inf, np.random.default_rng(0))
 
 
 def test_awgn_variance_within_one_percent():
