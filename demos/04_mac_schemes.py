@@ -2,7 +2,8 @@
 
 Covers the binary-tree selection cost, the slotted-ALOHA read-window
 scans that size local and whole-body deployments, the CDMA spreading-code
-trade, and the head-to-head of the two simulated schemes.
+trade, and the head-to-head of the two simulated schemes, each at the
+library's default seed and trial count.
 """
 
 from biomote.mac import (
@@ -14,8 +15,6 @@ from biomote.mac import (
     scenario1_sweep,
 )
 
-SEED = 0xB10B10
-
 print("=== Binary tree: reader iterations to isolate one mote ===")
 for n in (1, 2, 16, 91, 1024):
     print(f"  {n:5d} motes -> {binary_tree_iterations(n):5.2f} iterations")
@@ -25,8 +24,7 @@ print("Selection cost grows only logarithmically, but every iteration is a "
 print("\n=== Slotted ALOHA: deployment sizing ===")
 print("rate=200 kbps, 64-byte packets; window scanned in steps of 10 motes")
 capacity = {}
-for _, read_time, _, n in scenario1_sweep(200e3, (2.0, 4.0, 6.0, 8.0, 10.0, 20.0),
-                                          64, trials=100, seed=SEED):
+for _, read_time, _, n in scenario1_sweep(200e3, (2.0, 4.0, 6.0, 8.0, 10.0, 20.0), 64):
     capacity[read_time] = n
     print(f"  read window {read_time:4.1f} s -> up to {n:3d} motes fully read")
 
@@ -41,8 +39,7 @@ print(f"Scaled to a {geom.body_volume_cm3:.3e} cm^3 body: deploy about "
 print("\n=== CDMA: spreading codes vs contention ===")
 print("random +-1 codes, 8-byte packets; mean motes read error-free")
 code_lens, deployments = (16, 32, 64, 128, 256), (2, 5, 10, 20, 40, 80)
-means = {(n, c): m for n, c, _, m in cdma_sweep(deployments, code_lens, 8,
-                                                  trials=100, seed=SEED)}
+means = {(n, c): m for n, c, _, m in cdma_sweep(deployments, code_lens, 8)}
 print("n motes " + "".join(f"  C={c:<5d}" for c in code_lens))
 for n in deployments:
     print(f"{n:7d} " + "".join(f"  {means[n, c]:7.2f}" for c in code_lens))
@@ -51,7 +48,7 @@ print("Longer codes push the peak out: each family rises, tops out, then "
 
 print("\n=== ALOHA vs CDMA at matched airtime ===")
 for duration in (128, 1280):
-    rows = compare_schemes([10, 20, 40, 80, 120], [duration], trials=100, seed=SEED)
+    rows = compare_schemes([10, 20, 40, 80, 120], [duration])
     by = {(n, scheme): m for n, _, scheme, m in rows}
     print(f"duration = {duration:5d} slots "
           f"({duration * 0.0256:.4f} s at 20 kbps / 64 B):")

@@ -52,8 +52,11 @@ word for ``integers(0, frame)`` whatever call it falls in, so a trial's
 picks are one ordered sequence: the accepted draws of its (seed, n,
 trial) stream from the first word.  Its first frame takes the first n of
 them, each later frame the next ones, one for each mote still unread.  A
-trial holds a prefix of its stream: at first the words its first frame
-reads, with room for rejected words and six to spare.  A block's
+block of trials keeps one row per trial for the whole run: the rows stay
+fixed, a fully read trial picks only padding, and a frame's slots count
+only for the trials still unread.  A trial holds a prefix of its stream:
+at first the words its first frame reads, with room for rejected words
+and six to spare.  A block's
 prefixes come from :func:`~biomote._draws.first_words`, which computes
 those of at most 128 raw words without ``numpy.random``, every prefix of
 the default ``mac-scenario1`` and ``mac-scenario2`` grids among them.
@@ -221,22 +224,6 @@ def _first_words(seed: int, n: int, first: int, stop: int, words: int) -> np.nda
 _BLOCK_WORDS = 1 << 16
 
 
-def _pick_runs(block: tuple, words: int, frame: int, trials: np.ndarray) -> tuple:
-    """The ``integers(0, frame)`` draws in rows ``trials`` of ``block``'s
-    prefixes of at least ``words`` words (:func:`_first_words`,
-    :func:`~biomote._draws.bounded`), as (draws, start, held, width): each
-    row's draws follow those of the row before, row i's begin at
-    ``start[i]`` and number ``held[i]``, and each prefix is ``width`` words
-    long."""
-    prefix = _first_words(*block, words)
-    # bounded never writes its words, so a block whose rows are all still
-    # unread is read in place
-    rows = prefix if trials.size == len(prefix) else prefix[trials]
-    values, accepted = _draws.bounded(rows, frame)
-    held = np.count_nonzero(accepted, axis=1)
-    return values[accepted], np.cumsum(held) - held, held, prefix.shape[1]
-
-
 def _singletons(picks: np.ndarray, span: int) -> np.ndarray:
     """Per row, how many values below ``span`` occur exactly once in
     ``picks``; sorts each row in place."""
@@ -249,24 +236,24 @@ def _singletons(picks: np.ndarray, span: int) -> np.ndarray:
 
 def _aloha_trials(sc: MacScenario, first: int, stop: int) -> tuple[int, int]:
     """(motes read, slots used) summed over trials ``first`` to ``stop - 1``,
-    all run together: every unread mote of every trial picks its slot of a
-    frame in one array, and the trials move through their frames in step.
+    all run together: each trial of the block keeps its row for the whole
+    run, every row picks its slots of a frame in one array, and the trials
+    move through their frames in step.  A fully read trial keeps its row,
+    picks only padding and counts no more slots.
 
-    A trial's picks are one ordered sequence, the draws its memoised stream
-    prefix holds (:func:`_pick_runs`), and each frame takes the next ones,
+    A trial's picks are one ordered sequence, the ``integers(0, frame)``
+    draws its memoised stream prefix holds (:func:`_first_words`,
+    :func:`~biomote._draws.bounded`), and each frame takes the next ones,
     one for each unread mote.  When a trial still unread needs more picks
     than its prefix holds, every prefix of the block is widened."""
     frame, budget = sc.frame_slots, sc.window_slots
-    if sc.n_motes == 0 or budget < 1:
-        return 0, 0
     block = (sc.seed, sc.n_motes, first, stop)
-    trials = np.arange(stop - first)
-    remaining = np.full(trials.size, sc.n_motes)
+    remaining = np.full(stop - first, sc.n_motes)
     # a frame of one slot draws no word: every pick is this one 0
     draws = np.zeros(1, dtype=np.uint32)
-    start, held, taken = np.zeros((3, trials.size), dtype=np.int64)
+    start, held, taken = np.zeros((3, stop - first), dtype=np.int64)
     words = reads = slots = used = 0
-    while remaining.size and used < budget:
+    while remaining.any() and used < budget:
         while frame > 1 and (taken + remaining > held).any():
             # widen every prefix at least fourfold, so a block that reads
             # on through many frames is drawn again only a few times
@@ -275,7 +262,12 @@ def _aloha_trials(sc: MacScenario, first: int, stop: int) -> tuple[int, int]:
             if 8 * -(-words // 2) * (stop - first) > MAX_ALOHA_PREFIX_BYTES:
                 raise ValueError(f"mac_n_motes={sc.n_motes} in a window of {budget} slots "
                                  f"reads past {MAX_ALOHA_PREFIX_BYTES} bytes of stream words")
-            draws, start, held, words = _pick_runs(block, words, frame, trials)
+            # bounded never writes its words, so the memoised prefix is read
+            # in place; row i's draws follow those of row i - 1
+            prefix = _first_words(*block, words)
+            values, accepted = _draws.bounded(prefix, frame)
+            held = np.count_nonzero(accepted, axis=1)
+            draws, start, words = values[accepted], np.cumsum(held) - held, prefix.shape[1]
         # row i takes its next remaining[i] picks, padded with the frame;
         # clipping keeps the padding's indices in range, and turns every
         # index into 0 for a frame of one slot
@@ -285,14 +277,10 @@ def _aloha_trials(sc: MacScenario, first: int, stop: int) -> tuple[int, int]:
         span = min(frame, budget - used)
         read = _singletons(picks, span)
         reads += int(read.sum())
-        slots += span * trials.size
+        slots += span * int(np.count_nonzero(remaining))
         used += span
         taken += remaining
         remaining -= read
-        unread = remaining > 0
-        if not unread.all():
-            trials, start, held, taken, remaining = (
-                row[unread] for row in (trials, start, held, taken, remaining))
     return reads, slots
 
 
@@ -335,7 +323,7 @@ def max_fully_read(window_slots: int, trials: int = 100,
     n = 10
     while True:
         sc = MacScenario(n, window_slots, trials=trials, seed=seed)
-        if window_slots < 1 or aloha_mean_successes(sc) < n - FULL_READ_SHORTFALL:
+        if aloha_mean_successes(sc) < n - FULL_READ_SHORTFALL:
             return best
         best = n
         n += 10

@@ -241,6 +241,21 @@ def test_reflected_impedance_singularity():
         reflected_impedance(cfg, 1e6)
 
 
+def test_budget_mote_loop_singularity():
+    # a load of -(Z_rb + Z_b) at the carrier cancels the mote loop as the
+    # budget drives it; the reader loop, Z_r + Z_br, is left only nearly
+    # cancelled, so the mote guard is the one that fires
+    cfg = reference_link_config(1e6, 4)
+    fc = cfg.resonance_freq
+    w = 2.0 * math.pi * fc
+    zr = cfg.coil_impedance(cfg.reader, fc)
+    zrb = (w * cfg.mutual()) ** 2 / zr
+    cfg = replace(cfg, load_impedance=-(zrb + cfg.coil_impedance(cfg.mote, fc)))
+    assert zr + reflected_impedance(cfg, fc) != 0
+    with pytest.raises(SingularityError, match="mote loop is a lossless short at resonance"):
+        link_budget(cfg, NOISE)
+
+
 def test_budget_powers_match_mesh_solve():
     for fc, nd in [(1e6, 4), (13.56e6, 6)]:
         cfg = reference_link_config(fc, nd)

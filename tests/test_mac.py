@@ -412,6 +412,11 @@ def _layouts(draw):
     return n, frame, whole * frame
 
 
+#: nine trials in one block, whose prefixes widen after one of them is fully
+#: read (:func:`test_a_block_widens_after_some_trials_are_read`)
+_WIDENS_AFTER_A_READ = dict(layout=(10, 16, 64), seed=2, block_words=mac._BLOCK_WORDS)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(layout=_layouts(), seed=st.integers(0, 2**32 - 1),
        block_words=st.sampled_from([1, 40, mac._BLOCK_WORDS]))
@@ -423,6 +428,7 @@ def _layouts(draw):
 @example(layout=(30, 16, 71), seed=6, block_words=1)
 @example(layout=(40, 2**31 + 1, 2**30), seed=7, block_words=mac._BLOCK_WORDS)
 @example(layout=(40, 2**31 + 1, MAX_ALOHA_SLOTS), seed=8, block_words=40)
+@example(**_WIDENS_AFTER_A_READ)
 def test_batched_aloha_matches_per_trial_reference(layout, seed, block_words):
     """The batched trials equal the per-trial reference on each trial's
     own stream, trial by trial and as sums over trials, whatever the block
@@ -435,6 +441,47 @@ def test_batched_aloha_matches_per_trial_reference(layout, seed, block_words):
         sc = _scenario(n, frame_slots, budget, trials=9, seed=seed)
         assert aloha_simulate(sc) == _reference(sc)
         assert aloha_mean_successes(sc) == _fresh_stream_mean(sc)
+
+
+def test_a_block_widens_after_some_trials_are_read(monkeypatch):
+    """The 9-trial run of ``_WIDENS_AFTER_A_READ`` widens its block's
+    prefixes while a trial of the block is already fully read."""
+    n, frame, budget = _WIDENS_AFTER_A_READ["layout"]
+    sc = _scenario(n, frame, budget, trials=9, seed=_WIDENS_AFTER_A_READ["seed"])
+    assert mac._BLOCK_WORDS // (n + 1) >= sc.trials
+    read_rows, widenings = [0], []
+    first_words, singletons = mac._first_words, mac._singletons
+
+    def widening(*args):
+        widenings.append(read_rows[0])
+        return first_words(*args)
+
+    def frame_read(picks, span):
+        # a row's picks below the frame are its unread motes, the rest padding
+        unread = np.count_nonzero(picks < frame, axis=1)
+        read = singletons(picks, span)
+        read_rows[0] = int(np.count_nonzero(unread == read))
+        return read
+
+    monkeypatch.setattr(mac, "_first_words", widening)
+    monkeypatch.setattr(mac, "_singletons", frame_read)
+    # an empty memo, so that no wider block drawn earlier stands in
+    monkeypatch.setattr(mac, "_WORD_MEMO", type(mac._WORD_MEMO)())
+    aloha_simulate(sc)
+    # the first call fills the prefixes before any frame, a later one widens
+    assert widenings[0] == 0
+    assert any(widenings[1:])
+
+
+def test_aloha_simulate_returns_python_ints():
+    # nine trials that finish at different frames, so a frame's slots count
+    # only some of the block's rows
+    sc = _scenario(10, 16, 64, trials=9, seed=2)
+    used = {_aloha_simulate_unique(sc, _trial_generator(sc.seed, sc.n_motes, t))[1]
+            for t in range(sc.trials)}
+    assert len(used) > 1
+    reads, slots = aloha_simulate(sc)
+    assert type(reads) is int and type(slots) is int
 
 
 def _count_seedings(monkeypatch):
